@@ -364,6 +364,33 @@ def solve_linear(a: Matrix, b) -> tuple | None:
     return tuple(x)
 
 
+def linear_combination(field: Field, coeffs, rows, n: int) -> tuple:
+    """sum_i coeffs[i] * rows[i], a vector of length n."""
+    vec = [field.zero] * n
+    for c, row in zip(coeffs, rows):
+        if c:
+            vec = [field.add(x, field.mul(c, y)) for x, y in zip(vec, row)]
+    return tuple(vec)
+
+
+def _residual(p, rows, pivots, vec) -> list:
+    """vec minus its combination of reduced echelon rows.
+
+    The coefficients of that combination are vec's entries at the pivot
+    columns, so the residual vanishes there and is zero exactly when vec
+    lies in the span of the rows.
+    """
+    v = list(vec)
+    for row, pc in zip(rows, pivots):
+        c = v[pc]
+        if c:
+            if p is None:
+                v = [a - c * b for a, b in zip(v, row)]
+            else:
+                v = [(a - c * b) % p for a, b in zip(v, row)]
+    return v
+
+
 class EchelonBasis:
     """Accumulates vectors and keeps a reduced echelon basis of their span."""
 
@@ -379,26 +406,14 @@ class EchelonBasis:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, vec) -> list:
-        p = self.field.p
-        v = list(vec)
-        for row, pc in zip(self.rows, self.pivots):
-            c = v[pc]
-            if c:
-                if p is None:
-                    v = [a - c * b for a, b in zip(v, row)]
-                else:
-                    v = [(a - c * b) % p for a, b in zip(v, row)]
-        return v
-
     def contains(self, vec) -> bool:
-        return not any(self._reduce(vec))
+        return not any(_residual(self.field.p, self.rows, self.pivots, vec))
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True when it enlarged the span."""
         field = self.field
         p = field.p
-        v = self._reduce(vec)
+        v = _residual(p, self.rows, self.pivots, vec)
         lead = next((j for j, x in enumerate(v) if x), None)
         if lead is None:
             return False
@@ -422,21 +437,24 @@ class EchelonBasis:
         self.pivots.insert(at, lead)
         return True
 
-    def matrix(self) -> Matrix:
-        return Matrix(self.field, tuple(self.rows), ncols=self.width, validate=False)
+    def subspace(self) -> "Subspace":
+        return Subspace(Matrix(self.field, tuple(self.rows), ncols=self.width, validate=False),
+                        self.pivots)
 
 
 class Subspace:
-    """A subspace of k^n held by its canonical reduced-echelon basis rows."""
+    """A subspace of k^n held by its canonical reduced-echelon basis rows
+    and their pivot columns."""
 
-    __slots__ = ("ambient_dim", "basis", "dim")
+    __slots__ = ("ambient_dim", "basis", "pivots", "dim")
 
-    def __init__(self, basis: Matrix, ambient_dim: int | None = None):
-        n = basis.ncols if ambient_dim is None else ambient_dim
-        if basis.ncols != n:
-            raise DimensionMismatch("basis width disagrees with ambient dimension")
-        self.ambient_dim = n
+    def __init__(self, basis: Matrix, pivots):
+        pivots = tuple(pivots)
+        if len(pivots) != basis.nrows:
+            raise DimensionMismatch("one pivot column per basis row")
+        self.ambient_dim = basis.ncols
         self.basis = basis
+        self.pivots = pivots
         self.dim = basis.nrows
 
     @classmethod
@@ -444,26 +462,29 @@ class Subspace:
         acc = EchelonBasis(field, n)
         for v in vectors:
             acc.add(tuple(field.coerce(x) for x in v))
-        return cls(acc.matrix(), n)
+        return acc.subspace()
 
     @classmethod
     def zero(cls, field: Field, n: int) -> "Subspace":
-        return cls(Matrix(field, (), ncols=n, validate=False), n)
+        return cls(Matrix(field, (), ncols=n, validate=False), ())
 
     @classmethod
     def full(cls, field: Field, n: int) -> "Subspace":
-        return cls(Matrix.identity(field, n), n)
+        return cls(Matrix.identity(field, n), range(n))
 
     @property
     def field(self) -> Field:
         return self.basis.field
 
+    def residual(self, v) -> list:
+        """v minus its combination of the basis rows read off at the pivots:
+        zero exactly when v lies in the subspace, and otherwise supported
+        on the free columns."""
+        return _residual(self.field.p, self.basis.entries, self.pivots, v)
+
     def contains_vector(self, v) -> bool:
         field = self.field
-        acc = EchelonBasis(field, self.ambient_dim)
-        acc.rows = list(self.basis.entries)
-        acc.pivots = [next(j for j, x in enumerate(row) if x) for row in self.basis.entries]
-        return acc.contains(tuple(field.coerce(x) for x in v))
+        return not any(self.residual(tuple(field.coerce(x) for x in v)))
 
     def contains(self, other: "Subspace") -> bool:
         return all(self.contains_vector(row) for row in other.basis.entries)
@@ -472,19 +493,9 @@ class Subspace:
         """Coefficients of v in the echelon basis, or None when v is outside."""
         field = self.field
         vv = tuple(field.coerce(x) for x in v)
-        pivots = [next(j for j, x in enumerate(row) if x) for row in self.basis.entries]
-        coords = tuple(vv[pc] for pc in pivots)
-        residual = list(vv)
-        p = field.p
-        for c, row in zip(coords, self.basis.entries):
-            if c:
-                if p is None:
-                    residual = [a - c * b for a, b in zip(residual, row)]
-                else:
-                    residual = [(a - c * b) % p for a, b in zip(residual, row)]
-        if any(residual):
+        if any(self.residual(vv)):
             return None
-        return coords
+        return tuple(vv[pc] for pc in self.pivots)
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
@@ -501,15 +512,9 @@ class Subspace:
             return Subspace.zero(field, n)
         stacked = Matrix(field, self.basis.entries + other.basis.entries, ncols=n, validate=False)
         relations = right_kernel(stacked.transpose())
-        a = self.dim
-        vectors = []
-        for rel in relations:
-            vec = [field.zero] * n
-            for coeff, row in zip(rel[:a], self.basis.entries):
-                if coeff:
-                    vec = [field.add(x, field.mul(coeff, y)) for x, y in zip(vec, row)]
-            vectors.append(tuple(vec))
-        return Subspace.from_vectors(field, n, vectors)
+        return Subspace.from_vectors(field, n, [
+            linear_combination(field, rel[:self.dim], self.basis.entries, n)
+            for rel in relations])
 
     def is_invariant_under(self, mats) -> bool:
         return all(self.contains_vector(m.apply(row))
@@ -542,7 +547,7 @@ def spin(field: Field, n: int, seeds, operators) -> Subspace:
             w = op.apply(v)
             if acc.add(w):
                 work.append(w)
-    return Subspace(acc.matrix(), n)
+    return acc.subspace()
 
 
 def all_vectors(field: Field, n: int):
@@ -622,6 +627,27 @@ def poly_eval_matrix(coeffs, m: Matrix) -> Matrix:
     return acc
 
 
+def sylvester_rows(a: Matrix, d: Matrix) -> list[tuple]:
+    """Coefficient rows of the linear map X -> A X - X D.
+
+    A is k x k, D is m x m, and the unknowns are the entries of the
+    k x m matrix X numbered row-major; row i*m + j gives entry (i, j).
+    """
+    field = a.field
+    k, m = a.nrows, d.nrows
+    ae, de = a.entries, d.entries
+    rows = []
+    for i in range(k):
+        for j in range(m):
+            row = [field.zero] * (k * m)
+            for c in range(k):
+                row[c * m + j] = ae[i][c]
+            for c in range(m):
+                row[i * m + c] = field.sub(row[i * m + c], de[c][j])
+            rows.append(tuple(row))
+    return rows
+
+
 def _combination(field: Field, basis_mats, coeffs) -> Matrix:
     n = basis_mats[0].nrows
     p = field.p
@@ -676,22 +702,9 @@ def solve_conjugating(lhs, rhs, *, seed: int = 0,
     if all(a == b for a, b in zip(lhs, rhs)):
         return finish(Matrix.identity(field, n))
 
-    # Linear system on g: for each pair, row (i,j) says
-    # sum_c g[i][c] A[c][j] - sum_r B[i][r] g[r][j] = 0, variables row-major.
-    nn = n * n
-    sys_rows = []
-    for a, b in zip(lhs, rhs):
-        ae = a.entries
-        be = b.entries
-        for i in range(n):
-            for j in range(n):
-                row = [field.zero] * nn
-                for c in range(n):
-                    row[i * n + c] = field.add(row[i * n + c], ae[c][j])
-                for r in range(n):
-                    row[r * n + j] = field.sub(row[r * n + j], be[i][r])
-                sys_rows.append(tuple(row))
-    kernel = right_kernel(Matrix(field, tuple(sys_rows), ncols=nn, validate=False))
+    # g * A_i = B_i * g is linear in g: B_i g - g A_i = 0 for every pair.
+    sys_rows = [row for a, b in zip(lhs, rhs) for row in sylvester_rows(b, a)]
+    kernel = right_kernel(Matrix(field, tuple(sys_rows), ncols=n * n, validate=False))
     d = len(kernel)
     if d == 0:
         return None

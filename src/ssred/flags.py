@@ -136,15 +136,28 @@ class Cocharacter:
         """The cocharacter g * lambda * g^-1 (adapted basis moved by g)."""
         return Cocharacter(g * self.basis_change, self.weights)
 
+    def _levels(self):
+        """(start, stop) column ranges of equal weight, largest weight first."""
+        start = 0
+        for i in range(1, self.n + 1):
+            if i == self.n or self.weights[i] < self.weights[i - 1]:
+                yield start, i
+                start = i
+
     def flag(self) -> Flag:
         """The flag of weight-level spaces: V_k = span of columns with the
         k largest distinct weights."""
         cols = self.basis_change.transpose().entries
-        steps = []
-        for i in range(1, self.n + 1):
-            if i == self.n or self.weights[i] < self.weights[i - 1]:
-                steps.append(Subspace.from_vectors(self.field, self.n, cols[:i]))
-        return Flag(steps)
+        return Flag([Subspace.from_vectors(self.field, self.n, cols[:stop])
+                     for _, stop in self._levels()])
+
+    def block_spans(self) -> list[Subspace]:
+        """Span of the columns of each weight, largest weight first: one
+        summand per flag block, on which the Levi subgroup acts by its
+        diagonal blocks."""
+        cols = self.basis_change.transpose().entries
+        return [Subspace.from_vectors(self.field, self.n, cols[start:stop])
+                for start, stop in self._levels()]
 
     def __eq__(self, other):
         return (isinstance(other, Cocharacter)
@@ -174,8 +187,7 @@ def flag_to_cocharacter(f: Flag) -> Cocharacter:
     used_pivots: set[int] = set()
     for i, v in enumerate(f.steps):
         w = r - i
-        for row in v.basis.entries:
-            pivot = next(j for j, x in enumerate(row) if x)
+        for row, pivot in zip(v.basis.entries, v.pivots):
             if pivot not in used_pivots:
                 used_pivots.add(pivot)
                 cols.append(row)

@@ -2,8 +2,9 @@
 
 semisimplify drives a composition series into a cocharacter lambda and
 takes the limit of the generators under conjugation by lambda(a) as
-a -> 0; the result generates a completely reducible group, and any two
-such limits are conjugate over the ground field (witnessed by an
+a -> 0; the result generates a completely reducible group, certified by
+the series itself (the limit's blocks are the composition factors), and
+any two such limits are conjugate over the ground field (witnessed by an
 explicit matrix).  The module also covers Levi descent for
 block-diagonal inputs, joint semisimplification of a normal subgroup
 along the ambient group's flag, and a search for the optimal
@@ -45,6 +46,7 @@ from .reps import (
     find_submodule,
     is_semisimple,
     module_iso,
+    restrict_to_subspace,
 )
 
 GROUP_CLOSURE_CAP = 2**21
@@ -94,13 +96,10 @@ class SsResult:
                 f"l_irreducible={self.l_irreducible})")
 
 
-def _block_irreducibility(flag: Flag, cocharacter, ss_generators) -> bool:
+def _block_irreducibility(cocharacter, ss_generators) -> bool:
     """Whether every diagonal-block action of the limit is irreducible."""
-    adapted = [cocharacter.basis_change_inv * g * cocharacter.basis_change
-               for g in ss_generators]
-    for i in range(len(flag.block_sizes)):
-        blocks = [diagonal_blocks(a, flag.block_sizes)[i] for a in adapted]
-        found = find_submodule(Representation(blocks))
+    for span in cocharacter.block_spans():
+        found = find_submodule(Representation(restrict_to_subspace(ss_generators, span)))
         if not isinstance(found, IrreducibleWitness):
             return False
     return True
@@ -112,8 +111,11 @@ def semisimplify(rep: Representation, seed: int = 0) -> SsResult:
     Semisimple input is its own semisimplification (trivial flag,
     generators unchanged).  Otherwise the flag of a composition series
     determines the cocharacter and the generators are replaced by their
-    limits, which always generate a completely reducible group; the seed
-    varies the series when the module admits several.
+    limits; the seed varies the series when the module admits several.
+    The limit is block diagonal in the adapted basis with the composition
+    factors as its blocks, so its certificate is this Levi decomposition:
+    one summand per flag block, spanned by that block's adapted columns
+    and witnessed by the series.
     """
     cert = is_semisimple(rep)
     if cert.semisimple:
@@ -124,9 +126,11 @@ def semisimplify(rep: Representation, seed: int = 0) -> SsResult:
     series = composition_series(rep, seed=seed)
     lam = flag_to_cocharacter(series.flag)
     ss_gens = [c_lambda(g, lam) for g in rep.generators]
-    ss_cert = is_semisimple(Representation(ss_gens))
-    if not ss_cert.semisimple:
-        raise InternalInvariantViolation("limit along a composition flag is not semisimple")
+    summands = lam.block_spans()
+    for span, factor in zip(summands, series.factors):
+        if tuple(restrict_to_subspace(ss_gens, span)) != factor.generators:
+            raise InternalInvariantViolation("a limit block differs from its composition factor")
+    ss_cert = SemisimpleCertificate(True, summands=summands, witnesses=series.witnesses)
     return SsResult(rep, series.flag, lam, ss_gens, ss_cert, l_irreducible=True)
 
 
@@ -290,7 +294,7 @@ def clifford_joint_ss(m: Representation, h: Representation, seed: int = 0) -> Cl
     if not h_cert.semisimple:
         raise InternalInvariantViolation(
             "limit of the normal subgroup along the joint flag is not semisimple")
-    l_irr = _block_irreducibility(ambient.flag, lam, h_gens)
+    l_irr = _block_irreducibility(lam, h_gens)
     normal = SsResult(h, ambient.flag, lam, h_gens, h_cert, l_irreducible=l_irr)
     return CliffordResult(ambient, normal)
 

@@ -37,12 +37,14 @@ from .exact import (
     Matrix,
     Subspace,
     charpoly,
+    linear_combination,
     poly_eval_matrix,
     projective_vectors,
     right_kernel,
     solve_conjugating,
     solve_linear,
     spin,
+    sylvester_rows,
 )
 from .flags import Flag
 
@@ -328,11 +330,7 @@ def _examine_element(rep: Representation, a: Matrix):
             if lines <= LINE_ENUMERATION_CAP:
                 seen = []
                 for coeffs in projective_vectors(field, len(kernel)):
-                    vec = [field.zero] * n
-                    for c, kv in zip(coeffs, kernel):
-                        if c:
-                            vec = [field.add(x, field.mul(c, y)) for x, y in zip(vec, kv)]
-                    vec = tuple(vec)
+                    vec = linear_combination(field, coeffs, kernel, n)
                     w = spin(field, n, [vec], gens)
                     if 0 < w.dim < n:
                         return "submodule", w
@@ -415,35 +413,16 @@ def find_submodule(rep: Representation, rng: random.Random | None = None):
         f"search (decision guaranteed only for n <= {RATIONAL_DIM_CAP})")
 
 
-def _reduce_mod(w: Subspace, v) -> list:
-    field = w.field
-    p = field.p
-    residual = list(v)
-    for row in w.basis.entries:
-        pc = next(j for j, x in enumerate(row) if x)
-        c = residual[pc]
-        if c:
-            if p is None:
-                residual = [a - c * b for a, b in zip(residual, row)]
-            else:
-                residual = [(a - c * b) % p for a, b in zip(residual, row)]
-    return residual
-
-
 def restrict_to_subspace(gens, w: Subspace) -> list[Matrix]:
     """Matrices of the generator actions on an invariant subspace, in the
     coordinates of its echelon basis."""
     field = w.field
     out = []
     for g in gens:
-        cols = []
-        for row in w.basis.entries:
-            coords = w.coordinates(g.apply(row))
-            if coords is None:
-                raise InternalInvariantViolation("subspace is not invariant")
-            cols.append(coords)
-        rows = tuple(tuple(cols[j][i] for j in range(w.dim)) for i in range(w.dim))
-        out.append(Matrix(field, rows, ncols=w.dim, validate=False))
+        cols = [w.coordinates(g.apply(row)) for row in w.basis.entries]
+        if None in cols:
+            raise InternalInvariantViolation("subspace is not invariant")
+        out.append(Matrix(field, cols, ncols=w.dim, validate=False).transpose())
     return out
 
 
@@ -454,32 +433,21 @@ def quotient_mod_subspace(gens, w: Subspace) -> tuple[list[Matrix], list[int]]:
     Returns (matrices, list of the representing column indices).
     """
     field = w.field
-    n = w.ambient_dim
-    pivots = {next(j for j, x in enumerate(row) if x) for row in w.basis.entries}
-    free = [j for j in range(n) if j not in pivots]
+    pivots = set(w.pivots)
+    free = [j for j in range(w.ambient_dim) if j not in pivots]
     out = []
     for g in gens:
-        cols = []
-        for j in free:
-            e = tuple(field.one if t == j else field.zero for t in range(n))
-            u = _reduce_mod(w, g.apply(e))
-            cols.append([u[t] for t in free])
-        rows = tuple(tuple(cols[jj][ii] for jj in range(len(free))) for ii in range(len(free)))
-        out.append(Matrix(field, rows, ncols=len(free), validate=False))
+        gcols = g.transpose().entries
+        cols = [[u[t] for t in free] for u in (w.residual(gcols[j]) for j in free)]
+        out.append(Matrix(field, cols, ncols=len(free), validate=False).transpose())
     return out, free
 
 
 def lift_from_subspace(w: Subspace, s: Subspace) -> Subspace:
     """Ambient subspace corresponding to s expressed in w's coordinates."""
-    field = w.field
-    vectors = []
-    for srow in s.basis.entries:
-        vec = [field.zero] * w.ambient_dim
-        for c, wrow in zip(srow, w.basis.entries):
-            if c:
-                vec = [field.add(x, field.mul(c, y)) for x, y in zip(vec, wrow)]
-        vectors.append(tuple(vec))
-    return Subspace.from_vectors(field, w.ambient_dim, vectors)
+    n = w.ambient_dim
+    return Subspace.from_vectors(w.field, n, [
+        linear_combination(w.field, srow, w.basis.entries, n) for srow in s.basis.entries])
 
 
 def preimage_of_quotient(w: Subspace, free: list[int], sbar: Subspace) -> Subspace:
@@ -573,18 +541,18 @@ def composition_series(rep: Representation, seed: int = 0) -> CompositionSeries:
 class SemisimpleCertificate:
     """Outcome of the semisimplicity test.
 
-    Either a direct sum decomposition into irreducible invariant summands
-    (with witnesses), or an invariant subspace with no invariant
-    complement.
+    Either a direct sum decomposition into invariant summands, each with a
+    witness that the generators act irreducibly on it, or an invariant
+    subspace with no invariant complement.  The verifier recomputes each
+    summand's module by restriction, so a witness only counts for the
+    summand it is paired with.
     """
 
-    __slots__ = ("semisimple", "summands", "factors", "witnesses", "obstruction")
+    __slots__ = ("semisimple", "summands", "witnesses", "obstruction")
 
-    def __init__(self, semisimple, summands=None, factors=None, witnesses=None,
-                 obstruction=None):
+    def __init__(self, semisimple, summands=None, witnesses=None, obstruction=None):
         self.semisimple = semisimple
         self.summands = tuple(summands) if summands is not None else None
-        self.factors = tuple(factors) if factors is not None else None
         self.witnesses = tuple(witnesses) if witnesses is not None else None
         self.obstruction = obstruction
 
@@ -593,92 +561,78 @@ class SemisimpleCertificate:
 
     def verify(self, rep: Representation) -> bool:
         if self.semisimple:
-            total = 0
+            if (len(self.witnesses) != len(self.summands)
+                    or sum(s.dim for s in self.summands) != rep.n):
+                return False
             acc = EchelonBasis(rep.field, rep.n)
-            for s in self.summands:
-                if not s.is_invariant_under(rep.generators):
+            for s, wit in zip(self.summands, self.witnesses):
+                if (s.ambient_dim != rep.n or s.dim == 0
+                        or not s.is_invariant_under(rep.generators)):
                     return False
-                total += s.dim
                 for row in s.basis.entries:
                     acc.add(row)
-            if total != rep.n or acc.dim != rep.n:
-                return False
-            return all(wit.verify(fac) for wit, fac in zip(self.witnesses, self.factors))
+                if not wit.verify(Representation(restrict_to_subspace(rep.generators, s))):
+                    return False
+            return acc.dim == rep.n
         return (self.obstruction is not None
                 and 0 < self.obstruction.dim < rep.n
                 and self.obstruction.is_invariant_under(rep.generators)
-                and _invariant_projection(rep.generators, self.obstruction) is None)
+                and _invariant_complement(rep.generators, self.obstruction) is None)
 
 
-def _invariant_projection(gens, w: Subspace) -> Matrix | None:
-    """Solve for a projection onto w commuting with all generators.
+def _invariant_complement(gens, w: Subspace) -> Subspace | None:
+    """An invariant complement of the proper invariant subspace w, or None.
 
-    The constraints are linear: pi g = g pi, pi fixes w pointwise, and
-    every column of pi lies in w.  A solution exists iff w has an
-    invariant complement (namely ker pi).
+    In the basis of w's echelon rows w_i followed by the standard vectors
+    e_f at w's free columns each generator is [[A, B], [0, D]]: A acts on
+    w, D on the quotient, and B[i][f] = g[pivot_i][f].  Every complement
+    is span{e_f + sum_i X[i][f] w_i} for exactly one k x (n-k) matrix X,
+    and it is invariant exactly when A X - X D = -B for every generator.
     """
     field = w.field
-    n = w.ambient_dim
-    nn = n * n
-    rows = []
-    rhs = []
-    for g in gens:
-        ge = g.entries
-        for i in range(n):
-            for j in range(n):
-                row = [field.zero] * nn
-                for c in range(n):
-                    row[i * n + c] = field.add(row[i * n + c], ge[c][j])
-                    row[c * n + j] = field.sub(row[c * n + j], ge[i][c])
-                rows.append(tuple(row))
-                rhs.append(field.zero)
-    for wrow in w.basis.entries:
-        for i in range(n):
-            row = [field.zero] * nn
-            for c in range(n):
-                row[i * n + c] = wrow[c]
-            rows.append(tuple(row))
-            rhs.append(wrow[i])
-    for phi in right_kernel(w.basis):
-        for j in range(n):
-            row = [field.zero] * nn
-            for i in range(n):
-                row[i * n + j] = phi[i]
-            rows.append(tuple(row))
-            rhs.append(field.zero)
-    sol = solve_linear(Matrix(field, tuple(rows), ncols=nn, validate=False), rhs)
-    if sol is None:
+    quotients, free = quotient_mod_subspace(gens, w)
+    rows, rhs = [], []
+    for g, a, d in zip(gens, restrict_to_subspace(gens, w), quotients):
+        rows += sylvester_rows(a, d)
+        rhs += [field.neg(g.entries[pc][f]) for pc in w.pivots for f in free]
+    x = solve_linear(Matrix(field, tuple(rows), ncols=w.dim * len(free), validate=False), rhs)
+    if x is None:
         return None
-    return _unflatten(field, n, sol)
+    n = w.ambient_dim
+    vectors = []
+    for jj, f in enumerate(free):
+        vec = list(linear_combination(field, x[jj::len(free)], w.basis.entries, n))
+        vec[f] = field.add(vec[f], field.one)
+        vectors.append(vec)
+    return Subspace.from_vectors(field, n, vectors)
 
 
 def is_semisimple(rep: Representation, rng: random.Random | None = None) -> SemisimpleCertificate:
-    """Complete reducibility test with a re-verifiable certificate."""
+    """Complete reducibility test with a re-verifiable certificate.
+
+    Splits off a discovered submodule along an invariant complement found
+    on the splitting system, and recurses into both parts; a submodule
+    without a complement is the obstruction.
+    """
     rng = rng or random.Random(0)
     found = _discover_submodule(rep, range(rep.n), rng)
     if isinstance(found, IrreducibleWitness):
         return SemisimpleCertificate(True, summands=[Subspace.full(rep.field, rep.n)],
-                                     factors=[rep], witnesses=[found])
+                                     witnesses=[found])
     w = found
-    pi = _invariant_projection(rep.generators, w)
-    if pi is None:
+    complement = _invariant_complement(rep.generators, w)
+    if complement is None:
         return SemisimpleCertificate(False, obstruction=w)
-    complement = Subspace.from_vectors(rep.field, rep.n, right_kernel(pi))
-    if complement.dim + w.dim != rep.n or not complement.is_invariant_under(rep.generators):
-        raise InternalInvariantViolation("projection kernel is not a complement")
-    out_summands, out_factors, out_wits = [], [], []
+    out_summands, out_wits = [], []
     for part in (w, complement):
         part_rep = Representation(restrict_to_subspace(rep.generators, part))
         sub = is_semisimple(part_rep, rng)
         if not sub.semisimple:
             return SemisimpleCertificate(False,
                                          obstruction=lift_from_subspace(part, sub.obstruction))
-        for s, f, wit in zip(sub.summands, sub.factors, sub.witnesses):
-            out_summands.append(lift_from_subspace(part, s))
-            out_factors.append(f)
-            out_wits.append(wit)
-    return SemisimpleCertificate(True, summands=out_summands, factors=out_factors,
-                                 witnesses=out_wits)
+        out_summands += [lift_from_subspace(part, s) for s in sub.summands]
+        out_wits += sub.witnesses
+    return SemisimpleCertificate(True, summands=out_summands, witnesses=out_wits)
 
 
 def module_iso(a: Representation, b: Representation, seed: int = 0) -> Matrix | None:

@@ -17,6 +17,7 @@ from ssred.exact import (
     solve_conjugating,
     solve_linear,
     spin,
+    sylvester_rows,
 )
 from ssred.errors import DimensionMismatch, InvalidInput
 
@@ -133,6 +134,40 @@ def test_subspace_basics():
     assert v.contains(Subspace.zero(F2, 2))
     assert v.coordinates((1, 1)) == (1,)
     assert v.coordinates((0, 1)) is None
+    assert v.pivots == (0,)
+    assert Subspace.full(F2, 2).pivots == (0, 1) and Subspace.zero(F2, 2).pivots == ()
+
+
+def test_subspace_pivots_and_residual_randomized():
+    rng = random.Random(43)
+    for _ in range(100):
+        field = rng.choice([F2, F3, QQ])
+        n = rng.randrange(1, 6)
+        vecs = [tuple(rng.randrange(3) for _ in range(n)) for _ in range(rng.randrange(0, n + 1))]
+        w = Subspace.from_vectors(field, n, vecs)
+        assert w.pivots == tuple(next(j for j, x in enumerate(row) if x)
+                                 for row in w.basis.entries)
+        v = tuple(field.coerce(rng.randrange(3)) for _ in range(n))
+        res = w.residual(v)
+        assert all(res[pc] == 0 for pc in w.pivots)
+        assert w.contains_vector([field.sub(a, b) for a, b in zip(v, res)])
+        assert (not any(res)) == w.contains_vector(v)
+
+
+def test_sylvester_rows_match_definition():
+    rng = random.Random(47)
+    for _ in range(40):
+        field = rng.choice([F3, QQ])
+        k, m = rng.randrange(1, 4), rng.randrange(1, 4)
+
+        def rand(r, c):
+            return Matrix(field, [[rng.randrange(-2, 3) for _ in range(c)] for _ in range(r)])
+
+        a, d, x = rand(k, k), rand(m, m), rand(k, m)
+        rows = Matrix(field, sylvester_rows(a, d))
+        lhs = rows.apply(tuple(e for row in x.entries for e in row))
+        rhs = a * x - x * d
+        assert lhs == tuple(e for row in rhs.entries for e in row)
 
 
 def test_subspace_sum_intersection_dimension_formula():

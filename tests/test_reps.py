@@ -5,10 +5,13 @@ import pytest
 
 from ssred.errors import GeneratorCountMismatch, InvalidInput
 from ssred.exact import Field, Matrix, Subspace
+from ssred.flags import Flag, flag_to_cocharacter
+from ssred.pipeline import SsResult
 from ssred.reps import (
     CompositionSeries,
     IrreducibleWitness,
     Representation,
+    SemisimpleCertificate,
     composition_series,
     enveloping_basis,
     factor_poly,
@@ -218,6 +221,36 @@ def test_is_semisimple_frozen():
     assert cert.semisimple
     assert cert.summands == (Subspace.full(F3, 2),)
     assert cert.verify(ROTATION_F3)
+
+
+def test_forged_semisimple_certificate_rejected():
+    """A witness counts only for the module restricted to its own summand
+    (ROADMAP defect D2)."""
+    transvection = rep(F3, [[1, 1], [0, 1]])
+    rotation = rep(F3, [[0, 2], [1, 0]])
+    witness = find_submodule(rotation)
+    assert isinstance(witness, IrreducibleWitness) and witness.verify(rotation)
+    forged = SemisimpleCertificate(True, summands=[Subspace.full(F3, 2)], witnesses=[witness])
+    assert not forged.verify(transvection)
+    trivial = Flag.trivial(F3, 2)
+    result = SsResult(transvection, trivial, flag_to_cocharacter(trivial),
+                      transvection.generators, forged, l_irreducible=True)
+    assert not result.verify()
+
+
+def test_semisimple_certificate_tampering_detected():
+    cert = is_semisimple(DIAG_PM1_F3)
+    assert cert.verify(DIAG_PM1_F3)
+    line = cert.summands[0]
+    for summands, witnesses in (
+            ([line, line], cert.witnesses),  # not a direct sum
+            (cert.summands, cert.witnesses[:1]),  # a summand without a witness
+            ([Subspace.from_vectors(F3, 2, [(1, 1)]), cert.summands[1]], cert.witnesses),
+            # a zero summand, whose all_lines witness holds vacuously
+            ([Subspace.zero(F3, 2)] + list(cert.summands),
+             [IrreducibleWitness("all_lines")] + list(cert.witnesses))):
+        assert not SemisimpleCertificate(True, summands=summands,
+                                         witnesses=witnesses).verify(DIAG_PM1_F3)
 
 
 def test_is_semisimple_randomized_certificates():
