@@ -22,7 +22,6 @@ from .errors import (
     InvalidInput,
     LimitDoesNotExist,
     NotBlockDiagonal,
-    NotInUnipotentRadical,
     NotNormal,
     PreconditionNotDestabilizable,
     ResourceBoundExceeded,
@@ -55,7 +54,6 @@ _INPUT_ERRORS = (
     DimensionMismatch,
     GeneratorCountMismatch,
     LimitDoesNotExist,
-    NotInUnipotentRadical,
     NotBlockDiagonal,
     NotNormal,
     AlgebraNotStable,

@@ -1,4 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the resource caps that
+raise them.
+
+Every enumeration in the package is bounded by one of the caps below;
+README "Bounds" lists which error each cap raises where.
+"""
+
+# elements of a group table GL_n(F_q) or of a subgroup closure
+GROUP_ELEMENTS_CAP = 2**21
+# q^n bound for enumerating the vectors, lines or subspaces of F_q^n
+SPACE_VECTORS_CAP = 2**14
+# invariant subspaces, and flags built from them, in the optimal-flag search
+FLAG_CANDIDATE_CAP = 2**16
+# conjugator search over GF(p): the p^d combinations are enumerated at once
+# up to the first cap, and after 64 random draws up to the second
+CONJUGATOR_ENUM_CAP = 2**20
+CONJUGATOR_HARD_CAP = 2**24
+# conjugator search over QQ: interpolation grid certifying absence
+CONJUGATOR_GRID_CAP = 2**19
 
 
 class SsredError(Exception):
@@ -19,10 +37,6 @@ class GeneratorCountMismatch(SsredError):
 
 class LimitDoesNotExist(SsredError):
     """The cocharacter limit of a matrix outside the flag stabilizer."""
-
-
-class NotInUnipotentRadical(SsredError):
-    """Element offered as a unipotent-radical conjugator is not one."""
 
 
 class NotBlockDiagonal(SsredError):

@@ -19,6 +19,9 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import (
+    CONJUGATOR_ENUM_CAP,
+    CONJUGATOR_GRID_CAP,
+    CONJUGATOR_HARD_CAP,
     CertificateSearchExhausted,
     DimensionMismatch,
     InternalInvariantViolation,
@@ -75,10 +78,6 @@ class Field:
         return cls(None)
 
     @property
-    def is_rational(self) -> bool:
-        return self.p is None
-
-    @property
     def zero(self):
         return Fraction(0) if self.p is None else 0
 
@@ -109,9 +108,6 @@ class Field:
         if self.p is None:
             return 1 / a
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def __repr__(self):
         return "QQ" if self.p is None else f"GF({self.p})"
@@ -664,9 +660,7 @@ def _combination(field: Field, basis_mats, coeffs) -> Matrix:
     return Matrix(field, rows, ncols=n, validate=False)
 
 
-def solve_conjugating(lhs, rhs, *, seed: int = 0,
-                      enum_cap: int = 2**20, hard_cap: int = 2**24,
-                      grid_cap: int = 2**19) -> Matrix | None:
+def solve_conjugating(lhs, rhs, *, seed: int = 0) -> Matrix | None:
     """Find invertible g with g * lhs[i] * g^-1 = rhs[i] for all i.
 
     Returns None only when no invertible solution exists (certified: over
@@ -711,57 +705,38 @@ def solve_conjugating(lhs, rhs, *, seed: int = 0,
     basis_mats = [Matrix(field, tuple(tuple(v[i * n:(i + 1) * n]) for i in range(n)),
                          ncols=n, validate=False) for v in kernel]
 
+    def first_invertible(candidates) -> Matrix | None:
+        """The first invertible combination of the kernel basis, verified."""
+        for coeffs in candidates:
+            if any(coeffs):
+                g = _combination(field, basis_mats, coeffs)
+                if g.det() != 0:
+                    return finish(g)
+        return None
+
+    rng = random.Random(seed)
     if field.p is not None:
         p = field.p
         total = p**d
-        if total <= enum_cap:
-            for coeffs in itertools.product(range(p), repeat=d):
-                if not any(coeffs):
-                    continue
-                g = _combination(field, basis_mats, coeffs)
-                if g.det() != 0:
-                    return finish(g)
-            return None
-        rng = random.Random(seed)
-        for _ in range(64):
-            coeffs = tuple(rng.randrange(p) for _ in range(d))
-            if not any(coeffs):
-                continue
-            g = _combination(field, basis_mats, coeffs)
-            if g.det() != 0:
-                return finish(g)
-        if total <= hard_cap:
-            for coeffs in itertools.product(range(p), repeat=d):
-                if not any(coeffs):
-                    continue
-                g = _combination(field, basis_mats, coeffs)
-                if g.det() != 0:
-                    return finish(g)
-            return None
+        if total <= CONJUGATOR_ENUM_CAP:
+            return first_invertible(itertools.product(range(p), repeat=d))
+        g = first_invertible(tuple(rng.randrange(p) for _ in range(d)) for _ in range(64))
+        if g is not None:
+            return g
+        if total <= CONJUGATOR_HARD_CAP:
+            return first_invertible(itertools.product(range(p), repeat=d))
         raise CertificateSearchExhausted(
             f"solution space of dimension {d} over GF({p}) exceeds the enumeration cap")
 
-    rng = random.Random(seed)
-    bound = 1
-    while bound <= 1024:
-        for _ in range(32):
-            coeffs = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(d))
-            if not any(coeffs):
-                continue
-            g = _combination(field, basis_mats, coeffs)
-            if g.det() != 0:
-                return finish(g)
-        bound *= 2
+    g = first_invertible(tuple(Fraction(rng.randint(-bound, bound)) for _ in range(d))
+                         for bound in (2**k for k in range(11)) for _ in range(32))
+    if g is not None:
+        return g
     # det(sum x_k E_k) has degree <= n in each variable, so vanishing on the
     # grid {0..n}^d certifies it is identically zero: no invertible solution.
-    if (n + 1)**d <= grid_cap:
-        for coeffs in itertools.product(range(n + 1), repeat=d):
-            if not any(coeffs):
-                continue
-            g = _combination(field, basis_mats, tuple(Fraction(c) for c in coeffs))
-            if g.det() != 0:
-                return finish(g)
-        return None
+    if (n + 1)**d <= CONJUGATOR_GRID_CAP:
+        return first_invertible(tuple(map(Fraction, coeffs))
+                                for coeffs in itertools.product(range(n + 1), repeat=d))
     raise CertificateSearchExhausted(
         f"randomized search over QQ exhausted with hom-space dimension {d}; "
         f"certification grid of size {(n + 1)**d} exceeds the cap")

@@ -12,12 +12,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import (
-    DimensionMismatch,
-    InvalidInput,
-    LimitDoesNotExist,
-    NotInUnipotentRadical,
-)
+from .errors import DimensionMismatch, InvalidInput, LimitDoesNotExist
 from .exact import Field, Matrix, Subspace
 
 
@@ -65,11 +60,6 @@ class Flag:
 
     def is_preserved_by(self, mats) -> bool:
         return all(v.is_invariant_under(mats) for v in self.steps[:-1])
-
-    def refines(self, other: "Flag") -> bool:
-        """True when every step of `other` occurs among this flag's steps."""
-        mine = set(self.steps)
-        return all(v in mine for v in other.steps)
 
     def __eq__(self, other):
         return isinstance(other, Flag) and self.steps == other.steps
@@ -126,15 +116,8 @@ class Cocharacter:
         self.weights = weights
         self.canonical = _canonical_weights(weights)
 
-    def is_central(self) -> bool:
-        return all(x == 0 for x in self.canonical)
-
     def norm_sq(self) -> int:
         return sum(x * x for x in self.canonical)
-
-    def conjugate(self, g: Matrix) -> "Cocharacter":
-        """The cocharacter g * lambda * g^-1 (adapted basis moved by g)."""
-        return Cocharacter(g * self.basis_change, self.weights)
 
     def _levels(self):
         """(start, stop) column ranges of equal weight, largest weight first."""
@@ -233,44 +216,6 @@ def c_lambda(m, lam: Cocharacter):
             raise LimitDoesNotExist("matrix lies outside P_lambda")
     blocked = Matrix(lam.field, tuple(rows), ncols=lam.n, validate=False)
     return lam.basis_change * blocked * lam.basis_change_inv
-
-
-def in_L_lambda(m: Matrix, lam: Cocharacter) -> bool:
-    return in_P_lambda(m, lam) and c_lambda(m, lam) == m
-
-
-def in_Ru_P_lambda(m: Matrix, lam: Cocharacter) -> bool:
-    return in_P_lambda(m, lam) and c_lambda(m, lam).is_identity()
-
-
-class ConjugatedLimitMap:
-    """The limit map twisted by an element of the unipotent radical.
-
-    Represents h -> u * c_lambda(h) * u^-1; changing the R-Levi inside a
-    fixed R-parabolic changes limits by exactly such a conjugation.
-    """
-
-    __slots__ = ("cocharacter", "u", "u_inv")
-
-    def __init__(self, cocharacter: Cocharacter, u: Matrix, u_inv: Matrix):
-        self.cocharacter = cocharacter
-        self.u = u
-        self.u_inv = u_inv
-
-    def apply(self, m):
-        if isinstance(m, (tuple, list)):
-            return tuple(self.apply(x) for x in m)
-        return self.u * c_lambda(m, self.cocharacter) * self.u_inv
-
-
-def levi_conjugate(lam: Cocharacter, u: Matrix) -> ConjugatedLimitMap:
-    """Limit map onto the R-Levi moved by u in R_u(P_lambda)."""
-    if not in_Ru_P_lambda(u, lam):
-        raise NotInUnipotentRadical("twisting element is not in R_u(P_lambda)")
-    u_inv = u.inverse()
-    if u_inv is None:
-        raise NotInUnipotentRadical("twisting element is singular")
-    return ConjugatedLimitMap(lam, u, u_inv)
 
 
 def diagonal_blocks(m: Matrix, block_sizes) -> list[Matrix]:

@@ -14,14 +14,16 @@ environment variable.
 import itertools
 import os
 
-from .errors import InvalidInput, ResourceBoundExceeded
+from .errors import (
+    GROUP_ELEMENTS_CAP,
+    SPACE_VECTORS_CAP,
+    InvalidInput,
+    ResourceBoundExceeded,
+)
 from .exact import EchelonBasis, Field, Matrix, Subspace, all_vectors
 from .flags import Cocharacter, Flag, c_lambda, flag_to_cocharacter, in_P_lambda
 from .reps import Representation
 
-GROUP_ORDER_CAP = 2**21
-SUBSPACE_CAP = 2**14
-CLOSURE_CAP = 2**21
 _BYTES_PER_CACHE_ENTRY = 200
 
 
@@ -47,12 +49,12 @@ class GroupTable:
 
     __slots__ = ("field", "n", "elements", "inverses")
 
-    def __init__(self, field: Field, n: int, max_order: int = GROUP_ORDER_CAP):
+    def __init__(self, field: Field, n: int):
         _require_finite(field)
         order = group_order(field.p, n)
-        if order > max_order:
+        if order > GROUP_ELEMENTS_CAP:
             raise ResourceBoundExceeded(
-                f"|GL_{n}(F_{field.p})| = {order} exceeds the table cap {max_order}")
+                f"|GL_{n}(F_{field.p})| = {order} exceeds the table cap {GROUP_ELEMENTS_CAP}")
         elements = _enumerate_invertible(field, n)
         if len(elements) != order:
             raise ResourceBoundExceeded(
@@ -105,9 +107,9 @@ def all_subspaces(field: Field, n: int) -> tuple:
     key = (field, n)
     if key in _SUBSPACES:
         return _SUBSPACES[key]
-    if field.p**n > SUBSPACE_CAP:
+    if field.p**n > SPACE_VECTORS_CAP:
         raise ResourceBoundExceeded(
-            f"subspace lattice of F_{field.p}^{n} exceeds the cap {SUBSPACE_CAP}")
+            f"subspace lattice of F_{field.p}^{n} exceeds the cap {SPACE_VECTORS_CAP}")
     scalars = list(range(field.p))
     out = [Subspace.zero(field, n)]
     for d in range(1, n + 1):
@@ -294,8 +296,12 @@ def oracle_irreducible(rep: Representation) -> bool:
     return all(s.dim in (0, rep.n) for s in invariant_subspaces(rep))
 
 
-def subgroup_closure(field: Field, mats, cap: int = CLOSURE_CAP) -> frozenset:
-    """The subgroup generated by invertible matrices, as a frozen set."""
+def subgroup_closure(field: Field, mats) -> frozenset:
+    """The subgroup generated by invertible matrices, as a frozen set.
+
+    Over a finite field every element has finite order, so closing under
+    products of the generators alone already gives the group.
+    """
     _require_finite(field)
     gens = [m if isinstance(m, Matrix) else Matrix(field, m) for m in mats]
     seen = {Matrix.identity(field, gens[0].nrows if gens else 1)}
@@ -308,9 +314,9 @@ def subgroup_closure(field: Field, mats, cap: int = CLOSURE_CAP) -> frozenset:
                 if y not in seen:
                     seen.add(y)
                     nxt.append(y)
-                    if len(seen) > cap:
+                    if len(seen) > GROUP_ELEMENTS_CAP:
                         raise ResourceBoundExceeded(
-                            f"subgroup closure exceeds the cap {cap}")
+                            f"subgroup closure exceeds the cap {GROUP_ELEMENTS_CAP}")
         frontier = nxt
     return frozenset(seen)
 
@@ -325,14 +331,6 @@ def normalizer_elements(rep: Representation) -> list:
         if all(g * h * gi in h_set for h in rep.generators):
             out.append(g)
     return out
-
-
-def centralizer_elements(rep: Representation) -> list:
-    """All g in GL_n(F_q) commuting with every generator, by exhaustion."""
-    _require_finite(rep.field)
-    table = get_table(rep.field, rep.n)
-    return [g for g in table.elements
-            if all(g * m == m * g for m in rep.generators)]
 
 
 def cocharacter_limits_match_flag_limits(rep: Representation,

@@ -17,6 +17,8 @@ import itertools
 from fractions import Fraction
 
 from .errors import (
+    FLAG_CANDIDATE_CAP,
+    SPACE_VECTORS_CAP,
     AlgebraNotStable,
     DimensionMismatch,
     InternalInvariantViolation,
@@ -24,11 +26,10 @@ from .errors import (
     NotBlockDiagonal,
     NotNormal,
     PreconditionNotDestabilizable,
-    ResourceBoundExceeded,
     SearchSpaceExceeded,
     UndecidedIrreducibility,
 )
-from .exact import EchelonBasis, Matrix, Subspace, projective_vectors, right_kernel, spin
+from .exact import Matrix, Subspace, projective_vectors, right_kernel, spin
 from .flags import (
     Cocharacter,
     Flag,
@@ -37,6 +38,7 @@ from .flags import (
     flag_to_cocharacter,
     in_P_lambda,
 )
+from .oracle import subgroup_closure
 from .reps import (
     IrreducibleWitness,
     Representation,
@@ -48,10 +50,6 @@ from .reps import (
     module_iso,
     restrict_to_subspace,
 )
-
-GROUP_CLOSURE_CAP = 2**21
-SUBSPACE_LATTICE_CAP = 2**14
-FLAG_CANDIDATE_CAP = 2**16
 
 
 def is_gcr_over_k(rep: Representation) -> SemisimpleCertificate:
@@ -210,33 +208,6 @@ def levi_descent(rep: Representation, block_sizes) -> LeviDescentReport:
     return LeviDescentReport(is_semisimple(rep), [is_semisimple(r) for r in block_reps])
 
 
-def _group_closure(mats, cap: int = GROUP_CLOSURE_CAP) -> set[Matrix]:
-    """All products of the given invertible matrices and their inverses."""
-    gens = []
-    for m in mats:
-        mi = m.inverse()
-        if mi is None:
-            raise InvalidInput("group closure of a singular matrix")
-        gens.append(m)
-        gens.append(mi)
-    ident = Matrix.identity(mats[0].field, mats[0].nrows)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-                    if len(seen) > cap:
-                        raise ResourceBoundExceeded(
-                            f"group closure exceeded {cap} elements")
-        frontier = nxt
-    return seen
-
-
 class CliffordResult:
     """Joint semisimplification of a group and a normal subgroup along
     one flag."""
@@ -263,8 +234,8 @@ def clifford_joint_ss(m: Representation, h: Representation, seed: int = 0) -> Cl
     if m.field is not h.field or m.n != h.n:
         raise DimensionMismatch("group and subgroup live in different spaces")
     if m.field.p is not None:
-        m_set = _group_closure(m.generators)
-        h_set = _group_closure(h.generators)
+        m_set = subgroup_closure(m.field, m.generators)
+        h_set = subgroup_closure(h.field, h.generators)
         if not all(x in m_set for x in h.generators):
             raise NotNormal("subgroup generators fall outside the ambient group")
         for g in m.generators:
@@ -273,15 +244,11 @@ def clifford_joint_ss(m: Representation, h: Representation, seed: int = 0) -> Cl
                 if g * x * gi not in h_set:
                     raise NotNormal("conjugation by an ambient generator leaves the subgroup")
     else:
-        gt_h = enveloping_basis(h)
-        span = EchelonBasis(h.field, h.n * h.n)
-        for b in gt_h.algebra_basis:
-            span.add(tuple(x for row in b.entries for x in row))
+        algebra = enveloping_basis(h)
         for g in m.generators:
             gi = g.inverse()
-            for b in gt_h.algebra_basis:
-                moved = g * b * gi
-                if not span.contains(tuple(x for row in moved.entries for x in row)):
+            for b in algebra.algebra_basis:
+                if not algebra.contains(g * b * gi):
                     raise AlgebraNotStable(
                         "ambient generator does not stabilize the subgroup's algebra")
     ambient = semisimplify(m, seed=seed)
@@ -312,17 +279,12 @@ def _invariant_lattice(rep: Representation) -> list[Subspace]:
     n = rep.n
     seeds = []
     if field.p is not None:
-        if field.p**n > SUBSPACE_LATTICE_CAP:
+        if field.p**n > SPACE_VECTORS_CAP:
             raise SearchSpaceExceeded(
                 f"{field.p}^{n} vectors exceed the invariant-lattice cap")
         seeds.extend(projective_vectors(field, n))
     else:
-        gt = enveloping_basis(rep)
-        ident = Matrix.identity(field, n)
-        elements = list(gt.algebra_basis)
-        elements += [e - ident for e in gt.entries]
-        elements += [a - b for a, b in itertools.combinations(gt.entries, 2)]
-        for elt in elements:
+        for elt in enveloping_basis(rep).deterministic_elements():
             if not elt.is_zero():
                 seeds.extend(right_kernel(elt))
     found: dict = {}
@@ -357,13 +319,13 @@ def _invariant_lattice(rep: Representation) -> list[Subspace]:
     return proper
 
 
-def _chains(proper: list[Subspace], cap: int):
+def _chains(proper: list[Subspace]):
     """All strictly increasing chains of proper invariant subspaces."""
     out = []
 
     def extend(chain):
         out.append(chain)
-        if len(out) > cap:
+        if len(out) > FLAG_CANDIDATE_CAP:
             raise SearchSpaceExceeded("flag enumeration exceeded the candidate cap")
         last = chain[-1]
         for w in proper:
@@ -387,14 +349,6 @@ class FlagCandidate:
         self.measure = measure
         self.limit_generators = limit_generators
 
-    def as_dict(self):
-        return {
-            "dims": [v.dim for v in self.flag.steps],
-            "weights": list(self.weights),
-            "w_min": self.w_min,
-            "measure": str(self.measure),
-        }
-
 
 class OptimalFlagReport:
     """Argmax set of the destabilization measure over flags and weights."""
@@ -407,10 +361,6 @@ class OptimalFlagReport:
         self.per_flag_data = tuple(per_flag_data)
         self.search_bound = search_bound
         self.findings = tuple(findings)
-
-    @property
-    def argmax_flags(self):
-        return tuple(c.flag for c in self.argmax)
 
     def __repr__(self):
         return (f"OptimalFlagReport(measure={self.measure}, "
@@ -436,11 +386,11 @@ def optimal_flag(rep: Representation, max_weight_height: int = 4) -> OptimalFlag
         raise PreconditionNotDestabilizable("input is already completely reducible")
     field = rep.field
     n = rep.n
-    gt = enveloping_basis(rep)
+    algebra = enveloping_basis(rep)
     full = Subspace.full(field, n)
     proper = _invariant_lattice(rep)
     candidates = []
-    for chain in _chains(proper, FLAG_CANDIDATE_CAP):
+    for chain in _chains(proper):
         flag = Flag(chain + [full])
         base = flag_to_cocharacter(flag)
         seen_classes = set()
@@ -461,7 +411,7 @@ def optimal_flag(rep: Representation, max_weight_height: int = 4) -> OptimalFlag
             seen_classes.add(lam.canonical)
             cw = lam.canonical
             w_min = None
-            for elt in gt.algebra_basis:
+            for elt in algebra.algebra_basis:
                 adapted = lam.basis_change_inv * elt * lam.basis_change
                 for i in range(n):
                     for j in range(n):

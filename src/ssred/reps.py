@@ -25,6 +25,7 @@ from sympy import Rational as _SymRational
 from sympy import Symbol as _SymSymbol
 
 from .errors import (
+    SPACE_VECTORS_CAP,
     DimensionMismatch,
     GeneratorCountMismatch,
     InternalInvariantViolation,
@@ -50,8 +51,6 @@ from .flags import Flag
 
 _X = _SymSymbol("x")
 
-# spinning every line of GF(q)^n stays cheap up to this many lines
-LINE_ENUMERATION_CAP = 2**14
 NORTON_TRIALS = 200
 NORTON_WORD_LENGTH = 8
 RATIONAL_DIM_CAP = 8
@@ -85,24 +84,36 @@ class Representation:
         self.generators = generators
         self.name = name
 
-    def transposed(self) -> "Representation":
-        return Representation([g.transpose() for g in self.generators], name=self.name)
-
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
         return f"Representation({self.field!r}, n={self.n}, gens={len(self.generators)}{label})"
 
 
-class GenericTuple:
-    """Generators followed by their inverses, with a basis of the algebra
-    they span multiplicatively."""
+class EnvelopingAlgebra:
+    """The enveloping algebra of a group: its generators followed by their
+    inverses (`entries`) and an echelon basis of their multiplicative span."""
 
-    __slots__ = ("entries", "algebra_basis", "algebra_dim")
+    __slots__ = ("entries", "algebra_basis", "algebra_dim", "_span")
 
-    def __init__(self, entries, algebra_basis):
+    def __init__(self, entries, span: EchelonBasis):
         self.entries = tuple(entries)
-        self.algebra_basis = tuple(algebra_basis)
+        n = self.entries[0].nrows
+        self.algebra_basis = tuple(_unflatten(span.field, n, row) for row in span.rows)
         self.algebra_dim = len(self.algebra_basis)
+        self._span = span
+
+    def contains(self, m: Matrix) -> bool:
+        return self._span.contains(_flatten(m))
+
+    def deterministic_elements(self):
+        """The basis, each entry minus the identity, and pairwise differences
+        of entries: the candidates tried before any random element."""
+        ident = Matrix.identity(self._span.field, self.entries[0].nrows)
+        yield from self.algebra_basis
+        for e in self.entries:
+            yield e - ident
+        for a, b in itertools.combinations(self.entries, 2):
+            yield a - b
 
 
 def _flatten(m: Matrix) -> tuple:
@@ -114,7 +125,7 @@ def _unflatten(field: Field, n: int, v) -> Matrix:
                   ncols=n, validate=False)
 
 
-def enveloping_basis(rep: Representation) -> GenericTuple:
+def enveloping_basis(rep: Representation) -> EnvelopingAlgebra:
     """Close span{I, generators, inverses} under left multiplication.
 
     Every word in the entries then lies in the span, so the result is a
@@ -142,8 +153,7 @@ def enveloping_basis(rep: Representation) -> GenericTuple:
             prod = e * m
             if acc.add(_flatten(prod)):
                 queue.append(prod)
-    basis = [_unflatten(field, n, row) for row in acc.rows]
-    return GenericTuple(entries, basis)
+    return EnvelopingAlgebra(entries, acc)
 
 
 def factor_poly(coeffs, field: Field) -> list[tuple[tuple, int]]:
@@ -189,16 +199,17 @@ class IrreducibleWitness:
       norton_kernel  every kernel line of a nonzero singular f(a) spins
                      full, plus the dual vector check (finite fields)
       all_lines      every line of the space spins full (finite fields)
+
+    A witness holds only the element a and the factor f; the verifier
+    recomputes the kernel vectors it spins.
     """
 
-    __slots__ = ("kind", "element", "factor", "vectors", "dual_vector")
+    __slots__ = ("kind", "element", "factor")
 
-    def __init__(self, kind, element=None, factor=None, vectors=(), dual_vector=None):
+    def __init__(self, kind, element=None, factor=None):
         self.kind = kind
         self.element = element
         self.factor = tuple(factor) if factor is not None else None
-        self.vectors = tuple(tuple(v) for v in vectors)
-        self.dual_vector = tuple(dual_vector) if dual_vector is not None else None
 
     def _spins_full(self, rep, vectors, dual=False) -> bool:
         gens = [g.transpose() for g in rep.generators] if dual else rep.generators
@@ -210,12 +221,12 @@ class IrreducibleWitness:
         if self.kind == "dimension":
             return n == 1
         if self.kind == "all_lines":
-            if field.p is None or field.p**n > LINE_ENUMERATION_CAP:
+            if field.p is None or field.p**n > SPACE_VECTORS_CAP:
                 return False
             return self._spins_full(rep, projective_vectors(field, n))
         if self.element is None or self.factor is None:
             return False
-        if not _in_algebra_span(rep, self.element):
+        if not enveloping_basis(rep).contains(self.element):
             return False
         facs = factor_poly(self.factor, field)
         if facs != [(self.factor, 1)]:
@@ -233,30 +244,34 @@ class IrreducibleWitness:
         kernel = right_kernel(b)
         if not kernel:
             return False
-        ker_space = Subspace.from_vectors(field, n, kernel)
-        if not all(ker_space.contains_vector(v) for v in self.vectors):
-            return False
-        if self.dual_vector is None:
-            return False
-        dual_kernel = Subspace.from_vectors(field, n, right_kernel(b.transpose()))
-        if not dual_kernel.contains_vector(self.dual_vector):
-            return False
         if self.kind == "norton_pair":
-            if len(kernel) != deg or len(self.vectors) != 1:
+            if len(kernel) != deg:
                 return False
-        elif self.kind == "norton_kernel":
-            if field.p is None:
+            vectors = kernel[:1]
+        elif self.kind == "norton_kernel" and field.p is not None:
+            if _line_count(field.p, len(kernel)) > SPACE_VECTORS_CAP:
                 return False
-            lines = (field.p**len(kernel) - 1) // (field.p - 1)
-            if len(self.vectors) != lines:
-                return False
+            vectors = _kernel_lines(field, kernel, n)
         else:
             return False
-        return (self._spins_full(rep, self.vectors)
-                and self._spins_full(rep, [self.dual_vector], dual=True))
+        # Norton (Holt & Rees 1994): a proper submodule W with W meeting ker f(a)
+        # trivially has f(a) injective on W, so all of ker f(a)^T lies in the
+        # proper dual submodule W^perp and no dual kernel vector spins full.
+        return (self._spins_full(rep, vectors)
+                and self._spins_full(rep, [right_kernel(b.transpose())[0]], dual=True))
 
     def __repr__(self):
         return f"IrreducibleWitness({self.kind!r})"
+
+
+def _line_count(p: int, k: int) -> int:
+    return (p**k - 1) // (p - 1)
+
+
+def _kernel_lines(field: Field, kernel, n: int):
+    """One vector per line of span(kernel), over a finite field."""
+    return (linear_combination(field, coeffs, kernel, n)
+            for coeffs in projective_vectors(field, len(kernel)))
 
 
 def _poly_mod(num, den, field: Field) -> list:
@@ -274,14 +289,6 @@ def _poly_mod(num, den, field: Field) -> list:
             num[shift + i] = field.sub(num[shift + i], field.mul(q, c))
         num.pop()
     return num
-
-
-def _in_algebra_span(rep: Representation, m: Matrix) -> bool:
-    gt = enveloping_basis(rep)
-    acc = EchelonBasis(rep.field, rep.n * rep.n)
-    for b in gt.algebra_basis:
-        acc.add(_flatten(b))
-    return acc.contains(_flatten(m))
 
 
 def _dual_perp(field: Field, dual_space: Subspace) -> Subspace:
@@ -322,37 +329,18 @@ def _examine_element(rep: Representation, a: Matrix):
             dual_spin = spin(field, n, [dual_kernel[0]], dual_gens)
             if dual_spin.dim < n:
                 return "submodule", _dual_perp(field, dual_spin)
-            return "witness", IrreducibleWitness(
-                "norton_pair", element=a, factor=factor,
-                vectors=[kernel[0]], dual_vector=dual_kernel[0])
-        if field.p is not None:
-            lines = (field.p**len(kernel) - 1) // (field.p - 1)
-            if lines <= LINE_ENUMERATION_CAP:
-                seen = []
-                for coeffs in projective_vectors(field, len(kernel)):
-                    vec = linear_combination(field, coeffs, kernel, n)
-                    w = spin(field, n, [vec], gens)
-                    if 0 < w.dim < n:
-                        return "submodule", w
-                    seen.append(vec)
-                dual_kernel = right_kernel(b.transpose())
-                dual_spin = spin(field, n, [dual_kernel[0]], dual_gens)
-                if dual_spin.dim < n:
-                    return "submodule", _dual_perp(field, dual_spin)
-                return "witness", IrreducibleWitness(
-                    "norton_kernel", element=a, factor=factor,
-                    vectors=seen, dual_vector=dual_kernel[0])
+            return "witness", IrreducibleWitness("norton_pair", element=a, factor=factor)
+        if field.p is not None and _line_count(field.p, len(kernel)) <= SPACE_VECTORS_CAP:
+            for vec in _kernel_lines(field, kernel, n):
+                w = spin(field, n, [vec], gens)
+                if 0 < w.dim < n:
+                    return "submodule", w
+            dual_kernel = right_kernel(b.transpose())
+            dual_spin = spin(field, n, [dual_kernel[0]], dual_gens)
+            if dual_spin.dim < n:
+                return "submodule", _dual_perp(field, dual_spin)
+            return "witness", IrreducibleWitness("norton_kernel", element=a, factor=factor)
     return None
-
-
-def _deterministic_elements(gt: GenericTuple, field: Field, n: int):
-    ident = Matrix.identity(field, n)
-    for b in gt.algebra_basis:
-        yield b
-    for e in gt.entries:
-        yield e - ident
-    for a, b in itertools.combinations(gt.entries, 2):
-        yield a - b
 
 
 def find_submodule(rep: Representation, rng: random.Random | None = None):
@@ -366,8 +354,8 @@ def find_submodule(rep: Representation, rng: random.Random | None = None):
     n = rep.n
     if n == 1:
         return IrreducibleWitness("dimension")
-    gt = enveloping_basis(rep)
-    for a in _deterministic_elements(gt, field, n):
+    algebra = enveloping_basis(rep)
+    for a in algebra.deterministic_elements():
         if a.is_zero():
             continue
         res = _examine_element(rep, a)
@@ -381,7 +369,7 @@ def find_submodule(rep: Representation, rng: random.Random | None = None):
             for _ in range(rng.randrange(1, 4)):
                 word = Matrix.identity(field, n)
                 for _ in range(rng.randrange(1, NORTON_WORD_LENGTH + 1)):
-                    word = word * rng.choice(gt.entries)
+                    word = word * rng.choice(algebra.entries)
                 terms.append(word.scale(rng.randrange(1, p)))
             a = terms[0]
             for t in terms[1:]:
@@ -391,7 +379,7 @@ def find_submodule(rep: Representation, rng: random.Random | None = None):
             res = _examine_element(rep, a)
             if res is not None:
                 return res[1]
-        if p**n <= LINE_ENUMERATION_CAP:
+        if p**n <= SPACE_VECTORS_CAP:
             for v in projective_vectors(field, n):
                 w = spin(field, n, [v], rep.generators)
                 if w.dim < n:
@@ -400,7 +388,7 @@ def find_submodule(rep: Representation, rng: random.Random | None = None):
         raise UndecidedIrreducibility(
             f"no conclusive element found and {p}^{n} lines exceed the enumeration cap")
     # rationals: pairwise combinations of algebra basis elements, then give up
-    basis = gt.algebra_basis[:12]
+    basis = algebra.algebra_basis[:12]
     for a, b in itertools.combinations(basis, 2):
         for cand in (a + b, a - b):
             if cand.is_zero():
@@ -561,7 +549,8 @@ class SemisimpleCertificate:
 
     def verify(self, rep: Representation) -> bool:
         if self.semisimple:
-            if (len(self.witnesses) != len(self.summands)
+            if (self.summands is None or self.witnesses is None
+                    or len(self.witnesses) != len(self.summands)
                     or sum(s.dim for s in self.summands) != rep.n):
                 return False
             acc = EchelonBasis(rep.field, rep.n)

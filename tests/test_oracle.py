@@ -2,13 +2,13 @@ import random
 
 import pytest
 
+from ssred import oracle
 from ssred.errors import InvalidInput, ResourceBoundExceeded
 from ssred.exact import Field, Matrix, rref
 from ssred.oracle import (
     OrbitIndex,
     accessible_closed_orbits,
     all_subspaces,
-    centralizer_elements,
     cocharacter_limits_match_flag_limits,
     enumerate_flags,
     generic_tuple,
@@ -181,18 +181,20 @@ def test_invariant_subspaces_and_irreducibility():
     assert oracle_irreducible(rep(F3, [[0, -1], [1, 0]]))
 
 
-def test_subgroup_closure_frozen_orders():
+def test_subgroup_closure_frozen_orders(monkeypatch):
     assert len(subgroup_closure(F2, [mat(F2, [[1, 1], [0, 1]])])) == 2
     assert len(subgroup_closure(F3, [mat(F3, [[0, -1], [1, 0]])])) == 4
     dihedral = [mat(F3, [[0, 1], [1, 0]]), mat(F3, [[1, 0], [0, -1]])]
     assert len(subgroup_closure(F3, dihedral)) == 8
+    monkeypatch.setattr(oracle, "GROUP_ELEMENTS_CAP", 10)
     with pytest.raises(ResourceBoundExceeded):
-        subgroup_closure(F3, [g for g in get_table(F3, 2).elements], cap=10)
+        subgroup_closure(F3, [g for g in get_table(F3, 2).elements])
 
 
 def test_centralizer_and_normalizer_frozen():
     rot = rep(F3, [[0, -1], [1, 0]])
-    cent = centralizer_elements(rot)
+    r = rot.generators[0]
+    cent = [g for g in get_table(F3, 2).elements if g * r == r * g]
     assert len(cent) == 8  # invertible elements of F_3[R], R^2 = -1
     norm = normalizer_elements(rot)
     assert len(norm) == 16

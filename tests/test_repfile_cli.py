@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from ssred import cli, errors
 from ssred.cli import main
-from ssred.errors import InvalidInput
+from ssred.errors import InternalInvariantViolation, InvalidInput, SsredError
 from ssred.exact import Field, Matrix
 from ssred.repfile import (
     canonical_json,
@@ -255,3 +256,15 @@ def test_singular_generator_rejected_on_load(tmp_path, capsys):
     code = main(["check", "--input", path])
     capsys.readouterr()
     assert code == 2
+
+
+def test_cli_maps_every_error_to_one_exit_code():
+    """Each error class of the package lands in exactly one of the CLI's
+    exit-code groups, so adding or deleting a class cannot leave the
+    mapping stale."""
+    classes = [obj for obj in vars(errors).values()
+               if isinstance(obj, type) and issubclass(obj, SsredError) and obj is not SsredError]
+    groups = (cli._INPUT_ERRORS, cli._RESOURCE_ERRORS, (InternalInvariantViolation,))
+    for cls in classes:
+        assert sum(cls in group for group in groups) == 1, cls.__name__
+    assert set(classes) == {cls for group in groups for cls in group}

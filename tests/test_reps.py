@@ -134,6 +134,25 @@ def test_find_submodule_norton_kernel():
     assert found.verify(r)
 
 
+def test_norton_kernel_witness_cannot_be_forged():
+    """A norton_kernel witness names only an element and a factor; the
+    verifier spins every kernel line itself, so a reducible module has no
+    such witness (ROADMAP defect D1: repeating one full-spinning kernel
+    line used to verify)."""
+    from ssred.exact import charpoly, poly_eval_matrix, right_kernel, spin
+    r = rep(F2, [[1, 1, 0], [1, 1, 1], [1, 0, 0]], [[1, 0, 0], [0, 1, 0], [0, 1, 1]])
+    assert isinstance(find_submodule(r), Subspace)
+    full_spinning_kernels = 0
+    for element in enveloping_basis(r).algebra_basis:
+        for factor, _mult in factor_poly(charpoly(element), F2):
+            assert not IrreducibleWitness("norton_kernel", element=element,
+                                          factor=factor).verify(r)
+            kernel = right_kernel(poly_eval_matrix(factor, element))
+            if any(spin(F2, 3, [v], r.generators).dim == 3 for v in kernel):
+                full_spinning_kernels += 1
+    assert full_spinning_kernels > 0
+
+
 def test_all_lines_witness_verification():
     assert IrreducibleWitness("all_lines").verify(ROTATION_F3)
     assert not IrreducibleWitness("all_lines").verify(TRANSVECTION_F2)
@@ -251,6 +270,9 @@ def test_semisimple_certificate_tampering_detected():
              [IrreducibleWitness("all_lines")] + list(cert.witnesses))):
         assert not SemisimpleCertificate(True, summands=summands,
                                          witnesses=witnesses).verify(DIAG_PM1_F3)
+    # a positive certificate without summands or witnesses
+    assert not SemisimpleCertificate(True).verify(TRANSVECTION_F2)
+    assert not SemisimpleCertificate(True, summands=cert.summands).verify(DIAG_PM1_F3)
 
 
 def test_is_semisimple_randomized_certificates():
