@@ -230,12 +230,6 @@ class Matrix:
             t = self.field.add(t, self.entries[i][i])
         return t
 
-    def is_identity(self) -> bool:
-        one, zero = self.field.one, self.field.zero
-        return (self.nrows == self.ncols and
-                all(self.entries[i][j] == (one if i == j else zero)
-                    for i in range(self.nrows) for j in range(self.ncols)))
-
     def is_zero(self) -> bool:
         zero = self.field.zero
         return all(x == zero for row in self.entries for x in row)

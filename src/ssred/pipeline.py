@@ -33,6 +33,7 @@ from .exact import Matrix, Subspace, projective_vectors, right_kernel, spin
 from .flags import (
     Cocharacter,
     Flag,
+    block_diagonal,
     c_lambda,
     diagonal_blocks,
     flag_to_cocharacter,
@@ -40,12 +41,10 @@ from .flags import (
 )
 from .oracle import subgroup_closure
 from .reps import (
-    IrreducibleWitness,
     Representation,
     SemisimpleCertificate,
     composition_series,
     enveloping_basis,
-    find_submodule,
     is_semisimple,
     module_iso,
     restrict_to_subspace,
@@ -92,15 +91,6 @@ class SsResult:
     def __repr__(self):
         return (f"SsResult(blocks={self.flag.block_sizes}, "
                 f"l_irreducible={self.l_irreducible})")
-
-
-def _block_irreducibility(cocharacter, ss_generators) -> bool:
-    """Whether every diagonal-block action of the limit is irreducible."""
-    for span in cocharacter.block_spans():
-        found = find_submodule(Representation(restrict_to_subspace(ss_generators, span)))
-        if not isinstance(found, IrreducibleWitness):
-            return False
-    return True
 
 
 def semisimplify(rep: Representation, seed: int = 0) -> SsResult:
@@ -192,20 +182,14 @@ def levi_descent(rep: Representation, block_sizes) -> LeviDescentReport:
     block_sizes = tuple(int(b) for b in block_sizes)
     if any(b < 1 for b in block_sizes) or sum(block_sizes) != rep.n:
         raise InvalidInput("block sizes must be positive and sum to n")
-    bounds = list(itertools.accumulate((0,) + block_sizes))
-    for g in rep.generators:
-        for i in range(rep.n):
-            for j in range(rep.n):
-                inside = any(lo <= i < hi and lo <= j < hi
-                             for lo, hi in zip(bounds, bounds[1:]))
-                if not inside and g.entries[i][j] != 0:
-                    raise NotBlockDiagonal(
-                        f"entry ({i},{j}) falls outside the diagonal blocks")
-    block_reps = []
-    for idx in range(len(block_sizes)):
-        gens = [diagonal_blocks(g, block_sizes)[idx] for g in rep.generators]
-        block_reps.append(Representation(gens))
-    return LeviDescentReport(is_semisimple(rep), [is_semisimple(r) for r in block_reps])
+    cut = []
+    for i, g in enumerate(rep.generators):
+        blocks = diagonal_blocks(g, block_sizes)
+        if block_diagonal(rep.field, blocks) != g:
+            raise NotBlockDiagonal(f"generator {i} has an entry outside the diagonal blocks")
+        cut.append(blocks)
+    return LeviDescentReport(is_semisimple(rep),
+                             [is_semisimple(Representation(gens)) for gens in zip(*cut)])
 
 
 class CliffordResult:
@@ -261,7 +245,10 @@ def clifford_joint_ss(m: Representation, h: Representation, seed: int = 0) -> Cl
     if not h_cert.semisimple:
         raise InternalInvariantViolation(
             "limit of the normal subgroup along the joint flag is not semisimple")
-    l_irr = _block_irreducibility(lam, h_gens)
+    # The flag blocks are invariant summands of the limit and the
+    # certificate splits it into irreducibles, so by Jordan-Hoelder every
+    # block is irreducible exactly when there are as many summands as blocks.
+    l_irr = len(h_cert.summands) == len(ambient.flag.block_sizes)
     normal = SsResult(h, ambient.flag, lam, h_gens, h_cert, l_irreducible=l_irr)
     return CliffordResult(ambient, normal)
 

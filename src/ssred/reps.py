@@ -2,14 +2,18 @@
 composition series, semisimplicity certificates, and module isomorphism.
 
 Irreducibility is decided MeatAxe-style: pick an element a of the
-enveloping algebra, factor its characteristic polynomial, and spin kernel
-vectors of f(a) for irreducible factors f.  Proper spins are submodules;
-when the nullity of f(a) equals deg f, one full primal spin plus one full
-spin in the dual module is a proof of irreducibility (Norton's
-criterion), and over a finite field the same conclusion follows from
-spinning every kernel line of any nonzero singular f(a).  Small finite
-modules fall back to spinning every line of the space, which is always
-conclusive.
+enveloping algebra, factor its characteristic polynomial, and run
+Norton's test on f(a) for each irreducible factor f.  The test spins
+kernel vectors of f(a); a proper spin is a submodule.  When the nullity
+of f(a) equals deg f, one full primal spin plus one full spin in the dual
+module proves irreducibility, and over a finite field the same follows
+from spinning every kernel line of a singular f(a).  The search and the
+witness verifier run this one test.  Candidates are the algebra basis
+and other fixed elements, then random words over a finite field or sums
+and differences of basis pairs over the rationals.  Small finite modules
+fall back to spinning every line of the space, which is always
+conclusive; over the rationals an inconclusive search raises
+UndecidedIrreducibility.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ _X = _SymSymbol("x")
 
 NORTON_TRIALS = 200
 NORTON_WORD_LENGTH = 8
-RATIONAL_DIM_CAP = 8
 
 
 class Representation:
@@ -196,12 +199,13 @@ class IrreducibleWitness:
       norton_pair    f(a) has nullity deg f; one kernel vector spins to the
                      full space and one dual kernel vector spins to the
                      full dual space
-      norton_kernel  every kernel line of a nonzero singular f(a) spins
-                     full, plus the dual vector check (finite fields)
+      norton_kernel  f(a) is singular with nullity other than deg f; every
+                     kernel line spins full, plus the dual vector check
+                     (finite fields)
       all_lines      every line of the space spins full (finite fields)
 
     A witness holds only the element a and the factor f; the verifier
-    recomputes the kernel vectors it spins.
+    reruns Norton's test on f(a) and accepts only the kind it proves.
     """
 
     __slots__ = ("kind", "element", "factor")
@@ -211,10 +215,6 @@ class IrreducibleWitness:
         self.element = element
         self.factor = tuple(factor) if factor is not None else None
 
-    def _spins_full(self, rep, vectors, dual=False) -> bool:
-        gens = [g.transpose() for g in rep.generators] if dual else rep.generators
-        return all(spin(rep.field, rep.n, [v], gens).dim == rep.n for v in vectors)
-
     def verify(self, rep: Representation) -> bool:
         field = rep.field
         n = rep.n
@@ -223,42 +223,18 @@ class IrreducibleWitness:
         if self.kind == "all_lines":
             if field.p is None or field.p**n > SPACE_VECTORS_CAP:
                 return False
-            return self._spins_full(rep, projective_vectors(field, n))
+            return all(spin(field, n, [v], rep.generators).dim == n
+                       for v in projective_vectors(field, n))
         if self.element is None or self.factor is None:
             return False
         if not enveloping_basis(rep).contains(self.element):
             return False
-        facs = factor_poly(self.factor, field)
-        if facs != [(self.factor, 1)]:
+        if factor_poly(self.factor, field) != [(self.factor, 1)]:
             return False
         deg = len(self.factor) - 1
         if self.kind == "cyclic":
             return deg == n and charpoly(self.element) == list(self.factor)
-        cp = charpoly(self.element)
-        rem = _poly_mod(cp, list(self.factor), field)
-        if any(c != 0 for c in rem):
-            return False
-        b = poly_eval_matrix(self.factor, self.element)
-        if b.is_zero():
-            return False
-        kernel = right_kernel(b)
-        if not kernel:
-            return False
-        if self.kind == "norton_pair":
-            if len(kernel) != deg:
-                return False
-            vectors = kernel[:1]
-        elif self.kind == "norton_kernel" and field.p is not None:
-            if _line_count(field.p, len(kernel)) > SPACE_VECTORS_CAP:
-                return False
-            vectors = _kernel_lines(field, kernel, n)
-        else:
-            return False
-        # Norton (Holt & Rees 1994): a proper submodule W with W meeting ker f(a)
-        # trivially has f(a) injective on W, so all of ker f(a)^T lies in the
-        # proper dual submodule W^perp and no dual kernel vector spins full.
-        return (self._spins_full(rep, vectors)
-                and self._spins_full(rep, [right_kernel(b.transpose())[0]], dual=True))
+        return _norton(rep, poly_eval_matrix(self.factor, self.element), deg) == self.kind
 
     def __repr__(self):
         return f"IrreducibleWitness({self.kind!r})"
@@ -274,131 +250,114 @@ def _kernel_lines(field: Field, kernel, n: int):
             for coeffs in projective_vectors(field, len(kernel)))
 
 
-def _poly_mod(num, den, field: Field) -> list:
-    """Remainder of polynomial division (ascending coefficient lists)."""
-    num = list(num)
-    dd = len(den) - 1
-    lead_inv = field.inv(den[-1])
-    while len(num) - 1 >= dd and any(c != 0 for c in num):
-        if num[-1] == 0:
-            num.pop()
-            continue
-        shift = len(num) - 1 - dd
-        q = field.mul(num[-1], lead_inv)
-        for i, c in enumerate(den):
-            num[shift + i] = field.sub(num[shift + i], field.mul(q, c))
-        num.pop()
-    return num
+def _norton(rep: Representation, b: Matrix, deg: int):
+    """Norton's test on b = f(a) for an irreducible factor f of degree deg.
 
+    Returns a proper submodule, the witness kind the test proves
+    ("norton_pair" when nullity(b) = deg, "norton_kernel" over a finite
+    field when the kernel lines are within the cap), or None, which it
+    always returns for a zero or invertible b.
 
-def _dual_perp(field: Field, dual_space: Subspace) -> Subspace:
-    """The subspace annihilated by every functional in dual_space."""
-    return Subspace.from_vectors(field, dual_space.ambient_dim,
-                                 right_kernel(dual_space.basis))
-
-
-def _examine_element(rep: Representation, a: Matrix):
-    """Run the kernel-spin analysis for one algebra element.
-
-    Returns ("submodule", Subspace), ("witness", IrreducibleWitness), or
-    None when this element is inconclusive.
+    Norton (Holt & Rees 1994): a proper submodule W either meets ker b,
+    so some kernel vector spins inside W, or b is injective on W, so
+    ker b^T lies in the proper dual submodule W^perp and no dual kernel
+    vector spins full.  When nullity(b) = deg, ker b is one line over
+    k[x]/(f) and spin(v) contains k[a]v, so every kernel vector spins to
+    the same subspace and the first one stands for all.
     """
     field = rep.field
     n = rep.n
-    gens = rep.generators
-    dual_gens = [g.transpose() for g in gens]
-    cp = charpoly(a)
-    for factor, _mult in factor_poly(cp, field):
+    kernel = right_kernel(b)
+    if not 0 < len(kernel) < n:
+        return None
+    kind, vectors = None, kernel
+    if len(kernel) == deg:
+        kind, vectors = "norton_pair", kernel[:1]
+    elif field.p is not None and _line_count(field.p, len(kernel)) <= SPACE_VECTORS_CAP:
+        kind, vectors = "norton_kernel", itertools.chain(kernel, _kernel_lines(field, kernel, n))
+    for v in vectors:
+        w = spin(field, n, [v], rep.generators)
+        if w.dim < n:
+            return w
+    if kind is None:
+        return None
+    dual = spin(field, n, [right_kernel(b.transpose())[0]],
+                [g.transpose() for g in rep.generators])
+    if dual.dim < n:
+        return Subspace.from_vectors(field, n, right_kernel(dual.basis))
+    return kind
+
+
+def _examine_element(rep: Representation, a: Matrix):
+    """A proper submodule, an irreducibility witness, or None when the
+    algebra element a is inconclusive."""
+    for factor, _mult in factor_poly(charpoly(a), rep.field):
         deg = len(factor) - 1
-        if deg == n:
-            return "witness", IrreducibleWitness("cyclic", element=a, factor=factor)
-        b = poly_eval_matrix(factor, a)
-        if b.is_zero():
-            continue
-        kernel = right_kernel(b)
-        if not kernel:
-            continue
-        for v in kernel:
-            w = spin(field, n, [v], gens)
-            if 0 < w.dim < n:
-                return "submodule", w
-        if len(kernel) == deg:
-            dual_kernel = right_kernel(b.transpose())
-            if not dual_kernel:
-                raise InternalInvariantViolation("singular matrix with nonsingular transpose")
-            dual_spin = spin(field, n, [dual_kernel[0]], dual_gens)
-            if dual_spin.dim < n:
-                return "submodule", _dual_perp(field, dual_spin)
-            return "witness", IrreducibleWitness("norton_pair", element=a, factor=factor)
-        if field.p is not None and _line_count(field.p, len(kernel)) <= SPACE_VECTORS_CAP:
-            for vec in _kernel_lines(field, kernel, n):
-                w = spin(field, n, [vec], gens)
-                if 0 < w.dim < n:
-                    return "submodule", w
-            dual_kernel = right_kernel(b.transpose())
-            dual_spin = spin(field, n, [dual_kernel[0]], dual_gens)
-            if dual_spin.dim < n:
-                return "submodule", _dual_perp(field, dual_spin)
-            return "witness", IrreducibleWitness("norton_kernel", element=a, factor=factor)
+        if deg == rep.n:
+            return IrreducibleWitness("cyclic", element=a, factor=factor)
+        found = _norton(rep, poly_eval_matrix(factor, a), deg)
+        if isinstance(found, str):
+            return IrreducibleWitness(found, element=a, factor=factor)
+        if found is not None:
+            return found
     return None
+
+
+def _extra_elements(rep: Representation, algebra: EnvelopingAlgebra, rng):
+    """Candidates tried after the deterministic ones: random scaled words
+    in the entries over GF(p), sums and differences of pairs of the first
+    12 basis elements over the rationals."""
+    field = rep.field
+    if field.p is None:
+        for a, b in itertools.combinations(algebra.algebra_basis[:12], 2):
+            yield a + b
+            yield a - b
+        return
+    rng = rng or random.Random(0)
+    for _ in range(NORTON_TRIALS):
+        terms = []
+        for _ in range(rng.randrange(1, 4)):
+            word = Matrix.identity(field, rep.n)
+            for _ in range(rng.randrange(1, NORTON_WORD_LENGTH + 1)):
+                word = word * rng.choice(algebra.entries)
+            terms.append(word.scale(rng.randrange(1, field.p)))
+        a = terms[0]
+        for t in terms[1:]:
+            a = a + t
+        yield a
 
 
 def find_submodule(rep: Representation, rng: random.Random | None = None):
     """A proper nonzero invariant subspace, or a witness that none exists.
 
     Over finite fields this is always conclusive when p^n stays under the
-    line-enumeration cap; over the rationals the deterministic layers may
-    give up with UndecidedIrreducibility (documented cap: n <= 8).
+    line-enumeration cap.  Over the rationals no dimension is guaranteed:
+    when no candidate element is conclusive the search gives up with
+    UndecidedIrreducibility (the quaternion module of Q8 does so at n = 4).
     """
     field = rep.field
     n = rep.n
     if n == 1:
         return IrreducibleWitness("dimension")
     algebra = enveloping_basis(rep)
-    for a in algebra.deterministic_elements():
+    for a in itertools.chain(algebra.deterministic_elements(),
+                             _extra_elements(rep, algebra, rng)):
         if a.is_zero():
             continue
-        res = _examine_element(rep, a)
-        if res is not None:
-            return res[1]
-    if field.p is not None:
-        rng = rng or random.Random(0)
-        p = field.p
-        for _ in range(NORTON_TRIALS):
-            terms = []
-            for _ in range(rng.randrange(1, 4)):
-                word = Matrix.identity(field, n)
-                for _ in range(rng.randrange(1, NORTON_WORD_LENGTH + 1)):
-                    word = word * rng.choice(algebra.entries)
-                terms.append(word.scale(rng.randrange(1, p)))
-            a = terms[0]
-            for t in terms[1:]:
-                a = a + t
-            if a.is_zero():
-                continue
-            res = _examine_element(rep, a)
-            if res is not None:
-                return res[1]
-        if p**n <= SPACE_VECTORS_CAP:
-            for v in projective_vectors(field, n):
-                w = spin(field, n, [v], rep.generators)
-                if w.dim < n:
-                    return w
-            return IrreducibleWitness("all_lines")
+        found = _examine_element(rep, a)
+        if found is not None:
+            return found
+    if field.p is None:
         raise UndecidedIrreducibility(
-            f"no conclusive element found and {p}^{n} lines exceed the enumeration cap")
-    # rationals: pairwise combinations of algebra basis elements, then give up
-    basis = algebra.algebra_basis[:12]
-    for a, b in itertools.combinations(basis, 2):
-        for cand in (a + b, a - b):
-            if cand.is_zero():
-                continue
-            res = _examine_element(rep, cand)
-            if res is not None:
-                return res[1]
+            f"rational module of dimension {n}: no candidate element was conclusive")
+    if field.p**n <= SPACE_VECTORS_CAP:
+        for v in projective_vectors(field, n):
+            w = spin(field, n, [v], rep.generators)
+            if w.dim < n:
+                return w
+        return IrreducibleWitness("all_lines")
     raise UndecidedIrreducibility(
-        f"rational module of dimension {n} resisted the deterministic element "
-        f"search (decision guaranteed only for n <= {RATIONAL_DIM_CAP})")
+        f"no conclusive element found and {field.p}^{n} lines exceed the enumeration cap")
 
 
 def restrict_to_subspace(gens, w: Subspace) -> list[Matrix]:

@@ -10,8 +10,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from acceptance_log import record
 from conftest import F2, F3, random_invertible
 
@@ -20,7 +18,6 @@ from ssred.flags import Flag, block_diagonal, c_lambda, flag_to_cocharacter
 from ssred.oracle import (
     accessible_closed_orbits,
     generic_tuple,
-    get_table,
     invariant_subspaces,
     normalizer_elements,
     oracle_gcr,
@@ -223,7 +220,6 @@ def test_criterion_10_kernel_properties():
             for v in w.basis.entries:
                 assert w.contains_vector(op.apply(v))
 
-    from conftest import random_representation
     homs = 0
     while homs < cases:
         field = (F2, F3)[rng.randrange(2)]

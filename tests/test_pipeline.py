@@ -10,7 +10,7 @@ from ssred.errors import (
     NotNormal,
     PreconditionNotDestabilizable,
 )
-from ssred.exact import Field, Matrix, Subspace
+from ssred.exact import Field, Matrix
 from ssred.pipeline import (
     CliffordResult,
     ConjugacyCertificate,

@@ -8,7 +8,7 @@ import pytest
 from ssred import cli, errors
 from ssred.cli import main
 from ssred.errors import InternalInvariantViolation, InvalidInput, SsredError
-from ssred.exact import Field, Matrix
+from ssred.exact import Field
 from ssred.repfile import (
     canonical_json,
     load_rep,
@@ -16,7 +16,6 @@ from ssred.repfile import (
     scalar_to_str,
     serialize_rep,
 )
-from ssred.reps import Representation
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)

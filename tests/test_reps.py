@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from ssred.errors import GeneratorCountMismatch, InvalidInput
+from conftest import random_representation
+
+from ssred.errors import GeneratorCountMismatch, InvalidInput, UndecidedIrreducibility
 from ssred.exact import Field, Matrix, Subspace
 from ssred.flags import Flag, flag_to_cocharacter
 from ssred.pipeline import SsResult
 from ssred.reps import (
-    CompositionSeries,
     IrreducibleWitness,
     Representation,
     SemisimpleCertificate,
@@ -124,6 +125,9 @@ def test_find_submodule_norton_pair():
     assert isinstance(found, IrreducibleWitness)
     assert found.kind == "norton_pair"
     assert found.verify(r)
+    # verify() accepts only the kind Norton's test proves
+    relabelled = IrreducibleWitness("norton_kernel", element=found.element, factor=found.factor)
+    assert not relabelled.verify(r)
 
 
 def test_find_submodule_norton_kernel():
@@ -151,6 +155,30 @@ def test_norton_kernel_witness_cannot_be_forged():
             if any(spin(F2, 3, [v], r.generators).dim == 3 for v in kernel):
                 full_spinning_kernels += 1
     assert full_spinning_kernels > 0
+
+
+def test_verified_witnesses_sit_on_irreducible_modules():
+    """Soundness of verify(): every witness built from an algebra basis
+    element and an irreducible factor of some basis element's charpoly
+    that verifies belongs to a module the oracle finds irreducible."""
+    from ssred.exact import charpoly
+    from ssred.oracle import get_table, oracle_irreducible
+    rng = random.Random(7)
+    modules = ([Representation([g]) for field in (F2, F3) for g in get_table(field, 2).elements]
+               + [random_representation(rng, F2, 3) for _ in range(20)])
+    accepted = reducible = 0
+    for r in modules:
+        irreducible = oracle_irreducible(r)
+        reducible += not irreducible
+        basis = enveloping_basis(r).algebra_basis
+        factors = {f for b in basis for f, _mult in factor_poly(charpoly(b), r.field)}
+        for kind in ("cyclic", "norton_pair", "norton_kernel"):
+            for element in basis:
+                for factor in sorted(factors):
+                    if IrreducibleWitness(kind, element=element, factor=factor).verify(r):
+                        assert irreducible, (r, kind, element, factor)
+                        accepted += 1
+    assert reducible > 0 and accepted > 0
 
 
 def test_all_lines_witness_verification():
@@ -369,3 +397,17 @@ def test_rational_module_basics():
     series = composition_series(three)
     assert series.length == 3
     assert not is_semisimple(three).semisimple
+
+
+@pytest.mark.xfail(strict=True, raises=UndecidedIrreducibility,
+                   reason="ROADMAP defect D3: no candidate element is conclusive for Q8 on H")
+def test_q8_on_h_irreducible_over_qq():
+    """Q8 acting on the quaternions by left multiplication (basis 1, i, j,
+    k) is irreducible over QQ: its enveloping algebra is a division
+    algebra, so every f(a) is zero or invertible and every charpoly is a
+    square, and no candidate element is conclusive."""
+    left_i = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+    left_j = [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]
+    q8 = Representation([mat(QQ, left_i), mat(QQ, left_j)])
+    found = find_submodule(q8)
+    assert isinstance(found, IrreducibleWitness) and found.verify(q8)
