@@ -2,21 +2,28 @@
 
 Scalars are plain Python ints reduced mod p, or `fractions.Fraction`
 values kept in lowest terms; matrices are immutable tuples of row tuples.
-There is no floating point anywhere in the package.
+There is no floating point anywhere in the package.  `Field` is the one
+place that knows which kind of scalar it holds: `coerce` admits a scalar,
+`reduce` and `axpy` make rows of field elements, and every matrix and row
+operation below is written on those three.
 
 The public surface is deliberately small: reduced row echelon form,
 kernels, linear solving, subspaces with canonical echelon bases, orbit
 closure of vectors under a set of operators ("spinning"), characteristic
 polynomials, and a solver for simultaneous conjugation g*A_i = B_i*g
-with g invertible.
+with g invertible.  One Gauss-Jordan routine, `EchelonBasis.add`, does
+the elimination behind all of them; `Matrix.det` keeps its own, so that
+it stays an independent reference for `charpoly`.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from math import isqrt
+from operator import add, mul, neg
 
 from .errors import (
     CONJUGATOR_ENUM_CAP,
@@ -50,7 +57,7 @@ class Field:
 
     Instances are interned, so fields compare by identity.  Elements are
     bare ints in [0, p) respectively Fraction values; the field object
-    only carries the arithmetic.
+    carries the arithmetic and is the only code that tells them apart.
     """
 
     __slots__ = ("p",)
@@ -86,9 +93,31 @@ class Field:
         return Fraction(1) if self.p is None else 1
 
     def coerce(self, x):
+        """x as a field element.  Only exact scalars are admitted: an int
+        over GF(p), an int or a Fraction over the rationals."""
         if self.p is None:
-            return x if isinstance(x, Fraction) else Fraction(x)
-        return x % self.p
+            if isinstance(x, Fraction):
+                return x
+            if isinstance(x, int):
+                return Fraction(x)
+        elif isinstance(x, int):
+            return x % self.p
+        raise InvalidInput(f"{x!r} is not an exact scalar of {self!r}")
+
+    def reduce(self, xs) -> list:
+        """The entries of xs, sums and products of field elements, as field
+        elements."""
+        p = self.p
+        if p is None:
+            return list(xs)
+        return [x % p for x in xs]
+
+    def axpy(self, u, c, v) -> list:
+        """u - c*v, entry by entry."""
+        p = self.p
+        if p is None:
+            return [a - c * b for a, b in zip(u, v)]
+        return [(a - c * b) % p for a, b in zip(u, v)]
 
     def add(self, a, b):
         return a + b if self.p is None else (a + b) % self.p
@@ -141,7 +170,7 @@ class Matrix:
     def identity(cls, field: Field, n: int) -> "Matrix":
         one, zero = field.one, field.zero
         return cls(field, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)),
-                   validate=False)
+                   ncols=n, validate=False)
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
@@ -157,47 +186,31 @@ class Matrix:
         self._check_same_field(other)
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
-        p = self.field.p
+        reduce = self.field.reduce
         cols = tuple(zip(*other.entries)) if other.entries else ()
-        if p is None:
-            rows = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                         for row in self.entries)
-        else:
-            rows = tuple(tuple(sum(a * b for a, b in zip(row, col)) % p for col in cols)
-                         for row in self.entries)
+        rows = [reduce([sum(map(mul, row, col)) for col in cols]) for row in self.entries]
         return Matrix(self.field, rows, ncols=other.ncols, validate=False)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("shape mismatch in addition")
-        p = self.field.p
-        if p is None:
-            rows = tuple(tuple(a + b for a, b in zip(r1, r2))
-                         for r1, r2 in zip(self.entries, other.entries))
-        else:
-            rows = tuple(tuple((a + b) % p for a, b in zip(r1, r2))
-                         for r1, r2 in zip(self.entries, other.entries))
+        reduce = self.field.reduce
+        rows = [reduce(map(add, r1, r2)) for r1, r2 in zip(self.entries, other.entries)]
         return Matrix(self.field, rows, ncols=self.ncols, validate=False)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        p = self.field.p
-        if p is None:
-            rows = tuple(tuple(-a for a in r) for r in self.entries)
-        else:
-            rows = tuple(tuple((-a) % p for a in r) for r in self.entries)
+        reduce = self.field.reduce
+        rows = [reduce(map(neg, r)) for r in self.entries]
         return Matrix(self.field, rows, ncols=self.ncols, validate=False)
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
-        p = self.field.p
-        if p is None:
-            rows = tuple(tuple(c * a for a in r) for r in self.entries)
-        else:
-            rows = tuple(tuple((c * a) % p for a in r) for r in self.entries)
+        reduce = self.field.reduce
+        rows = [reduce([c * a for a in r]) for r in self.entries]
         return Matrix(self.field, rows, ncols=self.ncols, validate=False)
 
     def __eq__(self, other):
@@ -217,10 +230,7 @@ class Matrix:
         """Act on a vector: returns M*v with v read as a column, as a tuple."""
         if len(v) != self.ncols:
             raise DimensionMismatch("vector length does not match matrix width")
-        p = self.field.p
-        if p is None:
-            return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
-        return tuple(sum(a * b for a, b in zip(row, v)) % p for row in self.entries)
+        return tuple(self.field.reduce([sum(map(mul, row, v)) for row in self.entries]))
 
     def trace(self):
         if self.nrows != self.ncols:
@@ -282,42 +292,16 @@ class Matrix:
 def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
     """Reduced row echelon form.
 
-    Returns (echelon matrix, rank, pivot column indices).  Pivot choice is
-    the first nonzero entry scanning top to bottom in each column, left to
-    right, so the output is canonical for the row space.
+    Returns (echelon matrix, rank, pivot column indices).  The rows of m
+    go through `EchelonBasis.add`, the one elimination in this module;
+    its reduced echelon basis, padded with zero rows to m's height, is
+    canonical for the row space.
     """
-    field = m.field
-    p = field.p
-    rows = [list(r) for r in m.entries]
-    nrows, ncols = m.nrows, m.ncols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        if pv != field.one:
-            inv = field.inv(pv)
-            if p is None:
-                rows[r] = [x * inv for x in rows[r]]
-            else:
-                rows[r] = [(x * inv) % p for x in rows[r]]
-        prow = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                if p is None:
-                    rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-                else:
-                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-    return Matrix(field, rows, ncols=ncols, validate=False), r, pivots
+    acc = EchelonBasis(m.field, m.ncols)
+    for row in m.entries:
+        acc.add(row)
+    rows = acc.rows + [(m.field.zero,) * m.ncols] * (m.nrows - acc.dim)
+    return Matrix(m.field, rows, ncols=m.ncols, validate=False), acc.dim, acc.pivots
 
 
 def right_kernel(m: Matrix) -> list[tuple]:
@@ -355,15 +339,16 @@ def solve_linear(a: Matrix, b) -> tuple | None:
 
 
 def linear_combination(field: Field, coeffs, rows, n: int) -> tuple:
-    """sum_i coeffs[i] * rows[i], a vector of length n."""
+    """sum_i coeffs[i] * rows[i], a vector of length n, reduced once at
+    the end."""
     vec = [field.zero] * n
     for c, row in zip(coeffs, rows):
         if c:
-            vec = [field.add(x, field.mul(c, y)) for x, y in zip(vec, row)]
-    return tuple(vec)
+            vec = [x + c * y for x, y in zip(vec, row)]
+    return tuple(field.reduce(vec))
 
 
-def _residual(p, rows, pivots, vec) -> list:
+def _residual(field: Field, rows, pivots, vec) -> list:
     """vec minus its combination of reduced echelon rows.
 
     The coefficients of that combination are vec's entries at the pivot
@@ -374,22 +359,24 @@ def _residual(p, rows, pivots, vec) -> list:
     for row, pc in zip(rows, pivots):
         c = v[pc]
         if c:
-            if p is None:
-                v = [a - c * b for a, b in zip(v, row)]
-            else:
-                v = [(a - c * b) % p for a, b in zip(v, row)]
+            v = field.axpy(v, c, row)
     return v
 
 
 class EchelonBasis:
-    """Accumulates vectors and keeps a reduced echelon basis of their span."""
+    """Accumulates vectors and keeps a reduced echelon basis of their span.
+
+    `add` is the module's one Gauss-Jordan elimination: `rref` (and so
+    `right_kernel`, `solve_linear` and `Matrix.inverse`), `Subspace`,
+    `spin` and the enveloping algebra all feed it their vectors.
+    """
 
     __slots__ = ("field", "width", "rows", "pivots")
 
     def __init__(self, field: Field, width: int):
         self.field = field
         self.width = width
-        self.rows: list[tuple] = []
+        self.rows: list[list] = []
         self.pivots: list[int] = []
 
     @property
@@ -397,38 +384,37 @@ class EchelonBasis:
         return len(self.rows)
 
     def contains(self, vec) -> bool:
-        return not any(_residual(self.field.p, self.rows, self.pivots, vec))
+        return not any(_residual(self.field, self.rows, self.pivots, vec))
 
     def add(self, vec) -> bool:
-        """Insert a vector; returns True when it enlarged the span."""
+        """Insert a vector; returns True when it enlarged the span.
+
+        The residual of vec is scaled to a leading 1 and cleared from the
+        other rows at its leading column, so the rows stay the reduced
+        echelon basis of the span, sorted by pivot column.
+        """
         field = self.field
-        p = field.p
-        v = _residual(p, self.rows, self.pivots, vec)
-        lead = next((j for j, x in enumerate(v) if x), None)
-        if lead is None:
+        rows = self.rows
+        v = _residual(field, rows, self.pivots, vec)
+        for lead, pv in enumerate(v):
+            if pv:
+                break
+        else:
             return False
-        pv = v[lead]
-        if pv != field.one:
+        if pv != 1:
             inv = field.inv(pv)
-            if p is None:
-                v = [x * inv for x in v]
-            else:
-                v = [(x * inv) % p for x in v]
-        vt = tuple(v)
-        for k, row in enumerate(self.rows):
+            v = field.reduce([x * inv for x in v])
+        for k, row in enumerate(rows):
             c = row[lead]
             if c:
-                if p is None:
-                    self.rows[k] = tuple(a - c * b for a, b in zip(row, vt))
-                else:
-                    self.rows[k] = tuple((a - c * b) % p for a, b in zip(row, vt))
-        at = next((k for k, pc in enumerate(self.pivots) if pc > lead), len(self.rows))
-        self.rows.insert(at, vt)
+                rows[k] = field.axpy(row, c, v)
+        at = bisect_right(self.pivots, lead)
+        rows.insert(at, v)
         self.pivots.insert(at, lead)
         return True
 
     def subspace(self) -> "Subspace":
-        return Subspace(Matrix(self.field, tuple(self.rows), ncols=self.width, validate=False),
+        return Subspace(Matrix(self.field, self.rows, ncols=self.width, validate=False),
                         self.pivots)
 
 
@@ -470,7 +456,7 @@ class Subspace:
         """v minus its combination of the basis rows read off at the pivots:
         zero exactly when v lies in the subspace, and otherwise supported
         on the free columns."""
-        return _residual(self.field.p, self.basis.entries, self.pivots, v)
+        return _residual(self.field, self.basis.entries, self.pivots, v)
 
     def contains_vector(self, v) -> bool:
         field = self.field
@@ -638,22 +624,6 @@ def sylvester_rows(a: Matrix, d: Matrix) -> list[tuple]:
     return rows
 
 
-def _combination(field: Field, basis_mats, coeffs) -> Matrix:
-    n = basis_mats[0].nrows
-    p = field.p
-    rows = [[field.zero] * n for _ in range(n)]
-    for c, bm in zip(coeffs, basis_mats):
-        if c:
-            for i in range(n):
-                br = bm.entries[i]
-                row = rows[i]
-                for j in range(n):
-                    row[j] = row[j] + c * br[j]
-    if p is not None:
-        rows = [[x % p for x in row] for row in rows]
-    return Matrix(field, rows, ncols=n, validate=False)
-
-
 def solve_conjugating(lhs, rhs, *, seed: int = 0) -> Matrix | None:
     """Find invertible g with g * lhs[i] * g^-1 = rhs[i] for all i.
 
@@ -696,14 +666,14 @@ def solve_conjugating(lhs, rhs, *, seed: int = 0) -> Matrix | None:
     d = len(kernel)
     if d == 0:
         return None
-    basis_mats = [Matrix(field, tuple(tuple(v[i * n:(i + 1) * n]) for i in range(n)),
-                         ncols=n, validate=False) for v in kernel]
 
     def first_invertible(candidates) -> Matrix | None:
         """The first invertible combination of the kernel basis, verified."""
         for coeffs in candidates:
             if any(coeffs):
-                g = _combination(field, basis_mats, coeffs)
+                flat = linear_combination(field, coeffs, kernel, n * n)
+                g = Matrix(field, [flat[i * n:(i + 1) * n] for i in range(n)],
+                           ncols=n, validate=False)
                 if g.det() != 0:
                     return finish(g)
         return None
@@ -722,14 +692,14 @@ def solve_conjugating(lhs, rhs, *, seed: int = 0) -> Matrix | None:
         raise CertificateSearchExhausted(
             f"solution space of dimension {d} over GF({p}) exceeds the enumeration cap")
 
-    g = first_invertible(tuple(Fraction(rng.randint(-bound, bound)) for _ in range(d))
+    g = first_invertible(tuple(field.coerce(rng.randint(-bound, bound)) for _ in range(d))
                          for bound in (2**k for k in range(11)) for _ in range(32))
     if g is not None:
         return g
     # det(sum x_k E_k) has degree <= n in each variable, so vanishing on the
     # grid {0..n}^d certifies it is identically zero: no invertible solution.
     if (n + 1)**d <= CONJUGATOR_GRID_CAP:
-        return first_invertible(tuple(map(Fraction, coeffs))
+        return first_invertible(tuple(map(field.coerce, coeffs))
                                 for coeffs in itertools.product(range(n + 1), repeat=d))
     raise CertificateSearchExhausted(
         f"randomized search over QQ exhausted with hom-space dimension {d}; "

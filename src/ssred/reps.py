@@ -245,9 +245,11 @@ def _line_count(p: int, k: int) -> int:
 
 
 def _kernel_lines(field: Field, kernel, n: int):
-    """One vector per line of span(kernel), over a finite field."""
+    """One vector per line of span(kernel), over a finite field, except
+    the lines of the kernel vectors themselves."""
     return (linear_combination(field, coeffs, kernel, n)
-            for coeffs in projective_vectors(field, len(kernel)))
+            for coeffs in projective_vectors(field, len(kernel))
+            if coeffs.count(0) < len(coeffs) - 1)
 
 
 def _norton(rep: Representation, b: Matrix, deg: int):

@@ -51,6 +51,23 @@ def test_field_interning_and_validation():
         Field.prime(2**31 + 11)
 
 
+def test_inexact_scalars_rejected():
+    """ROADMAP defect D4: a float over either field, and anything but an
+    int over GF(p), is refused with InvalidInput, never a TypeError."""
+    f5 = Field.prime(5)
+    with pytest.raises(InvalidInput):
+        Matrix(f5, [[0.5]])
+    with pytest.raises(InvalidInput):
+        Matrix(f5, [[Fraction(1, 2)]])
+    with pytest.raises(InvalidInput):
+        Matrix(QQ, [[0.1]])
+    a = Matrix(QQ, [[1, 0], [0, 1]])
+    with pytest.raises(InvalidInput):
+        solve_linear(a, (0.5, 1))
+    assert solve_linear(a, (Fraction(1, 2), 1)) == (Fraction(1, 2), Fraction(1))
+    assert Matrix(f5, [[7, -1]]).entries == ((2, 4),)
+
+
 def test_field_arithmetic_small():
     assert F3.add(2, 2) == 1
     assert F3.inv(2) == 2

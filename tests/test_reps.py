@@ -138,6 +138,32 @@ def test_find_submodule_norton_kernel():
     assert found.verify(r)
 
 
+def test_norton_kernel_spins_each_kernel_line_once(monkeypatch):
+    """The line pass of the norton_kernel test skips the kernel basis
+    vectors, which the basis pass has just spun: the search and verify()
+    each spin the two kernel basis vectors, the one other kernel line and
+    one dual kernel vector, and find the same witness as before."""
+    import ssred.reps as reps_module
+    r = rep(F2, [[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    seeds = []
+    real_spin = reps_module.spin
+
+    def recording_spin(field, n, vectors, operators):
+        seeds.append([tuple(v) for v in vectors])
+        return real_spin(field, n, vectors, operators)
+
+    monkeypatch.setattr(reps_module, "spin", recording_spin)
+    expected = [[(0, 1, 0)], [(0, 0, 1)], [(0, 1, 1)], [(0, 1, 0)]]
+    found = find_submodule(r)
+    assert found.kind == "norton_kernel"
+    assert found.element == mat(F2, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    assert found.factor == (0, 1)
+    assert seeds == expected
+    seeds.clear()
+    assert found.verify(r)
+    assert seeds == expected
+
+
 def test_norton_kernel_witness_cannot_be_forged():
     """A norton_kernel witness names only an element and a factor; the
     verifier spins every kernel line itself, so a reducible module has no
