@@ -187,7 +187,7 @@ class Matrix:
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.nrows}x{self.ncols} times {other.nrows}x{other.ncols}")
         reduce = self.field.reduce
-        cols = tuple(zip(*other.entries)) if other.entries else ()
+        cols = tuple(zip(*other.entries)) if other.entries else ((),) * other.ncols
         rows = [reduce([sum(map(mul, row, col)) for col in cols]) for row in self.entries]
         return Matrix(self.field, rows, ncols=other.ncols, validate=False)
 

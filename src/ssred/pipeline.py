@@ -44,10 +44,13 @@ from .reps import (
     Representation,
     SemisimpleCertificate,
     composition_series,
+    deterministic_words,
     enveloping_basis,
+    evaluate_word,
     is_semisimple,
     module_iso,
     restrict_to_subspace,
+    word_entries,
 )
 
 
@@ -271,7 +274,9 @@ def _invariant_lattice(rep: Representation) -> list[Subspace]:
                 f"{field.p}^{n} vectors exceed the invariant-lattice cap")
         seeds.extend(projective_vectors(field, n))
     else:
-        for elt in enveloping_basis(rep).deterministic_elements():
+        entries = word_entries(rep)
+        for word in deterministic_words(len(entries)):
+            elt = evaluate_word(word, entries)
             if not elt.is_zero():
                 seeds.extend(right_kernel(elt))
     found: dict = {}

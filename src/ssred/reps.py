@@ -1,19 +1,19 @@
-"""Module-theoretic layer: enveloping algebras, irreducibility testing,
-composition series, semisimplicity certificates, and module isomorphism.
+"""Module-theoretic layer: words in the generators, irreducibility
+testing, composition series, semisimplicity certificates, and module
+isomorphism.
 
-Irreducibility is decided MeatAxe-style: pick an element a of the
-enveloping algebra, factor its characteristic polynomial, and run
-Norton's test on f(a) for each irreducible factor f.  The test spins
-kernel vectors of f(a); a proper spin is a submodule.  When the nullity
-of f(a) equals deg f, one full primal spin plus one full spin in the dual
-module proves irreducibility, and over a finite field the same follows
-from spinning every kernel line of a singular f(a).  The search and the
-witness verifier run this one test.  Candidates are the algebra basis
-and other fixed elements, then random words over a finite field or sums
-and differences of basis pairs over the rationals.  Small finite modules
-fall back to spinning every line of the space, which is always
-conclusive; over the rationals an inconclusive search raises
-UndecidedIrreducibility.
+Irreducibility is decided MeatAxe-style (Holt & Rees 1994): take a word
+a in the generators and their inverses, factor its characteristic
+polynomial, and run Norton's test on f(a) for each irreducible factor f.
+The test spins kernel vectors of f(a); a proper spin is a submodule.
+When the nullity of f(a) equals deg f, one full primal spin plus one
+full spin in the dual module proves irreducibility, and over a finite
+field the same follows from spinning every kernel line of a singular
+f(a).  The search and the witness verifier run this one test on short
+fixed words, then random scaled words; a word lies in the enveloping
+algebra by construction.  Small finite modules fall back to spinning
+every line of the space, which is always conclusive; over the
+rationals an inconclusive search raises UndecidedIrreducibility.
 """
 
 from __future__ import annotations
@@ -93,39 +93,60 @@ class Representation:
 
 
 class EnvelopingAlgebra:
-    """The enveloping algebra of a group: its generators followed by their
-    inverses (`entries`) and an echelon basis of their multiplicative span."""
+    """A basis of the enveloping algebra of a group, with the echelon
+    basis of its span for membership tests."""
 
-    __slots__ = ("entries", "algebra_basis", "algebra_dim", "_span")
+    __slots__ = ("algebra_basis", "algebra_dim", "_span")
 
-    def __init__(self, entries, span: EchelonBasis):
-        self.entries = tuple(entries)
-        n = self.entries[0].nrows
-        self.algebra_basis = tuple(_unflatten(span.field, n, row) for row in span.rows)
+    def __init__(self, basis, span: EchelonBasis):
+        self.algebra_basis = tuple(basis)
         self.algebra_dim = len(self.algebra_basis)
         self._span = span
 
     def contains(self, m: Matrix) -> bool:
         return self._span.contains(_flatten(m))
 
-    def deterministic_elements(self):
-        """The basis, each entry minus the identity, and pairwise differences
-        of entries: the candidates tried before any random element."""
-        ident = Matrix.identity(self._span.field, self.entries[0].nrows)
-        yield from self.algebra_basis
-        for e in self.entries:
-            yield e - ident
-        for a, b in itertools.combinations(self.entries, 2):
-            yield a - b
-
 
 def _flatten(m: Matrix) -> tuple:
     return tuple(x for row in m.entries for x in row)
 
 
-def _unflatten(field: Field, n: int, v) -> Matrix:
-    return Matrix(field, tuple(tuple(v[i * n:(i + 1) * n]) for i in range(n)),
-                  ncols=n, validate=False)
+def word_entries(rep: Representation) -> tuple:
+    """The generators followed by their inverses: the letters of a word."""
+    inverses = tuple(g.inverse() for g in rep.generators)
+    if None in inverses:
+        raise InternalInvariantViolation("validated generator became singular")
+    return rep.generators + inverses
+
+
+def evaluate_word(word, entries) -> Matrix:
+    """The sum of c * entries[i1] * ... * entries[ik] over the terms
+    (c, (i1, ..., ik)) of a word, where () is the identity.  A malformed
+    term, index or scalar raises InvalidInput."""
+    field, n = entries[0].field, entries[0].nrows
+    if not isinstance(word, tuple):
+        raise InvalidInput("a word is a tuple of terms")
+    total = Matrix.zeros(field, n, n)
+    for term in word:
+        if not (isinstance(term, tuple) and len(term) == 2 and isinstance(term[1], tuple)
+                and all(type(i) is int and 0 <= i < len(entries) for i in term[1])):
+            raise InvalidInput(f"malformed word term {term!r}")
+        product = Matrix.identity(field, n)
+        for i in term[1]:
+            product = product * entries[i]
+        total = total + product.scale(term[0])
+    return total
+
+
+def deterministic_words(count: int):
+    """Each of count entries minus the identity, then their pairwise
+    differences, sums and products: the words tried before random ones."""
+    pairs = list(itertools.combinations(range(count), 2))
+    yield from (((1, (i,)), (-1, ())) for i in range(count))
+    yield from (((1, (i,)), (-1, (j,))) for i, j in pairs)
+    for i, j in pairs:
+        yield (1, (i,)), (1, (j,))
+        yield ((1, (i, j)),)
 
 
 def enveloping_basis(rep: Representation) -> EnvelopingAlgebra:
@@ -136,13 +157,7 @@ def enveloping_basis(rep: Representation) -> EnvelopingAlgebra:
     """
     field = rep.field
     n = rep.n
-    inverses = []
-    for g in rep.generators:
-        gi = g.inverse()
-        if gi is None:
-            raise InternalInvariantViolation("validated generator became singular")
-        inverses.append(gi)
-    entries = tuple(rep.generators) + tuple(inverses)
+    entries = word_entries(rep)
     acc = EchelonBasis(field, n * n)
     queue = []
     for m in (Matrix.identity(field, n),) + entries:
@@ -156,7 +171,7 @@ def enveloping_basis(rep: Representation) -> EnvelopingAlgebra:
             prod = e * m
             if acc.add(_flatten(prod)):
                 queue.append(prod)
-    return EnvelopingAlgebra(entries, acc)
+    return EnvelopingAlgebra(queue, acc)
 
 
 def factor_poly(coeffs, field: Field) -> list[tuple[tuple, int]]:
@@ -195,7 +210,7 @@ class IrreducibleWitness:
 
     kind is one of:
       dimension      the module is one-dimensional
-      cyclic         an algebra element has irreducible charpoly of full degree
+      cyclic         the word's matrix has irreducible charpoly of full degree
       norton_pair    f(a) has nullity deg f; one kernel vector spins to the
                      full space and one dual kernel vector spins to the
                      full dual space
@@ -204,15 +219,16 @@ class IrreducibleWitness:
                      (finite fields)
       all_lines      every line of the space spins full (finite fields)
 
-    A witness holds only the element a and the factor f; the verifier
-    reruns Norton's test on f(a) and accepts only the kind it proves.
+    A witness holds only a word (see evaluate_word) and the factor f.  The
+    verifier evaluates the word to a on the module it is given, reruns
+    Norton's test on f(a) and accepts only the kind it proves.
     """
 
-    __slots__ = ("kind", "element", "factor")
+    __slots__ = ("kind", "word", "factor")
 
-    def __init__(self, kind, element=None, factor=None):
+    def __init__(self, kind, word=None, factor=None):
         self.kind = kind
-        self.element = element
+        self.word = word
         self.factor = tuple(factor) if factor is not None else None
 
     def verify(self, rep: Representation) -> bool:
@@ -225,16 +241,18 @@ class IrreducibleWitness:
                 return False
             return all(spin(field, n, [v], rep.generators).dim == n
                        for v in projective_vectors(field, n))
-        if self.element is None or self.factor is None:
+        if self.word is None or self.factor is None:
             return False
-        if not enveloping_basis(rep).contains(self.element):
-            return False
-        if factor_poly(self.factor, field) != [(self.factor, 1)]:
+        try:
+            a = evaluate_word(self.word, word_entries(rep))
+        except InvalidInput:
             return False
         deg = len(self.factor) - 1
         if self.kind == "cyclic":
-            return deg == n and charpoly(self.element) == list(self.factor)
-        return _norton(rep, poly_eval_matrix(self.factor, self.element), deg) == self.kind
+            proved = deg == n and charpoly(a) == list(self.factor)
+        else:
+            proved = _norton(rep, poly_eval_matrix(self.factor, a), deg) == self.kind
+        return proved and factor_poly(self.factor, field) == [(self.factor, 1)]
 
     def __repr__(self):
         return f"IrreducibleWitness({self.kind!r})"
@@ -290,43 +308,16 @@ def _norton(rep: Representation, b: Matrix, deg: int):
     return kind
 
 
-def _examine_element(rep: Representation, a: Matrix):
-    """A proper submodule, an irreducibility witness, or None when the
-    algebra element a is inconclusive."""
-    for factor, _mult in factor_poly(charpoly(a), rep.field):
-        deg = len(factor) - 1
-        if deg == rep.n:
-            return IrreducibleWitness("cyclic", element=a, factor=factor)
-        found = _norton(rep, poly_eval_matrix(factor, a), deg)
-        if isinstance(found, str):
-            return IrreducibleWitness(found, element=a, factor=factor)
-        if found is not None:
-            return found
-    return None
-
-
-def _extra_elements(rep: Representation, algebra: EnvelopingAlgebra, rng):
-    """Candidates tried after the deterministic ones: random scaled words
-    in the entries over GF(p), sums and differences of pairs of the first
-    12 basis elements over the rationals."""
-    field = rep.field
-    if field.p is None:
-        for a, b in itertools.combinations(algebra.algebra_basis[:12], 2):
-            yield a + b
-            yield a - b
-        return
-    rng = rng or random.Random(0)
+def _random_words(rng, count: int, p):
+    """NORTON_TRIALS random words of one to three terms, each at most
+    NORTON_WORD_LENGTH entries long, with a nonzero scalar below p or 10."""
     for _ in range(NORTON_TRIALS):
         terms = []
         for _ in range(rng.randrange(1, 4)):
-            word = Matrix.identity(field, rep.n)
-            for _ in range(rng.randrange(1, NORTON_WORD_LENGTH + 1)):
-                word = word * rng.choice(algebra.entries)
-            terms.append(word.scale(rng.randrange(1, field.p)))
-        a = terms[0]
-        for t in terms[1:]:
-            a = a + t
-        yield a
+            indices = tuple(rng.randrange(count)
+                            for _ in range(rng.randrange(1, NORTON_WORD_LENGTH + 1)))
+            terms.append((rng.randrange(1, p or 10), indices))
+        yield tuple(terms)
 
 
 def find_submodule(rep: Representation, rng: random.Random | None = None):
@@ -334,24 +325,27 @@ def find_submodule(rep: Representation, rng: random.Random | None = None):
 
     Over finite fields this is always conclusive when p^n stays under the
     line-enumeration cap.  Over the rationals no dimension is guaranteed:
-    when no candidate element is conclusive the search gives up with
+    when no candidate word is conclusive the search gives up with
     UndecidedIrreducibility (the quaternion module of Q8 does so at n = 4).
     """
     field = rep.field
     n = rep.n
     if n == 1:
         return IrreducibleWitness("dimension")
-    algebra = enveloping_basis(rep)
-    for a in itertools.chain(algebra.deterministic_elements(),
-                             _extra_elements(rep, algebra, rng)):
-        if a.is_zero():
-            continue
-        found = _examine_element(rep, a)
-        if found is not None:
-            return found
+    entries = word_entries(rep)
+    for word in itertools.chain(deterministic_words(len(entries)),
+                                _random_words(rng or random.Random(0), len(entries), field.p)):
+        a = evaluate_word(word, entries)
+        for factor, _mult in factor_poly(charpoly(a), field):
+            deg = len(factor) - 1
+            found = "cyclic" if deg == n else _norton(rep, poly_eval_matrix(factor, a), deg)
+            if isinstance(found, str):
+                return IrreducibleWitness(found, word=word, factor=factor)
+            if found is not None:
+                return found
     if field.p is None:
         raise UndecidedIrreducibility(
-            f"rational module of dimension {n}: no candidate element was conclusive")
+            f"rational module of dimension {n}: no candidate word was conclusive")
     if field.p**n <= SPACE_VECTORS_CAP:
         for v in projective_vectors(field, n):
             w = spin(field, n, [v], rep.generators)

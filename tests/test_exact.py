@@ -81,6 +81,9 @@ def test_matrix_mul_identity_and_shapes():
     assert Matrix.identity(F3, 2) * a == a
     with pytest.raises(DimensionMismatch):
         a * mat(F3, [[1, 0, 0]])
+    # inner dimension 0: the product is the zero matrix of the outer shape
+    for field in (F3, QQ):
+        assert Matrix.zeros(field, 2, 0) * Matrix.zeros(field, 0, 3) == Matrix.zeros(field, 2, 3)
 
 
 def test_matrix_inverse_and_det():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,7 +15,9 @@ from ssred.reps import (
     Representation,
     SemisimpleCertificate,
     composition_series,
+    deterministic_words,
     enveloping_basis,
+    evaluate_word,
     factor_poly,
     find_submodule,
     is_semisimple,
@@ -22,6 +25,7 @@ from ssred.reps import (
     module_iso,
     quotient_mod_subspace,
     restrict_to_subspace,
+    word_entries,
 )
 
 F2 = Field.prime(2)
@@ -40,6 +44,9 @@ def rep(field, *gens, name=None):
 TRANSVECTION_F2 = rep(F2, [[1, 1], [0, 1]])
 ROTATION_F3 = rep(F3, [[0, -1], [1, 0]])
 DIAG_PM1_F3 = rep(F3, [[1, 0], [0, -1]])
+# A cyclic permutation and a transvection: irreducible over F2.
+CYCLE_TRANSVECTION_F2 = rep(F2, [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+                            [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def random_rep(rng, field, n, count=None):
@@ -65,8 +72,7 @@ def test_enveloping_basis_frozen():
     assert enveloping_basis(rep(F2, [[1, 0], [0, 1]])).algebra_dim == 1
     assert enveloping_basis(TRANSVECTION_F2).algebra_dim == 2
     assert enveloping_basis(ROTATION_F3).algebra_dim == 2
-    gt = enveloping_basis(TRANSVECTION_F2)
-    assert len(gt.entries) == 2  # generator and its inverse
+    assert len(word_entries(TRANSVECTION_F2)) == 2  # generator and its inverse
 
 
 def test_enveloping_basis_closed_under_products():
@@ -120,31 +126,46 @@ def test_find_submodule_dimension_one():
 
 
 def test_find_submodule_norton_pair():
-    r = rep(F3, [[0, -1], [1, 0]], [[1, 1], [0, 1]])
+    r = CYCLE_TRANSVECTION_F2
     found = find_submodule(r)
     assert isinstance(found, IrreducibleWitness)
     assert found.kind == "norton_pair"
     assert found.verify(r)
     # verify() accepts only the kind Norton's test proves
-    relabelled = IrreducibleWitness("norton_kernel", element=found.element, factor=found.factor)
+    relabelled = IrreducibleWitness("norton_kernel", word=found.word, factor=found.factor)
     assert not relabelled.verify(r)
 
 
-def test_find_submodule_norton_kernel():
-    r = rep(F2, [[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+def test_find_submodule_cyclic_on_two_generators():
+    r = rep(F3, [[0, -1], [1, 0]], [[1, 1], [0, 1]])
     found = find_submodule(r)
     assert isinstance(found, IrreducibleWitness)
-    assert found.kind == "norton_kernel"
+    assert found.kind == "cyclic"
     assert found.verify(r)
+    relabelled = IrreducibleWitness("norton_pair", word=found.word, factor=found.factor)
+    assert not relabelled.verify(r)
+
+
+# The transvection minus the identity, with factor x: its kernel is a
+# plane, so Norton's test spins every kernel line.
+NORTON_KERNEL_WITNESS = IrreducibleWitness("norton_kernel", word=((1, (1,)), (-1, ())),
+                                           factor=(0, 1))
+
+
+def test_norton_kernel_witness_verifies():
+    r = CYCLE_TRANSVECTION_F2
+    assert NORTON_KERNEL_WITNESS.verify(r)
+    relabelled = IrreducibleWitness("norton_pair", word=NORTON_KERNEL_WITNESS.word,
+                                    factor=NORTON_KERNEL_WITNESS.factor)
+    assert not relabelled.verify(r)
 
 
 def test_norton_kernel_spins_each_kernel_line_once(monkeypatch):
     """The line pass of the norton_kernel test skips the kernel basis
-    vectors, which the basis pass has just spun: the search and verify()
-    each spin the two kernel basis vectors, the one other kernel line and
-    one dual kernel vector, and find the same witness as before."""
+    vectors, which the basis pass has just spun: verify() spins the two
+    kernel basis vectors, the one other kernel line and one dual kernel
+    vector."""
     import ssred.reps as reps_module
-    r = rep(F2, [[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     seeds = []
     real_spin = reps_module.spin
 
@@ -153,30 +174,32 @@ def test_norton_kernel_spins_each_kernel_line_once(monkeypatch):
         return real_spin(field, n, vectors, operators)
 
     monkeypatch.setattr(reps_module, "spin", recording_spin)
-    expected = [[(0, 1, 0)], [(0, 0, 1)], [(0, 1, 1)], [(0, 1, 0)]]
-    found = find_submodule(r)
-    assert found.kind == "norton_kernel"
-    assert found.element == mat(F2, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-    assert found.factor == (0, 1)
-    assert seeds == expected
-    seeds.clear()
-    assert found.verify(r)
-    assert seeds == expected
+    assert NORTON_KERNEL_WITNESS.verify(CYCLE_TRANSVECTION_F2)
+    assert seeds == [[(1, 0, 0)], [(0, 0, 1)], [(1, 0, 1)], [(0, 1, 0)]]
+
+
+def _forged_words(r, rng, count=4):
+    """Every deterministic word of r, then count seeded random words."""
+    from ssred.reps import _random_words
+    entries = len(word_entries(r))
+    return (list(deterministic_words(entries))
+            + list(itertools.islice(_random_words(rng, entries, r.field.p), count)))
 
 
 def test_norton_kernel_witness_cannot_be_forged():
-    """A norton_kernel witness names only an element and a factor; the
+    """A norton_kernel witness names only a word and a factor; the
     verifier spins every kernel line itself, so a reducible module has no
     such witness (ROADMAP defect D1: repeating one full-spinning kernel
     line used to verify)."""
     from ssred.exact import charpoly, poly_eval_matrix, right_kernel, spin
     r = rep(F2, [[1, 1, 0], [1, 1, 1], [1, 0, 0]], [[1, 0, 0], [0, 1, 0], [0, 1, 1]])
     assert isinstance(find_submodule(r), Subspace)
+    entries = word_entries(r)
     full_spinning_kernels = 0
-    for element in enveloping_basis(r).algebra_basis:
+    for word in _forged_words(r, random.Random(3)):
+        element = evaluate_word(word, entries)
         for factor, _mult in factor_poly(charpoly(element), F2):
-            assert not IrreducibleWitness("norton_kernel", element=element,
-                                          factor=factor).verify(r)
+            assert not IrreducibleWitness("norton_kernel", word=word, factor=factor).verify(r)
             kernel = right_kernel(poly_eval_matrix(factor, element))
             if any(spin(F2, 3, [v], r.generators).dim == 3 for v in kernel):
                 full_spinning_kernels += 1
@@ -184,9 +207,10 @@ def test_norton_kernel_witness_cannot_be_forged():
 
 
 def test_verified_witnesses_sit_on_irreducible_modules():
-    """Soundness of verify(): every witness built from an algebra basis
-    element and an irreducible factor of some basis element's charpoly
-    that verifies belongs to a module the oracle finds irreducible."""
+    """Soundness of verify(): every witness built from a deterministic or
+    seeded random word and an irreducible factor of some such word's
+    charpoly that verifies belongs to a module the oracle finds
+    irreducible."""
     from ssred.exact import charpoly
     from ssred.oracle import get_table, oracle_irreducible
     rng = random.Random(7)
@@ -196,13 +220,15 @@ def test_verified_witnesses_sit_on_irreducible_modules():
     for r in modules:
         irreducible = oracle_irreducible(r)
         reducible += not irreducible
-        basis = enveloping_basis(r).algebra_basis
-        factors = {f for b in basis for f, _mult in factor_poly(charpoly(b), r.field)}
+        entries = word_entries(r)
+        words = _forged_words(r, rng)
+        factors = {f for word in words
+                   for f, _mult in factor_poly(charpoly(evaluate_word(word, entries)), r.field)}
         for kind in ("cyclic", "norton_pair", "norton_kernel"):
-            for element in basis:
+            for word in words:
                 for factor in sorted(factors):
-                    if IrreducibleWitness(kind, element=element, factor=factor).verify(r):
-                        assert irreducible, (r, kind, element, factor)
+                    if IrreducibleWitness(kind, word=word, factor=factor).verify(r):
+                        assert irreducible, (r, kind, word, factor)
                         accepted += 1
     assert reducible > 0 and accepted > 0
 
@@ -214,12 +240,29 @@ def test_all_lines_witness_verification():
 
 def test_witness_tampering_detected():
     good = find_submodule(ROTATION_F3)
-    bad = IrreducibleWitness("cyclic", element=good.element, factor=(1, 1))
-    assert not bad.verify(ROTATION_F3)
-    outside = IrreducibleWitness("cyclic", element=mat(F3, [[1, 1], [1, 0]]),
-                                 factor=good.factor)
-    # element with the right charpoly but outside the enveloping algebra
-    assert not outside.verify(ROTATION_F3)
+    assert not IrreducibleWitness("cyclic", word=good.word, factor=(1, 1)).verify(ROTATION_F3)
+    # the identity word with the right factor has the wrong charpoly
+    identity = IrreducibleWitness("cyclic", word=((1, ()),), factor=good.factor)
+    assert not identity.verify(ROTATION_F3)
+    assert not IrreducibleWitness("cyclic", factor=good.factor).verify(ROTATION_F3)
+
+
+@pytest.mark.parametrize("word", [
+    ((1, (2,)),),  # index equal to the number of entries
+    ((1, (-1,)),),  # negative index
+    ((1, (True,)),),  # bool index
+    ((1, (0.0,)),),  # float index
+    ((1, ("0",)),),  # str index
+    ((1.0, (0,)),),  # float scalar
+    ((1, (0,), 0),),  # a term of three parts
+    (1,),  # a term that is not a tuple
+    ((1, 0),),  # indices that are not a tuple
+    [(1, (0,))],  # a word that is not a tuple
+])
+def test_malformed_word_rejected(word):
+    good = find_submodule(ROTATION_F3)
+    assert IrreducibleWitness("cyclic", word=good.word, factor=good.factor).verify(ROTATION_F3)
+    assert IrreducibleWitness("cyclic", word=word, factor=good.factor).verify(ROTATION_F3) is False
 
 
 def test_composition_series_transvection():
