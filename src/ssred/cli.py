@@ -33,7 +33,6 @@ from .oracle import (
     generic_tuple,
     group_order,
     is_cochar_closed,
-    oracle_gcr,
 )
 from .pipeline import (
     clifford_joint_ss,
@@ -178,11 +177,18 @@ def _dispatch(args) -> tuple:
         payload = {"gcr": cert.semisimple, "certificate": _cert_payload(cert)}
         status = "ok"
         if args.oracle:
-            oracle_says = oracle_gcr(rep)
-            agrees = oracle_says == cert.semisimple
-            payload["oracle"] = {"gcr": oracle_says, "agrees": agrees}
-            if not agrees:
-                status = "finding"
+            try:
+                tup = generic_tuple(rep)
+            except InvalidInput as exc:
+                # the oracle needs a finite field; the pipeline's verdict
+                # stands alone
+                payload["oracle"] = {"available": False, "reason": str(exc)}
+            else:
+                oracle_says = is_cochar_closed(tup)
+                agrees = oracle_says == cert.semisimple
+                payload["oracle"] = {"gcr": oracle_says, "agrees": agrees}
+                if not agrees:
+                    status = "finding"
         return inputs, payload, status
 
     if args.command == "ss":

@@ -6,6 +6,12 @@ of generator tuples under simultaneous conjugation.  None of it consults
 the module-theoretic machinery used by the main pipeline, so agreement
 between the two is meaningful evidence of correctness.
 
+Closedness and the set of accessible closed orbits are invariants of
+the conjugation orbit, so an OrbitIndex decides each orbit once and
+memoizes both verdicts by orbit id; the memos live on the index, never at
+module level.  Orbits are enumerated by conjugating with one element per
+scalar class of GL_n, since g and cg conjugate alike for every scalar c.
+
 All enumerations are capped; exceeding a cap raises ResourceBoundExceeded
 rather than grinding on.  The orbit cache honours the SSRED_MAX_MEMORY_MB
 environment variable.
@@ -45,9 +51,14 @@ def _require_finite(field: Field) -> None:
 
 
 class GroupTable:
-    """Exhaustive listing of GL_n(F_q) with precomputed inverses."""
+    """Exhaustive listing of GL_n(F_q) with precomputed inverses.
 
-    __slots__ = ("field", "n", "elements", "inverses")
+    `conjugators` pairs each element whose first nonzero entry in row 0
+    is 1 with its inverse: one representative per scalar class, which is
+    all that conjugation needs.
+    """
+
+    __slots__ = ("field", "n", "elements", "inverses", "conjugators")
 
     def __init__(self, field: Field, n: int):
         _require_finite(field)
@@ -63,6 +74,9 @@ class GroupTable:
         self.n = n
         self.elements = tuple(elements)
         self.inverses = tuple(m.inverse() for m in elements)
+        self.conjugators = tuple(
+            (g, gi) for g, gi in zip(self.elements, self.inverses)
+            if next(x for x in g.entries[0] if x != 0) == 1)
 
     @property
     def order(self) -> int:
@@ -170,15 +184,20 @@ class OrbitIndex:
     An orbit id is the minimum of the flat integer encodings of the
     orbit's members, so ids are stable across runs and processes.  Every
     member encoding seen is cached; the cache size is bounded by the
-    SSRED_MAX_MEMORY_MB budget.
+    SSRED_MAX_MEMORY_MB budget.  The closedness verdict and the accessible
+    closed orbits of each decided orbit are memoized by orbit id on this
+    index, one entry per cached orbit, so the same budget bounds them.
+    Members are found by conjugating with one element per scalar class.
     """
 
-    __slots__ = ("table", "_cache", "_max_entries")
+    __slots__ = ("table", "_cache", "_max_entries", "_closed", "_accessible")
 
     def __init__(self, table: GroupTable, max_entries: int | None = None):
         self.table = table
         self._cache = {}
         self._max_entries = _cache_entry_limit() if max_entries is None else max_entries
+        self._closed = {}
+        self._accessible = {}
 
     @staticmethod
     def encode(mats) -> tuple:
@@ -187,7 +206,7 @@ class OrbitIndex:
     def orbit_members(self, mats) -> frozenset:
         mats = tuple(mats)
         members = set()
-        for g, gi in zip(self.table.elements, self.table.inverses):
+        for g, gi in self.table.conjugators:
             members.add(self.encode(g * m * gi for m in mats))
         return frozenset(members)
 
@@ -246,16 +265,20 @@ def is_cochar_closed(x, index: OrbitIndex | None = None) -> bool:
 
     This is the geometric characterization of complete reducibility: the
     orbit of the matrix tuple is closed exactly when every cocharacter
-    limit stays inside it, and limits only depend on flags.
+    limit stays inside it, and limits only depend on flags.  Conjugating
+    the tuple moves its flags and their limits along, so the verdict is
+    decided once per orbit and memoized on the index.
     """
     mats = _as_tuple(x)
     if index is None:
         index = get_index(mats[0].field, mats[0].nrows)
     home = index.orbit_id(mats)
-    for flag in preserved_flags(mats):
-        if index.orbit_id(limit_tuple(mats, flag)) != home:
-            return False
-    return True
+    closed = index._closed.get(home)
+    if closed is None:
+        closed = all(index.orbit_id(limit_tuple(mats, flag)) == home
+                     for flag in preserved_flags(mats))
+        index._closed[home] = closed
+    return closed
 
 
 def oracle_gcr(rep: Representation, index: OrbitIndex | None = None) -> bool:
@@ -271,17 +294,22 @@ def accessible_closed_orbits(x, index: OrbitIndex | None = None) -> frozenset:
     """Orbit ids of closed orbits reachable by one flag degeneration.
 
     The theory predicts this set is always a singleton: the orbit of the
-    semisimplification.
+    semisimplification.  Like closedness, the set is an orbit invariant
+    and is memoized on the index.
     """
     mats = _as_tuple(x)
     if index is None:
         index = get_index(mats[0].field, mats[0].nrows)
-    ids = set()
-    for flag in preserved_flags(mats):
-        limit = limit_tuple(mats, flag)
-        if is_cochar_closed(limit, index):
-            ids.add(index.orbit_id(limit))
-    return frozenset(ids)
+    home = index.orbit_id(mats)
+    ids = index._accessible.get(home)
+    if ids is None:
+        found = set()
+        for flag in preserved_flags(mats):
+            limit = limit_tuple(mats, flag)
+            if is_cochar_closed(limit, index):
+                found.add(index.orbit_id(limit))
+        ids = index._accessible[home] = frozenset(found)
+    return ids
 
 
 def invariant_subspaces(rep: Representation) -> list:

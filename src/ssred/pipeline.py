@@ -385,6 +385,12 @@ def optimal_flag(rep: Representation, max_weight_height: int = 4) -> OptimalFlag
     for chain in _chains(proper):
         flag = Flag(chain + [full])
         base = flag_to_cocharacter(flag)
+        # Every weight class below has strictly decreasing levels on the
+        # flag's blocks, so the adapted algebra, the limit and whether it
+        # is conjugate to the input depend on the flag alone.
+        adapted = [base.basis_change_inv * elt * base.basis_change
+                   for elt in algebra.algebra_basis]
+        limit = None
         seen_classes = set()
         r = len(flag.steps)
         for diffs in itertools.product(range(1, max_weight_height + 1), repeat=r - 1):
@@ -403,19 +409,19 @@ def optimal_flag(rep: Representation, max_weight_height: int = 4) -> OptimalFlag
             seen_classes.add(lam.canonical)
             cw = lam.canonical
             w_min = None
-            for elt in algebra.algebra_basis:
-                adapted = lam.basis_change_inv * elt * lam.basis_change
+            for a in adapted:
                 for i in range(n):
                     for j in range(n):
                         d = cw[i] - cw[j]
-                        if d > 0 and adapted.entries[i][j] != 0:
+                        if d > 0 and a.entries[i][j] != 0:
                             if w_min is None or d < w_min:
                                 w_min = d
             if w_min is None:
                 continue
-            limit = c_lambda(rep.generators, lam)
-            if module_iso(rep, Representation(limit)) is not None:
-                continue
+            if limit is None:
+                limit = c_lambda(rep.generators, base)
+                if module_iso(rep, Representation(limit)) is not None:
+                    break
             measure = Fraction(w_min * w_min, lam.norm_sq())
             candidates.append(FlagCandidate(flag, cw, w_min, measure, limit))
     if not candidates:

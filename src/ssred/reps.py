@@ -244,6 +244,9 @@ class IrreducibleWitness:
         if self.word is None or self.factor is None:
             return False
         try:
+            # a factor coefficient must already be a field element
+            if any(field.coerce(c) != c for c in self.factor):
+                return False
             a = evaluate_word(self.word, word_entries(rep))
         except InvalidInput:
             return False

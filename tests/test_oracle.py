@@ -91,6 +91,90 @@ def test_orbit_ids_identify_conjugates():
     assert index.orbit_id(a) != index.orbit_id(c)
 
 
+def _random_invertible(rng, field, n):
+    while True:
+        m = Matrix(field, [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)])
+        if m.det() != 0:
+            return m
+
+
+def test_scalar_class_orbit_matches_every_conjugate():
+    """Conjugating by one element per scalar class finds the orbit that
+    conjugating by every element of GL_n finds."""
+    cases = [(field, n, (g,)) for field, n in [(F3, 2), (F2, 3)]
+             for g in get_table(field, n).elements]
+    companion = mat(F3, [[0, 0, 1], [1, 0, 1], [0, 1, 0]])  # x^3 - x - 1
+    transvection = mat(F3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    cases.append((F3, 3, generic_tuple(Representation([companion, transvection]))))
+    rng = random.Random(79)
+    cases += [(F3, 3, (_random_invertible(rng, F3, 3), _random_invertible(rng, F3, 3)))
+              for _ in range(3)]
+    for field, n, mats in cases:
+        table = get_table(field, n)
+        every = frozenset(OrbitIndex.encode(g * m * gi for m in mats)
+                          for g, gi in zip(table.elements, table.inverses))
+        assert OrbitIndex(table).orbit_members(mats) == every
+    for field, n in [(F3, 2), (F2, 3), (F3, 3)]:
+        table = get_table(field, n)
+        assert len(table.conjugators) * (field.p - 1) == table.order
+
+
+def test_memoized_verdicts_do_not_depend_on_call_order(random_corpus_gl3_f2, monkeypatch):
+    """A shared index answers as a fresh index per call does, in either
+    order, and runs preserved_flags once per orbit decided."""
+    reps = [Representation([g]) for field, n in [(F3, 2), (F2, 3)]
+            for g in get_table(field, n).elements] + list(random_corpus_gl3_f2)
+
+    def verdicts(r, index_of):
+        # through the module, so that the wrappers below see every call
+        return (oracle.is_cochar_closed(r.generators, index_of(r)),
+                oracle.oracle_gcr(r, index_of(r)),
+                oracle.accessible_closed_orbits(r.generators, index_of(r)))
+
+    def fresh_index(r):
+        return OrbitIndex(get_table(r.field, r.n))
+
+    fresh = [verdicts(r, fresh_index) for r in reps]
+
+    flag_runs = []
+    decided = set()
+    asked = []
+    real_flags = oracle.preserved_flags
+    real_closed = oracle.is_cochar_closed
+    real_accessible = oracle.accessible_closed_orbits
+
+    def counting_flags(x):
+        flag_runs.append(x)
+        return real_flags(x)
+
+    def recording(kind, fn):
+        def wrapped(x, index):
+            asked.append(kind)
+            decided.add((kind, index.orbit_id(x)))
+            return fn(x, index)
+        return wrapped
+
+    monkeypatch.setattr(oracle, "preserved_flags", counting_flags)
+    monkeypatch.setattr(oracle, "is_cochar_closed", recording("closed", real_closed))
+    monkeypatch.setattr(oracle, "accessible_closed_orbits",
+                        recording("accessible", real_accessible))
+    for order in (range(len(reps)), range(len(reps) - 1, -1, -1)):
+        shared = {}
+
+        def shared_index(r):
+            key = (r.field, r.n)
+            if key not in shared:
+                shared[key] = fresh_index(r)
+            return shared[key]
+
+        flag_runs.clear()
+        decided.clear()
+        asked.clear()
+        for i in order:
+            assert verdicts(reps[i], shared_index) == fresh[i]
+        assert len(flag_runs) == len(decided) < len(asked)
+
+
 def test_orbit_cache_budget():
     table = get_table(F2, 2)
     tiny = OrbitIndex(table, max_entries=2)

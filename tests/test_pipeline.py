@@ -275,7 +275,16 @@ def test_optimal_flag_requires_non_cr_input():
         optimal_flag(DIAG_PM1_F3, max_weight_height=3)
 
 
-def test_optimal_flag_jordan_block_findings():
+def test_optimal_flag_jordan_block_findings(monkeypatch):
+    import ssred.pipeline as pipeline_module
+    iso_calls = []
+    real_iso = pipeline_module.module_iso
+
+    def counting_iso(a, b, **kwargs):
+        iso_calls.append(b)
+        return real_iso(a, b, **kwargs)
+
+    monkeypatch.setattr(pipeline_module, "module_iso", counting_iso)
     j3 = rep(F2, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     report = optimal_flag(j3, max_weight_height=4)
     assert report.measure == Fraction(3, 2)
@@ -285,6 +294,10 @@ def test_optimal_flag_jordan_block_findings():
     # the length-two flags cover three distinct flags overall
     flags = {tuple(v.dim for v in c.flag.steps) for c in report.per_flag_data}
     assert flags == {(1, 3), (2, 3), (1, 2, 3)}
+    # j3 has two proper invariant subspaces, so these are all the flag
+    # chains, and the limit of each is compared with the input once, not
+    # once per weight class
+    assert len(iso_calls) == len(flags)
     # both argmax limits are non-semisimple: reported, not suppressed
     assert len(report.findings) == 2
     assert all(f["kind"] == "non_semisimple_argmax_limit" for f in report.findings)

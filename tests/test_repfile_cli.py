@@ -122,6 +122,15 @@ def test_cli_check(tmp_path, capsys):
     code, report = run_cli(["check", "--input", path, "--oracle"], capsys)
     assert code == 0 and report["result"]["gcr"] is True
 
+    # over QQ the oracle is unavailable, but the pipeline's verdict stays
+    path = write_rep(tmp_path, "uq.json", *UNIPOTENT_Q)
+    code, report = run_cli(["check", "--input", path, "--oracle"], capsys)
+    assert code == 0 and report["status"] == "ok"
+    assert report["result"]["gcr"] is False
+    assert report["result"]["certificate"] == {"obstructionDim": 1, "semisimple": False}
+    assert report["result"]["oracle"] == {
+        "available": False, "reason": "the brute-force oracle only works over finite fields"}
+
 
 def test_cli_ss(tmp_path, capsys):
     path = write_rep(tmp_path, "u.json", *UNIPOTENT)

@@ -265,6 +265,25 @@ def test_malformed_word_rejected(word):
     assert IrreducibleWitness("cyclic", word=word, factor=good.factor).verify(ROTATION_F3) is False
 
 
+@pytest.mark.parametrize("module, factor", [
+    # coefficients Field.coerce refuses
+    (ROTATION_F3, (2.0, 2, 1)),  # equals the charpoly, so it used to verify
+    (ROTATION_F3, ("a", 2, 1)),
+    (ROTATION_F3, (Fraction(2), 2, 1)),
+    (CYCLE_TRANSVECTION_F2, (0.0, 1.0)),
+    (CYCLE_TRANSVECTION_F2, ("a", "a")),
+    (CYCLE_TRANSVECTION_F2, (Fraction(0), 1)),
+    # coefficients Field.coerce changes
+    (ROTATION_F3, (5, 2, 1)),
+    (ROTATION_F3, (-1, 2, 1)),
+    (CYCLE_TRANSVECTION_F2, (2, 1)),
+])
+def test_malformed_factor_rejected(module, factor):
+    good = find_submodule(module)
+    assert IrreducibleWitness(good.kind, word=good.word, factor=good.factor).verify(module)
+    assert IrreducibleWitness(good.kind, word=good.word, factor=factor).verify(module) is False
+
+
 def test_composition_series_transvection():
     series = composition_series(TRANSVECTION_F2)
     assert series.length == 2
