@@ -15,7 +15,6 @@ import sys
 
 from .errors import (
     AlgebraNotStable,
-    CertificateSearchExhausted,
     DimensionMismatch,
     GeneratorCountMismatch,
     InternalInvariantViolation,
@@ -61,7 +60,6 @@ _INPUT_ERRORS = (
 _RESOURCE_ERRORS = (
     ResourceBoundExceeded,
     SearchSpaceExceeded,
-    CertificateSearchExhausted,
     UndecidedIrreducibility,
 )
 
@@ -198,7 +196,7 @@ def _dispatch(args) -> tuple:
         seed_b = args.seed + 1 if args.seed_b is None else args.seed_b
         a = semisimplify(rep, seed=args.seed)
         b = semisimplify(rep, seed=seed_b)
-        cert = conjugacy_certificate(a, b, seed=args.seed)
+        cert = conjugacy_certificate(a, b)
         verified = cert.verify()
         payload = {
             "seedA": args.seed,

@@ -11,12 +11,6 @@ GROUP_ELEMENTS_CAP = 2**21
 SPACE_VECTORS_CAP = 2**14
 # invariant subspaces, and flags built from them, in the optimal-flag search
 FLAG_CANDIDATE_CAP = 2**16
-# conjugator search over GF(p): the p^d combinations are enumerated at once
-# up to the first cap, and after 64 random draws up to the second
-CONJUGATOR_ENUM_CAP = 2**20
-CONJUGATOR_HARD_CAP = 2**24
-# conjugator search over QQ: interpolation grid certifying absence
-CONJUGATOR_GRID_CAP = 2**19
 
 
 class SsredError(Exception):
@@ -53,10 +47,6 @@ class AlgebraNotStable(SsredError):
 
 class InternalInvariantViolation(SsredError):
     """A property the theory guarantees failed to hold; indicates a bug."""
-
-
-class CertificateSearchExhausted(SsredError):
-    """Bounded search for an invertible intertwiner ended inconclusively."""
 
 
 class UndecidedIrreducibility(SsredError):

@@ -10,8 +10,8 @@ operation below is written on those three.
 The public surface is deliberately small: reduced row echelon form,
 kernels, linear solving, subspaces with canonical echelon bases, orbit
 closure of vectors under a set of operators ("spinning"), characteristic
-polynomials, and a solver for simultaneous conjugation g*A_i = B_i*g
-with g invertible.  One Gauss-Jordan routine, `EchelonBasis.add`, does
+polynomials, and the first solution of the intertwining system
+g*A_i = B_i*g.  One Gauss-Jordan routine, `EchelonBasis.add`, does
 the elimination behind all of them; `Matrix.det` keeps its own, so that
 it stays an independent reference for `charpoly`.
 """
@@ -19,21 +19,12 @@ it stays an independent reference for `charpoly`.
 from __future__ import annotations
 
 import itertools
-import random
 from bisect import bisect_right
 from fractions import Fraction
 from math import isqrt
 from operator import add, mul, neg
 
-from .errors import (
-    CONJUGATOR_ENUM_CAP,
-    CONJUGATOR_GRID_CAP,
-    CONJUGATOR_HARD_CAP,
-    CertificateSearchExhausted,
-    DimensionMismatch,
-    InternalInvariantViolation,
-    InvalidInput,
-)
+from .errors import DimensionMismatch, InvalidInput
 
 _PRIME_CAP = 2**31
 
@@ -624,83 +615,28 @@ def sylvester_rows(a: Matrix, d: Matrix) -> list[tuple]:
     return rows
 
 
-def solve_conjugating(lhs, rhs, *, seed: int = 0) -> Matrix | None:
-    """Find invertible g with g * lhs[i] * g^-1 = rhs[i] for all i.
+def solve_conjugating(lhs, rhs) -> Matrix | None:
+    """The first basis vector of {g : g * lhs[i] = rhs[i] * g for all i}.
 
-    Returns None only when no invertible solution exists (certified: over
-    GF(p) the full solution space is searched; over the rationals a
-    vanishing determinant polynomial is certified on an interpolation
-    grid).  Raises CertificateSearchExhausted when the bounded search over
-    the rationals ends without either outcome.
-
-    The returned matrix is re-verified by direct multiplication before
-    being handed back.
+    The condition is linear in g, so this is one kernel computation; the
+    basis is the `right_kernel` one, in the column order of g's entries
+    read row-major.  Returns None when only g = 0 solves the system.  The
+    answer may be singular: whether a singular intertwiner means anything
+    is the caller's to decide.
     """
-    lhs = list(lhs)
-    rhs = list(rhs)
+    lhs, rhs = list(lhs), list(rhs)
     if len(lhs) != len(rhs):
         raise DimensionMismatch("conjugation systems of different lengths")
     if not lhs:
         raise InvalidInput("empty conjugation system")
-    field = lhs[0].field
-    n = lhs[0].nrows
+    field, n = lhs[0].field, lhs[0].nrows
     for m in itertools.chain(lhs, rhs):
         if m.field is not field or m.nrows != n or m.ncols != n:
             raise DimensionMismatch("conjugation system entries must share one square shape")
-
-    def finish(g: Matrix) -> Matrix:
-        gi = g.inverse()
-        if gi is None:
-            raise InternalInvariantViolation("candidate conjugator is singular")
-        for a, b in zip(lhs, rhs):
-            if g * a != b * g:
-                raise InternalInvariantViolation("conjugator failed re-verification")
-        return g
-
-    if all(a == b for a, b in zip(lhs, rhs)):
-        return finish(Matrix.identity(field, n))
-
-    # g * A_i = B_i * g is linear in g: B_i g - g A_i = 0 for every pair.
+    # B_i g - g A_i = 0 for every pair
     sys_rows = [row for a, b in zip(lhs, rhs) for row in sylvester_rows(b, a)]
     kernel = right_kernel(Matrix(field, tuple(sys_rows), ncols=n * n, validate=False))
-    d = len(kernel)
-    if d == 0:
+    if not kernel:
         return None
-
-    def first_invertible(candidates) -> Matrix | None:
-        """The first invertible combination of the kernel basis, verified."""
-        for coeffs in candidates:
-            if any(coeffs):
-                flat = linear_combination(field, coeffs, kernel, n * n)
-                g = Matrix(field, [flat[i * n:(i + 1) * n] for i in range(n)],
-                           ncols=n, validate=False)
-                if g.det() != 0:
-                    return finish(g)
-        return None
-
-    rng = random.Random(seed)
-    if field.p is not None:
-        p = field.p
-        total = p**d
-        if total <= CONJUGATOR_ENUM_CAP:
-            return first_invertible(itertools.product(range(p), repeat=d))
-        g = first_invertible(tuple(rng.randrange(p) for _ in range(d)) for _ in range(64))
-        if g is not None:
-            return g
-        if total <= CONJUGATOR_HARD_CAP:
-            return first_invertible(itertools.product(range(p), repeat=d))
-        raise CertificateSearchExhausted(
-            f"solution space of dimension {d} over GF({p}) exceeds the enumeration cap")
-
-    g = first_invertible(tuple(field.coerce(rng.randint(-bound, bound)) for _ in range(d))
-                         for bound in (2**k for k in range(11)) for _ in range(32))
-    if g is not None:
-        return g
-    # det(sum x_k E_k) has degree <= n in each variable, so vanishing on the
-    # grid {0..n}^d certifies it is identically zero: no invertible solution.
-    if (n + 1)**d <= CONJUGATOR_GRID_CAP:
-        return first_invertible(tuple(map(field.coerce, coeffs))
-                                for coeffs in itertools.product(range(n + 1), repeat=d))
-    raise CertificateSearchExhausted(
-        f"randomized search over QQ exhausted with hom-space dimension {d}; "
-        f"certification grid of size {(n + 1)**d} exceeds the cap")
+    return Matrix(field, [kernel[0][i * n:(i + 1) * n] for i in range(n)],
+                  ncols=n, validate=False)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import DimensionMismatch, InvalidInput, LimitDoesNotExist
-from .exact import Field, Matrix, Subspace
+from .exact import Field, Matrix, Subspace, solve_linear, sylvester_rows
 
 
 class Flag:
@@ -216,6 +216,31 @@ def c_lambda(m, lam: Cocharacter):
             raise LimitDoesNotExist("matrix lies outside P_lambda")
     blocked = Matrix(lam.field, tuple(rows), ncols=lam.n, validate=False)
     return lam.basis_change * blocked * lam.basis_change_inv
+
+
+def in_unipotent_orbit(gens, limits, lam: Cocharacter) -> bool:
+    """Whether some u = I + N in R_u(P_lambda)(k) conjugates each
+    generator h onto its limit l.  In lambda's adapted basis that is
+    N h - l N = l - h, with N zero outside the blocks above the diagonal:
+    at most n(n-1)/2 unknowns.
+
+    So it decides whether the limits are GL_n(k)-conjugate to the
+    generators, by Bate-Martin-Roehrle-Tange, Thm 3.3: if a reductive G
+    acts on an affine variety and x' = lim_{a->0} lambda(a).x exists and
+    lies in G.x, then x' lies in R_u(P_lambda).x.  Here G = GL_n over the
+    algebraic closure of k acts on tuples by conjugation, and a linear
+    system over k that is solvable there is solvable over k.
+    """
+    n, w = lam.n, lam.weights
+    unknowns = [i * n + j for i in range(n) for j in range(n) if w[i] > w[j]]
+    rows, rhs = [], []
+    for g, s in zip(gens, limits):
+        h, lim = _adapted(g, lam), _adapted(s, lam)
+        # sylvester_rows(lim, h) is N -> lim N - N h
+        rows += [tuple(row[c] for c in unknowns) for row in sylvester_rows(lim, h)]
+        rhs += [x for row in (h - lim).entries for x in row]
+    system = Matrix(lam.field, rows, ncols=len(unknowns), validate=False)
+    return solve_linear(system, rhs) is not None
 
 
 def diagonal_blocks(m: Matrix, block_sizes) -> list[Matrix]:

@@ -38,6 +38,7 @@ from .flags import (
     diagonal_blocks,
     flag_to_cocharacter,
     in_P_lambda,
+    in_unipotent_orbit,
 )
 from .oracle import subgroup_closure
 from .reps import (
@@ -83,6 +84,8 @@ class SsResult:
 
     def verify(self) -> bool:
         lam = self.cocharacter
+        if len(self.ss_generators) != len(self.input.generators):
+            return False
         for g, s in zip(self.input.generators, self.ss_generators):
             if not in_P_lambda(g, lam) or c_lambda(g, lam) != s:
                 return False
@@ -136,29 +139,55 @@ class ConjugacyCertificate:
         self.rhs = rhs
 
     def verify(self) -> bool:
-        gi = self.g.inverse()
-        if gi is None:
+        """Whether g conjugates the limits of two results of one input; never raises."""
+        lhs, rhs, g = self.lhs, self.rhs, self.g
+        if (lhs.input.generators != rhs.input.generators
+                or len(lhs.ss_generators) != len(rhs.ss_generators)):
             return False
-        return all(self.g * a * gi == b
-                   for a, b in zip(self.lhs.ss_generators, self.rhs.ss_generators))
+        try:
+            gi = g.inverse()
+            return gi is not None and all(
+                g * a * gi == b for a, b in zip(lhs.ss_generators, rhs.ss_generators))
+        except DimensionMismatch:
+            return False
 
     def __repr__(self):
         return f"ConjugacyCertificate(g={self.g!r})"
 
 
-def conjugacy_certificate(a: SsResult, b: SsResult, seed: int = 0) -> ConjugacyCertificate:
+def conjugacy_certificate(a: SsResult, b: SsResult) -> ConjugacyCertificate:
     """Conjugate two semisimplifications of the same input to each other.
 
-    Existence is a theorem, so a failed search (other than an explicit
-    resource bound over the rationals) signals a bug.
+    Equal limits get the identity.  Otherwise each irreducible summand of
+    a's certificate is paired with the first unused summand of b's that
+    carries an isomorphic module X_i, and g = Q diag(X_i) P^-1 with the
+    paired summand bases as the columns of P and Q.  The limits are
+    conjugate by theorem, so a summand without a partner is a bug.
     """
     if a.input.generators != b.input.generators:
         raise InvalidInput("the two results come from different inputs")
-    g = module_iso(a.ss_representation(), b.ss_representation(), seed=seed)
-    if g is None:
-        raise InternalInvariantViolation(
-            "semisimplifications of one input failed to be conjugate")
-    return ConjugacyCertificate(g, a, b)
+    if not (a.certificate.semisimple and b.certificate.semisimple):
+        raise InvalidInput("a result without a semisimplicity certificate")
+    field, n = a.input.field, a.input.n
+    if a.ss_generators == b.ss_generators:
+        return ConjugacyCertificate(Matrix.identity(field, n), a, b)
+    unused = [(t, Representation(restrict_to_subspace(b.ss_generators, t)))
+              for t in b.certificate.summands]
+    src, dst, blocks = [], [], []
+    for s in a.certificate.summands:
+        s_rep = Representation(restrict_to_subspace(a.ss_generators, s))
+        for i, (t, t_rep) in enumerate(unused):
+            x = module_iso(s_rep, t_rep)
+            if x is not None:
+                break
+        else:
+            raise InternalInvariantViolation("a summand has no isomorphic partner")
+        del unused[i]
+        src += s.basis.entries
+        dst += t.basis.entries
+        blocks.append(x)
+    p, q = (Matrix(field, cols, ncols=n, validate=False).transpose() for cols in (src, dst))
+    return ConjugacyCertificate(q * block_diagonal(field, blocks) * p.inverse(), a, b)
 
 
 class LeviDescentReport:
@@ -366,10 +395,11 @@ def optimal_flag(rep: Representation, max_weight_height: int = 4) -> OptimalFlag
     The squared measure of a candidate cocharacter is w_min^2 / |lambda|^2
     where w_min is the least positive weight carried by a nonzero
     off-Levi entry of any enveloping-algebra basis element, computed from
-    the canonical (centered, gcd-reduced) weights.  Candidates whose
-    limit stays conjugate to the input are discarded.  Argmax limits are
-    expected to be semisimple over perfect fields; violations are
-    reported as findings rather than errors.
+    the canonical (centered, gcd-reduced) weights.  A flag whose limit
+    stays conjugate to the input gives no candidate: one affine solve
+    per flag, in_unipotent_orbit.  Argmax limits are expected to be
+    semisimple over perfect fields; violations are reported as findings
+    rather than errors.
     """
     if max_weight_height < 1:
         raise InvalidInput("the weight height bound must be at least 1")
@@ -420,7 +450,7 @@ def optimal_flag(rep: Representation, max_weight_height: int = 4) -> OptimalFlag
                 continue
             if limit is None:
                 limit = c_lambda(rep.generators, base)
-                if module_iso(rep, Representation(limit)) is not None:
+                if in_unipotent_orbit(rep.generators, limit, base):
                     break
             measure = Fraction(w_min * w_min, lam.norm_sq())
             candidates.append(FlagCandidate(flag, cw, w_min, measure, limit))

@@ -1,6 +1,6 @@
 """Module-theoretic layer: words in the generators, irreducibility
-testing, composition series, semisimplicity certificates, and module
-isomorphism.
+testing, composition series, semisimplicity certificates, and
+isomorphism of irreducible modules.
 
 Irreducibility is decided MeatAxe-style (Holt & Rees 1994): take a word
 a in the generators and their inverses, factor its characteristic
@@ -582,8 +582,14 @@ def is_semisimple(rep: Representation, rng: random.Random | None = None) -> Semi
     return SemisimpleCertificate(True, summands=out_summands, witnesses=out_wits)
 
 
-def module_iso(a: Representation, b: Representation, seed: int = 0) -> Matrix | None:
-    """An invertible g with g a_i g^-1 = b_i for aligned generators, if any."""
+def module_iso(a: Representation, b: Representation) -> Matrix | None:
+    """An invertible g with g a_i g^-1 = b_i for aligned generators, or
+    None when there is none, for an irreducible a.
+
+    By Schur's lemma a nonzero module map out of an irreducible a is
+    injective, so the first solution of g a_i = b_i g decides.  A singular
+    one proves a reducible and raises InvalidInput.
+    """
     if a.field is not b.field:
         raise DimensionMismatch("modules over different fields")
     if len(a.generators) != len(b.generators):
@@ -591,7 +597,10 @@ def module_iso(a: Representation, b: Representation, seed: int = 0) -> Matrix | 
             f"{len(a.generators)} generators against {len(b.generators)}")
     if a.n != b.n:
         return None
-    return solve_conjugating(a.generators, b.generators, seed=seed)
+    g = solve_conjugating(a.generators, b.generators)
+    if g is not None and g.det() == 0:
+        raise InvalidInput("a singular module map out of the first module: it is reducible")
+    return g
 
 
 class IsoClassMultiset:
@@ -604,21 +613,15 @@ class IsoClassMultiset:
 
     def matches(self, other: "IsoClassMultiset") -> bool:
         """Whether the two multisets pair off isomorphically."""
-        if len(self.classes) != len(other.classes):
-            return False
-        used = set()
+        unused = list(other.classes)
         for rep, mult in self.classes:
-            hit = None
-            for i, (orep, omult) in enumerate(other.classes):
-                if i in used or omult != mult:
-                    continue
-                if module_iso(rep, orep) is not None:
-                    hit = i
+            for i, (orep, omult) in enumerate(unused):
+                if omult == mult and module_iso(rep, orep) is not None:
+                    del unused[i]
                     break
-            if hit is None:
+            else:
                 return False
-            used.add(hit)
-        return True
+        return not unused
 
     def __repr__(self):
         parts = ", ".join(f"dim {rep.n} x{mult}" for rep, mult in self.classes)

@@ -58,10 +58,12 @@ def test_criterion_2_unique_accessible_closed_orbit(full_corpus):
                     f"{len(full_corpus)} corpus generic tuples")
 
 
-def test_criterion_3_conjugacy_certificates(full_corpus):
+def test_criterion_3_conjugacy_certificates(full_corpus, gl3_f3_sample):
     seeds = (0, 1, 2)
+    corpus = list(full_corpus) + list(gl3_f3_sample)
     certs = 0
-    for rep in full_corpus:
+    paired = 0
+    for rep in corpus:
         results = [semisimplify(rep, seed=s) for s in seeds]
         for i in range(len(results)):
             for j in range(i + 1, len(results)):
@@ -69,8 +71,13 @@ def test_criterion_3_conjugacy_certificates(full_corpus):
                 assert cert.verify()
                 assert cert.g.det() != 0
                 certs += 1
+                # equal limits are conjugate by the identity; different
+                # ones by a conjugator built from paired summands
+                paired += results[i].ss_generators != results[j].ss_generators
+    assert paired > 0
     record(3, True, f"{certs} conjugating certificates across seeds {seeds} "
-                    f"all verified on {len(full_corpus)} corpus reps")
+                    f"all verified on {len(corpus)} corpus reps, "
+                    f"{paired} of them built by pairing summands")
 
 
 def test_criterion_4_jordan_holder(full_corpus):

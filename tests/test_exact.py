@@ -276,10 +276,14 @@ def test_vector_enumeration():
         list(all_vectors(QQ, 2))
 
 
-def test_solve_conjugating_identity_shortcut():
+def test_solve_conjugating_first_solution():
+    # the centralizer of a transvection is {x I + y N}; the first kernel
+    # basis vector is N, singular, and is returned as it is
     a = mat(F3, [[1, 1], [0, 1]])
-    g = solve_conjugating([a], [a])
-    assert g == Matrix.identity(F3, 2)
+    assert solve_conjugating([a], [a]) == mat(F3, [[0, 1], [0, 0]])
+    ident = Matrix.identity(F2, 2)
+    upper = mat(F2, [[1, 1], [0, 1]])
+    assert solve_conjugating([ident], [upper]) == mat(F2, [[1, 0], [0, 0]])
 
 
 def test_solve_conjugating_transvections_frozen():
@@ -288,23 +292,22 @@ def test_solve_conjugating_transvections_frozen():
     g = solve_conjugating([upper], [lower])
     assert g == mat(F2, [[0, 1], [1, 0]])
 
-    # independent brute force over every invertible 2x2 matrix mod 2
+    # independent brute force over every 2x2 matrix mod 2
     found = []
     for a, b, c, d in all_vectors(F2, 4):
         cand = mat(F2, [[a, b], [c, d]])
-        if cand.det() != 0 and cand * upper == lower * cand:
+        if cand * upper == lower * cand:
             found.append(cand)
     assert g in found
 
 
 def test_solve_conjugating_certified_absence():
-    ident = Matrix.identity(F2, 2)
-    upper = mat(F2, [[1, 1], [0, 1]])
-    assert solve_conjugating([ident], [upper]) is None
-    # conjugation preserves order, so order-2 and order-3 elements never meet
+    # g (a - 2I) = 0 with a - 2I invertible: only g = 0 intertwines
     a = mat(F3, [[1, 1], [0, 1]])
     b = mat(F3, [[2, 0], [0, 2]])
     assert solve_conjugating([a], [b]) is None
+    for g in map(lambda e: mat(F3, [e[:2], e[2:]]), all_vectors(F3, 4)):
+        assert g * a != b * g or g.is_zero()
 
 
 def test_solve_conjugating_randomized_roundtrip():
@@ -316,24 +319,25 @@ def test_solve_conjugating_randomized_roundtrip():
         g = random_invertible(rng, field, n)
         gi = g.inverse()
         twisted = [g * m * gi for m in mats]
-        h = solve_conjugating(mats, twisted, seed=rng.randrange(1 << 30))
-        assert h is not None
-        hi = h.inverse()
+        h = solve_conjugating(mats, twisted)
+        assert h is not None and not h.is_zero()
         for m, t in zip(mats, twisted):
-            assert h * m * hi == t
+            assert h * m == t * h
 
 
 def test_solve_conjugating_rational():
     a = mat(QQ, [[1, 1], [0, 1]])
     b = mat(QQ, [[1, 0], [1, 1]])
     g = solve_conjugating([a], [b])
-    assert g is not None
-    gi = g.inverse()
-    assert g * a * gi == b
-    # trace separates these, so absence is certified via the grid
+    assert g == mat(QQ, [[0, 1], [1, 0]])
+    assert g * a == b * g
+    # one shared eigenvalue: a singular intertwiner; none: only g = 0
     c = mat(QQ, [[2, 0], [0, 3]])
     d = mat(QQ, [[2, 0], [0, 4]])
-    assert solve_conjugating([c], [d]) is None
+    assert solve_conjugating([c], [d]) == mat(QQ, [[1, 0], [0, 0]])
+    assert solve_conjugating([c], [mat(QQ, [[5, 0], [0, 4]])]) is None
+    with pytest.raises(DimensionMismatch):
+        solve_conjugating([c], [mat(QQ, [[1]])])
 
 
 def test_echelon_basis_incremental():

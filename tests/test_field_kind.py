@@ -5,15 +5,15 @@ Every matrix and row operation in the module is written on
 `Field.coerce`, `Field.reduce` and `Field.axpy`, so the difference
 between GF(p) and the rationals lives in one class.  This scan fails when
 a field-kind test (`p is None`, `field.p is not None`) appears outside
-`Field` and the three functions where it is an input guard or a choice
-of search, or when `Fraction` is used outside `Field`.
+`Field` and the two functions where it is an input guard, or when
+`Fraction` is used outside `Field`.
 """
 
 import ast
 from pathlib import Path
 
 EXACT = Path(__file__).resolve().parents[1] / "src" / "ssred" / "exact.py"
-BRANCH_ALLOWED = {"Field", "all_vectors", "projective_vectors", "solve_conjugating"}
+BRANCH_ALLOWED = {"Field", "all_vectors", "projective_vectors"}
 
 
 def _is_p(node) -> bool:

@@ -10,12 +10,16 @@ from ssred.errors import (
     NotNormal,
     PreconditionNotDestabilizable,
 )
-from ssred.exact import Field, Matrix
+from ssred.exact import Field, Matrix, Subspace
+from ssred.flags import Flag, c_lambda, flag_to_cocharacter, in_unipotent_orbit
+from ssred.oracle import get_table
 from ssred.pipeline import (
     CliffordResult,
     ConjugacyCertificate,
     OptimalFlagReport,
     SsResult,
+    _chains,
+    _invariant_lattice,
     clifford_joint_ss,
     conjugacy_certificate,
     is_gcr_over_k,
@@ -23,7 +27,13 @@ from ssred.pipeline import (
     optimal_flag,
     semisimplify,
 )
-from ssred.reps import Representation, module_iso
+from ssred.reps import (
+    Representation,
+    composition_series,
+    is_semisimple,
+    iso_class_multiset,
+    module_iso,
+)
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -46,6 +56,14 @@ def random_rep(rng, field, n, count=None):
         if m.det() != 0:
             gens.append(m)
     return Representation(gens)
+
+
+def table_conjugate(src, dst) -> bool:
+    """Whether some element of GL_n(F_q), found by enumeration, conjugates
+    the tuple src onto dst."""
+    field, n = src[0].field, src[0].nrows
+    return any(all(g * x == y * g for x, y in zip(src, dst))
+               for g in get_table(field, n).elements)
 
 
 TRANSVECTION_F2 = rep(F2, [[1, 1], [0, 1]])
@@ -136,13 +154,74 @@ def test_conjugacy_certificate_rejects_foreign_inputs():
     b = semisimplify(rep(F2, [[1, 0], [1, 1]]))
     with pytest.raises(InvalidInput):
         conjugacy_certificate(a, b)
+    # a result carrying the input's obstruction instead of a decomposition
+    forged = SsResult(a.input, a.flag, a.cocharacter, a.ss_generators,
+                      is_semisimple(a.input), l_irreducible=False)
+    with pytest.raises(InvalidInput):
+        conjugacy_certificate(a, forged)
 
 
-def test_diagonal_swap_is_module_iso():
-    # the two diagonal orderings are conjugate by the coordinate swap
+def test_conjugacy_certificate_pairs_summands_over_qq():
+    # seeds 0 and 1 pick different composition series, and the two limits
+    # differ, so the conjugator is assembled from the paired summands
+    r = rep(QQ, [[1, -1, 1], [1, 2, 0], [1, 1, 1]])
+    a, b = semisimplify(r, seed=0), semisimplify(r, seed=1)
+    assert a.ss_generators != b.ss_generators
+    cert = conjugacy_certificate(a, b)
+    assert cert.verify()
+    assert cert.g != Matrix.identity(QQ, 3)
+
+
+def _results_gf2_n3():
+    r = rep(F2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 1, 1], [0, 0, 1]])
+    return r, semisimplify(r, seed=0), semisimplify(r, seed=1)
+
+
+def _fewer_ss_generators(result):
+    return SsResult(result.input, result.flag, result.cocharacter, result.ss_generators[:1],
+                    result.certificate, result.l_irreducible)
+
+
+def _other_input():
+    return semisimplify(rep(F2, [[1, 0, 1], [0, 1, 0], [0, 0, 1]],
+                            [[1, 0, 0], [0, 1, 1], [0, 0, 1]]))
+
+
+@pytest.mark.parametrize("forge", [
+    lambda a, b: ConjugacyCertificate(Matrix.identity(F2, 2), a, b),
+    lambda a, b: ConjugacyCertificate(mat(F2, [[1, 0], [0, 1], [0, 0]]), a, b),
+    lambda a, b: ConjugacyCertificate(Matrix.identity(F3, 3), a, b),
+    lambda a, b: ConjugacyCertificate(Matrix.identity(F2, 3), a, _fewer_ss_generators(b)),
+    lambda a, b: ConjugacyCertificate(Matrix.identity(F2, 3), a, _other_input()),
+], ids=["g_2x2", "g_3x2", "g_over_f3", "rhs_fewer_ss_generators", "rhs_of_another_input"])
+def test_conjugacy_certificate_verify_rejects_forgeries(forge):
+    _, a, b = _results_gf2_n3()
+    assert conjugacy_certificate(a, b).verify()
+    assert a.ss_generators == _other_input().ss_generators  # g = I would conjugate them
+    assert forge(a, b).verify() is False
+
+
+def test_ss_result_verify_rejects_dropped_generators():
+    # the identity alone is semisimple, the pair is not; a trivial-flag
+    # result keeping only the identity must not verify
+    r = rep(F2, [[1, 0], [0, 1]], [[1, 1], [0, 1]])
+    assert not is_gcr_over_k(r).semisimple
+    alone = Representation(r.generators[:1])
+    flag = Flag.trivial(F2, 2)
+    forged = SsResult(r, flag, flag_to_cocharacter(flag), alone.generators,
+                      is_semisimple(alone), l_irreducible=False)
+    assert forged.verify() is False
+    assert semisimplify(r).verify()
+
+
+def test_module_iso_rejects_reducible_first_module():
+    # the two diagonal orderings are conjugate by the coordinate swap, but
+    # the first intertwiner is a singular coordinate map, which proves the
+    # first module reducible
     a = rep(F3, [[1, 0], [0, -1]])
     b = rep(F3, [[-1, 0], [0, 1]])
-    assert module_iso(a, b) == mat(F3, [[0, 1], [1, 0]])
+    with pytest.raises(InvalidInput):
+        module_iso(a, b)
 
 
 def test_semisimplify_conjugation_equivariance():
@@ -159,8 +238,10 @@ def test_semisimplify_conjugation_equivariance():
         moved = Representation([g * x * gi for x in r.generators])
         ss_a = semisimplify(r)
         ss_b = semisimplify(moved)
-        witness = module_iso(ss_a.ss_representation(), ss_b.ss_representation())
-        assert witness is not None
+        # both limits are semisimple, so matching composition factors is
+        # isomorphism
+        assert iso_class_multiset(composition_series(ss_a.ss_representation())).matches(
+            iso_class_multiset(composition_series(ss_b.ss_representation())))
 
 
 def test_levi_descent_frozen():
@@ -276,15 +357,15 @@ def test_optimal_flag_requires_non_cr_input():
 
 
 def test_optimal_flag_jordan_block_findings(monkeypatch):
-    import ssred.pipeline as pipeline_module
-    iso_calls = []
-    real_iso = pipeline_module.module_iso
+    import ssred.flags as flags_module
+    solves = []
+    real_solve = flags_module.solve_linear
 
-    def counting_iso(a, b, **kwargs):
-        iso_calls.append(b)
-        return real_iso(a, b, **kwargs)
+    def counting_solve(a, b):
+        solves.append(a)
+        return real_solve(a, b)
 
-    monkeypatch.setattr(pipeline_module, "module_iso", counting_iso)
+    monkeypatch.setattr(flags_module, "solve_linear", counting_solve)
     j3 = rep(F2, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     report = optimal_flag(j3, max_weight_height=4)
     assert report.measure == Fraction(3, 2)
@@ -295,9 +376,9 @@ def test_optimal_flag_jordan_block_findings(monkeypatch):
     flags = {tuple(v.dim for v in c.flag.steps) for c in report.per_flag_data}
     assert flags == {(1, 3), (2, 3), (1, 2, 3)}
     # j3 has two proper invariant subspaces, so these are all the flag
-    # chains, and the limit of each is compared with the input once, not
-    # once per weight class
-    assert len(iso_calls) == len(flags)
+    # chains, and the limit of each is compared with the input by one
+    # affine solve, not once per weight class
+    assert len(solves) == len(flags)
     # both argmax limits are non-semisimple: reported, not suppressed
     assert len(report.findings) == 2
     assert all(f["kind"] == "non_semisimple_argmax_limit" for f in report.findings)
@@ -318,8 +399,34 @@ def test_optimal_flag_measure_invariants():
         assert all(c.measure <= report.measure for c in report.per_flag_data)
         for c in report.argmax:
             assert c.flag.is_preserved_by(r.generators)
-            limit_rep = Representation(c.limit_generators)
-            assert module_iso(r, limit_rep) is None  # genuinely destabilizing
+            assert not table_conjugate(r.generators, c.limit_generators)  # destabilizing
+
+
+def test_in_unipotent_orbit_matches_brute_force(full_corpus):
+    # the affine test in R_u(P_lambda) against conjugation by every element
+    # of GL_n(F_q), on every flag chain of every non-semisimple corpus rep
+    outcomes = []
+    for r in full_corpus:
+        if is_gcr_over_k(r).semisimple:
+            continue
+        full = Subspace.full(r.field, r.n)
+        for chain in _chains(_invariant_lattice(r)):
+            lam = flag_to_cocharacter(Flag(chain + [full]))
+            limit = c_lambda(r.generators, lam)
+            conjugate = in_unipotent_orbit(r.generators, limit, lam)
+            assert conjugate == table_conjugate(r.generators, limit)
+            outcomes.append(conjugate)
+    assert set(outcomes) == {True, False}
+
+
+def test_optimal_flag_rational_pinned():
+    # one rational generator; each flag's conjugacy question is one affine solve
+    r = rep(QQ, [[1, 0, 0, 1], [0, 1, -1, 2], [0, 0, 1, 2], [0, 0, 0, 3]])
+    report = optimal_flag(r)
+    assert report.measure == Fraction(4, 3)
+    assert len(report.per_flag_data) == 30
+    assert len(report.argmax) == 1
+    assert report.findings == ()
 
 
 def test_ss_result_shape():

@@ -416,14 +416,14 @@ def test_is_semisimple_conjugation_invariant():
 
 
 def test_module_iso_frozen():
-    a = TRANSVECTION_F2
+    # an element of order 3 acts irreducibly on F2^2
+    a = rep(F2, [[0, 1], [1, 1]])
     same = module_iso(a, a)
-    assert same is not None and same == Matrix.identity(F2, 2)
-    b = rep(F2, [[1, 0], [1, 1]])
-    g = module_iso(a, b)
+    assert same == mat(F2, [[1, 1], [1, 0]])
+    assert same * a.generators[0] == a.generators[0] * same
+    g = module_iso(a, rep(F2, [[1, 1], [1, 0]]))
     assert g == mat(F2, [[0, 1], [1, 0]])
-    ident = rep(F2, [[1, 0], [0, 1]])
-    assert module_iso(ident, a) is None
+    assert module_iso(a, TRANSVECTION_F2) is None
     with pytest.raises(GeneratorCountMismatch):
         module_iso(a, rep(F2, [[1, 1], [0, 1]], [[1, 0], [0, 1]]))
     assert module_iso(a, rep(F2, [[1]])) is None  # dimension mismatch
@@ -431,18 +431,33 @@ def test_module_iso_frozen():
 
 def test_module_iso_symmetry():
     rng = random.Random(37)
-    for _ in range(40):
+    seen = 0
+    outcomes = set()
+    while seen < 40:
         field = rng.choice([F2, F3])
         n = rng.randrange(1, 4)
         a = random_rep(rng, field, n, count=2)
-        b = random_rep(rng, field, n, count=2)
+        if not isinstance(find_submodule(a), IrreducibleWitness):
+            continue
+        seen += 1
+        if rng.randrange(2):
+            b = random_rep(rng, field, n, count=2)
+            if not isinstance(find_submodule(b), IrreducibleWitness):
+                continue
+        else:
+            x = random_rep(rng, field, n, count=1).generators[0]
+            xi = x.inverse()
+            b = Representation([x * m * xi for m in a.generators])
         g = module_iso(a, b)
         h = module_iso(b, a)
         assert (g is None) == (h is None)
+        outcomes.add(g is None)
         if g is not None:
-            hi = h.inverse()
+            gi, hi = g.inverse(), h.inverse()
             for x, y in zip(a.generators, b.generators):
+                assert g * x * gi == y
                 assert h * y * hi == x
+    assert outcomes == {True, False}
 
 
 def test_iso_class_multiset_frozen():
