@@ -11,6 +11,9 @@ the conjugation orbit, so an OrbitIndex decides each orbit once and
 memoizes both verdicts by orbit id; the memos live on the index, never at
 module level.  Orbits are enumerated by conjugating with one element per
 scalar class of GL_n, since g and cg conjugate alike for every scalar c.
+Conjugation m -> g m g^-1 is linear in the entries of m, so each such g
+is stored as the n^2 rows of that linear map, and a conjugate is computed
+as integer dot products on flat entry tuples, without building matrices.
 
 All enumerations are capped; exceeding a cap raises ResourceBoundExceeded
 rather than grinding on.  The orbit cache honours the SSRED_MAX_MEMORY_MB
@@ -19,10 +22,12 @@ environment variable.
 
 import itertools
 import os
+from operator import mul
 
 from .errors import (
     GROUP_ELEMENTS_CAP,
     SPACE_VECTORS_CAP,
+    DimensionMismatch,
     InvalidInput,
     ResourceBoundExceeded,
 )
@@ -55,10 +60,17 @@ class GroupTable:
 
     `conjugators` pairs each element whose first nonzero entry in row 0
     is 1 with its inverse: one representative per scalar class, which is
-    all that conjugation needs.
+    all that conjugation needs.  Only these representatives are inverted
+    by elimination; every other inverse is (c g)^-1 = c^-1 g^-1.
+
+    `actions` holds, for each conjugator (g, g^-1) in the same order, the
+    n^2 rows of the linear map m -> g m g^-1 on row-major entry tuples:
+    row (i, j) is the outer product of row i of g with column j of g^-1.
+    A row depends only on that pair of vectors, so the table keeps one
+    object per pair, at most q^(2n) of them, shared by every action.
     """
 
-    __slots__ = ("field", "n", "elements", "inverses", "conjugators")
+    __slots__ = ("field", "n", "elements", "inverses", "conjugators", "actions")
 
     def __init__(self, field: Field, n: int):
         _require_finite(field)
@@ -70,17 +82,44 @@ class GroupTable:
         if len(elements) != order:
             raise ResourceBoundExceeded(
                 "group enumeration does not match the order formula")
+        p = field.p
+        inverse_of = {g.entries: g.inverse() for g in elements if _leading(g) == 1}
+        inverses = []
+        for g in elements:
+            c = _leading(g)
+            if c == 1:
+                inverses.append(inverse_of[g.entries])
+            else:
+                ci = field.inv(c)
+                rep = tuple(tuple(ci * x % p for x in row) for row in g.entries)
+                inverses.append(inverse_of[rep].scale(ci))
         self.field = field
         self.n = n
         self.elements = tuple(elements)
-        self.inverses = tuple(m.inverse() for m in elements)
+        self.inverses = tuple(inverses)
         self.conjugators = tuple(
-            (g, gi) for g, gi in zip(self.elements, self.inverses)
-            if next(x for x in g.entries[0] if x != 0) == 1)
+            (g, gi) for g, gi in zip(self.elements, self.inverses) if _leading(g) == 1)
+        rows = {}
+        actions = []
+        for g, gi in self.conjugators:
+            action = []
+            for r in g.entries:
+                for c in zip(*gi.entries):
+                    row = rows.get((r, c))
+                    if row is None:
+                        row = rows[r, c] = tuple(a * b % p for a in r for b in c)
+                    action.append(row)
+            actions.append(tuple(action))
+        self.actions = tuple(actions)
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+
+def _leading(g: Matrix):
+    """The first nonzero entry of row 0 of an invertible matrix."""
+    return next(x for x in g.entries[0] if x != 0)
 
 
 def _enumerate_invertible(field: Field, n: int) -> list:
@@ -187,7 +226,9 @@ class OrbitIndex:
     SSRED_MAX_MEMORY_MB budget.  The closedness verdict and the accessible
     closed orbits of each decided orbit are memoized by orbit id on this
     index, one entry per cached orbit, so the same budget bounds them.
-    Members are found by conjugating with one element per scalar class.
+    Members are found by applying the table's action rows, one action per
+    scalar class, to the flat entries of each matrix, modulo p.  Matrices
+    of another field or size raise DimensionMismatch.
     """
 
     __slots__ = ("table", "_cache", "_max_entries", "_closed", "_accessible")
@@ -203,15 +244,26 @@ class OrbitIndex:
     def encode(mats) -> tuple:
         return tuple(x for m in mats for row in m.entries for x in row)
 
+    def _check(self, mats) -> None:
+        field, n = self.table.field, self.table.n
+        for m in mats:
+            if m.field is not field or m.nrows != n or m.ncols != n:
+                raise DimensionMismatch(
+                    f"{m.nrows}x{m.ncols} matrix over {m.field!r} given to the "
+                    f"orbit index of GL_{n}({field!r})")
+
     def orbit_members(self, mats) -> frozenset:
         mats = tuple(mats)
-        members = set()
-        for g, gi in self.table.conjugators:
-            members.add(self.encode(g * m * gi for m in mats))
-        return frozenset(members)
+        self._check(mats)
+        p = self.table.field.p
+        flats = [self.encode((m,)) for m in mats]
+        return frozenset(
+            tuple(sum(map(mul, row, v)) % p for v in flats for row in action)
+            for action in self.table.actions)
 
     def orbit_id(self, mats) -> tuple:
         mats = tuple(mats)
+        self._check(mats)
         key = self.encode(mats)
         hit = self._cache.get(key)
         if hit is not None:

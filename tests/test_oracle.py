@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ssred import oracle
-from ssred.errors import InvalidInput, ResourceBoundExceeded
+from ssred.errors import DimensionMismatch, InvalidInput, ResourceBoundExceeded
 from ssred.exact import Field, Matrix, rref
 from ssred.oracle import (
     OrbitIndex,
@@ -27,6 +27,7 @@ from ssred.reps import Representation
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
+F5 = Field.prime(5)
 
 
 def mat(field, rows):
@@ -47,12 +48,12 @@ def test_group_orders_frozen():
 
 
 def test_group_table_matches_formula():
-    for field, n in [(F2, 2), (F3, 2), (F2, 3)]:
+    for field, n in [(F2, 2), (F3, 2), (F2, 3), (F5, 2)]:
         table = get_table(field, n)
         assert table.order == group_order(field.p, n)
         assert Matrix.identity(field, n) in table.elements
         for g, gi in zip(table.elements, table.inverses):
-            assert g * gi == Matrix.identity(field, n)
+            assert g * gi == Matrix.identity(field, n) == gi * g
         assert len(set(table.elements)) == table.order
 
 
@@ -117,6 +118,44 @@ def test_scalar_class_orbit_matches_every_conjugate():
     for field, n in [(F3, 2), (F2, 3), (F3, 3)]:
         table = get_table(field, n)
         assert len(table.conjugators) * (field.p - 1) == table.order
+
+
+def test_action_rows_match_every_conjugate_mod_p():
+    """The flat kernel agrees with Matrix conjugation where entry products
+    exceed p, and for n = 1."""
+    rng = random.Random(83)
+    cases = [(F5, 1, (g,)) for g in get_table(F5, 1).elements]
+    cases.append((F5, 1, tuple(get_table(F5, 1).elements)))
+    for _ in range(6):
+        plain = tuple(_random_invertible(rng, F5, 2) for _ in range(rng.randrange(1, 4)))
+        cases.append((F5, 2, plain))
+        cases.append((F5, 2, generic_tuple(Representation(list(plain)))))
+    cases.append((F5, 2, (mat(F5, [[4, 3], [2, 2]]), mat(F5, [[1, 4], [0, 3]]))))
+    for field, n, mats in cases:
+        table = get_table(field, n)
+        every = frozenset(OrbitIndex.encode(g * m * gi for m in mats)
+                          for g, gi in zip(table.elements, table.inverses))
+        assert OrbitIndex(table).orbit_members(mats) == every
+
+
+def test_action_rows_are_shared():
+    """One row object per (row of g, column of g^-1) pair: at most q^(2n)."""
+    for field, n in [(F2, 3), (F3, 2)]:
+        table = get_table(field, n)
+        assert len(table.actions) == len(table.conjugators)
+        distinct = {id(row) for action in table.actions for row in action}
+        assert len(distinct) <= field.p ** (2 * n)
+
+
+def test_orbit_index_rejects_other_field_or_size():
+    wrong = [(mat(F3, [[1, 0, 0], [0, 2, 0], [0, 0, 1]]),),
+             (mat(F2, [[1, 1], [0, 1]]),),
+             (Matrix.identity(F2, 3), mat(F2, [[0, 1], [1, 0]]))]
+    for mats in wrong:
+        with pytest.raises(DimensionMismatch):
+            OrbitIndex(get_table(F2, 3)).orbit_members(mats)
+        with pytest.raises(DimensionMismatch):
+            OrbitIndex(get_table(F2, 3)).orbit_id(mats)
 
 
 def test_memoized_verdicts_do_not_depend_on_call_order(random_corpus_gl3_f2, monkeypatch):
