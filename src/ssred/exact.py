@@ -384,6 +384,8 @@ class EchelonBasis:
         other rows at its leading column, so the rows stay the reduced
         echelon basis of the span, sorted by pivot column.
         """
+        if len(vec) != self.width:
+            raise DimensionMismatch("vector length does not match the basis width")
         field = self.field
         rows = self.rows
         v = _residual(field, rows, self.pivots, vec)
@@ -447,6 +449,8 @@ class Subspace:
         """v minus its combination of the basis rows read off at the pivots:
         zero exactly when v lies in the subspace, and otherwise supported
         on the free columns."""
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatch("vector length does not match the ambient dimension")
         return _residual(self.field, self.basis.entries, self.pivots, v)
 
     def contains_vector(self, v) -> bool:
@@ -498,22 +502,34 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def spin(field: Field, n: int, seeds, operators) -> Subspace:
-    """Smallest operator-invariant subspace containing the seed vectors."""
+def spin(field: Field, n: int, seeds, operators, limit: int | None = None) -> Subspace | None:
+    """Smallest operator-invariant subspace containing the seed vectors.
+
+    The span only grows while it spins, so the loop stops as soon as it
+    is all of k^n, whatever is still queued.  With a limit, returns None
+    once the span reaches `limit` dimensions, that is exactly when the
+    invariant subspace has at least `limit` of them; a partly spun span
+    is never returned.
+    """
     acc = EchelonBasis(field, n)
     work = []
     for v in seeds:
         vv = tuple(field.coerce(x) for x in v)
         if acc.add(vv):
             work.append(vv)
+    stop = n if limit is None else min(n, limit)
     i = 0
-    while i < len(work):
+    while acc.dim < stop and i < len(work):
         v = work[i]
         i += 1
         for op in operators:
             w = op.apply(v)
             if acc.add(w):
                 work.append(w)
+                if acc.dim == stop:
+                    break
+    if limit is not None and acc.dim >= limit:
+        return None
     return acc.subspace()
 
 

@@ -60,8 +60,9 @@ class GroupTable:
 
     `conjugators` pairs each element whose first nonzero entry in row 0
     is 1 with its inverse: one representative per scalar class, which is
-    all that conjugation needs.  Only these representatives are inverted
-    by elimination; every other inverse is (c g)^-1 = c^-1 g^-1.
+    all that conjugation needs.  A representative is inverted by
+    elimination only when its inverse is not yet known from its partner's,
+    (c^-1 g^-1)^-1 = c g; every other inverse is (c g)^-1 = c^-1 g^-1.
 
     `actions` holds, for each conjugator (g, g^-1) in the same order, the
     n^2 rows of the linear map m -> g m g^-1 on row-major entry tuples:
@@ -83,7 +84,17 @@ class GroupTable:
             raise ResourceBoundExceeded(
                 "group enumeration does not match the order formula")
         p = field.p
-        inverse_of = {g.entries: g.inverse() for g in elements if _leading(g) == 1}
+        inverse_of = {}
+        for g in elements:
+            if _leading(g) == 1:
+                # re-keyed by g's own entries, so no scaled copy stays a key
+                gi = inverse_of.pop(g.entries, None)
+                if gi is None:
+                    gi = g.inverse()
+                    # g^-1's representative c^-1 g^-1 has the inverse c g
+                    c = _leading(gi)
+                    inverse_of[gi.scale(field.inv(c)).entries] = g.scale(c)
+                inverse_of[g.entries] = gi
         inverses = []
         for g in elements:
             c = _leading(g)

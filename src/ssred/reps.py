@@ -434,15 +434,19 @@ class CompositionSeries:
 
 
 def _discover_submodule(rep: Representation, order, rng):
-    """Lowest-dimensional proper spin of the permuted standard basis
-    vectors, falling back to the full submodule search."""
+    """The first strictly lowest-dimensional proper spin of the permuted
+    standard basis vectors, falling back to the full submodule search.
+
+    A span only grows while it spins, so each spin stops, and loses, once
+    it reaches the dimension of the best one so far (n before any).
+    """
     field = rep.field
     n = rep.n
     best = None
     for idx in order:
         e = tuple(field.one if t == idx else field.zero for t in range(n))
-        w = spin(field, n, [e], rep.generators)
-        if 0 < w.dim < n and (best is None or w.dim < best.dim):
+        w = spin(field, n, [e], rep.generators, limit=n if best is None else best.dim)
+        if w is not None:
             best = w
     if best is not None:
         return best

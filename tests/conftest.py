@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from acceptance_log import LINES
 
-from ssred.exact import Field, Matrix
+from ssred.exact import Field, Matrix, Subspace
 from ssred.oracle import get_table
 from ssred.reps import Representation
 
@@ -22,6 +22,18 @@ def random_invertible(rng, field, n):
                            for _ in range(n)])
         if m.det() != 0:
             return m
+
+
+def spin_closure(field, n, seed, ops):
+    """The invariant span of seed, recomputed from scratch until it stops
+    growing: a reference for `spin` that has no early exit."""
+    w = Subspace.from_vectors(field, n, [seed])
+    while True:
+        rows = w.basis.entries
+        grown = Subspace.from_vectors(field, n, rows + tuple(m.apply(r) for m in ops for r in rows))
+        if grown.dim == w.dim:
+            return w
+        w = grown
 
 
 def random_representation(rng, field, n, max_gens=3):

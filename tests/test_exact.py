@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import spin_closure
+
 from ssred.exact import (
     EchelonBasis,
     Field,
@@ -229,6 +231,55 @@ def test_spin_result_is_invariant_randomized():
         # minimality: spinning any member again stays inside
         for row in w.basis.entries:
             assert spin(field, n, [row], ops).dim <= w.dim
+
+
+def test_spin_matches_closure_and_respects_limit_randomized():
+    rng = random.Random(37)
+    for _ in range(150):
+        field = rng.choice([F2, F3, QQ])
+        n = rng.randrange(1, 6)
+        ops = [Matrix(field, [[rng.randrange(3) for _ in range(n)] for _ in range(n)])
+               for _ in range(rng.randrange(1, 3))]
+        if rng.random() < 0.5:
+            # a block triangular action has proper invariant spans
+            k = rng.randrange(1, n + 1)
+            ops = [Matrix(field, [[x if i >= k or j < k else 0 for j, x in enumerate(row)]
+                                  for i, row in enumerate(m.entries)]) for m in ops]
+        seed = tuple(rng.randrange(3) for _ in range(n))
+        ref = spin_closure(field, n, seed, ops)
+        assert spin(field, n, [seed], ops) == ref
+        for limit in range(n + 2):
+            w = spin(field, n, [seed], ops, limit=limit)
+            if ref.dim >= limit:
+                assert w is None
+            else:
+                assert w == ref and w.is_invariant_under(ops)
+
+
+def test_wrong_length_vectors_rejected():
+    f5 = Field.prime(5)
+    line = Subspace.from_vectors(f5, 3, [(1, 0, 0)])
+    with pytest.raises(DimensionMismatch):
+        line.coordinates((1, 0, 0, 5))
+    with pytest.raises(DimensionMismatch):
+        line.contains_vector((0, 1))
+    with pytest.raises(DimensionMismatch):
+        line.residual((1, 0))
+    acc = EchelonBasis(f5, 3)
+    with pytest.raises(DimensionMismatch):
+        acc.add((1, 0))
+    with pytest.raises(DimensionMismatch):
+        acc.add((1, 0, 0, 0))
+    with pytest.raises(DimensionMismatch):
+        Subspace.from_vectors(f5, 2, [(1, 0, 0)])
+    gens = [mat(f5, [[2]])]
+    # rank 1 = n is reached by the seed alone, before any operator applies
+    with pytest.raises(DimensionMismatch):
+        spin(f5, 1, [(1, 0)], gens)
+    with pytest.raises(DimensionMismatch):
+        spin(f5, 1, [(1,), (1, 0)], gens)
+    with pytest.raises(DimensionMismatch):
+        spin(f5, 2, [(1,)], [mat(f5, [[1, 0], [0, 1]])], limit=1)
 
 
 def test_charpoly_frozen():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_representation
+from conftest import random_representation, spin_closure
 
 from ssred.errors import GeneratorCountMismatch, InvalidInput, UndecidedIrreducibility
 from ssred.exact import Field, Matrix, Subspace
@@ -14,6 +14,7 @@ from ssred.reps import (
     IrreducibleWitness,
     Representation,
     SemisimpleCertificate,
+    _discover_submodule,
     composition_series,
     deterministic_words,
     enveloping_basis,
@@ -299,6 +300,120 @@ def test_composition_series_irreducible():
     assert series.length == 1
     assert series.flag.block_sizes == (2,)
     assert series.witnesses[0].verify(series.factors[0])
+
+
+def _random_invertible(rng, field, n):
+    while True:
+        m = Matrix(field, [[rng.randrange(field.p) if field.p else rng.randint(-3, 3)
+                            for _ in range(n)] for _ in range(n)])
+        if m.det() != 0:
+            return m
+
+
+def _two_blocks(field, a, b, c):
+    """[[A, B], [0, C]]."""
+    zero = (field.zero,) * a.nrows
+    return Matrix(field, [ra + rb for ra, rb in zip(a.entries, b.entries)]
+                  + [zero + rc for rc in c.entries])
+
+
+def _diag(field, *blocks):
+    out = blocks[0]
+    for b in blocks[1:]:
+        out = _two_blocks(field, out, Matrix.zeros(field, out.nrows, b.nrows), b)
+    return out
+
+
+def _reducible_rep(rng, field):
+    """[[A, B], [0, A]], [[A, 0], [0, C]] or a direct sum with repeated
+    summands, so that several standard vectors spin to equal dimensions."""
+    kind = rng.choice(["nonss", "blockdiag", "repeated"])
+    k = rng.randrange(1, 3 if field.p is None else 4)
+    m = rng.randrange(1, 3)
+    gens = []
+    for _ in range(2):
+        a = _random_invertible(rng, field, k)
+        if kind == "nonss":
+            b = Matrix(field, [[rng.randrange(field.p or 5) for _ in range(k)] for _ in range(k)])
+            gens.append(_two_blocks(field, a, b, a))
+        elif kind == "blockdiag":
+            gens.append(_diag(field, a, _random_invertible(rng, field, m)))
+        else:
+            gens.append(_diag(field, a, a, _random_invertible(rng, field, 1), a))
+    return Representation(gens)
+
+
+def _reference_discovery(r, order):
+    """Spin every permuted standard vector to closure and keep the first
+    strictly smallest proper span, or None."""
+    field, n = r.field, r.n
+    best = None
+    for idx in order:
+        e = tuple(field.one if t == idx else field.zero for t in range(n))
+        w = spin_closure(field, n, e, r.generators)
+        if w.dim < n and (best is None or w.dim < best.dim):
+            best = w
+    return best
+
+
+def test_bounded_discovery_matches_closure_reference():
+    rng = random.Random(53)
+    for field in (F2, F3, Field.prime(101), QQ):
+        for _ in range(12):
+            r = _reducible_rep(rng, field)
+            if rng.random() < 0.3:
+                # a random conjugate: standard vectors then often spin full
+                g = _random_invertible(rng, field, r.n)
+                gi = g.inverse()
+                r = Representation([g * m * gi for m in r.generators])
+            orders = [list(range(r.n))]
+            for _ in range(2):
+                orders.append(rng.sample(range(r.n), r.n))
+            for order in orders:
+                ref = _reference_discovery(r, order)
+                if ref is None:
+                    ref = find_submodule(r, rng=random.Random(0))
+                found = _discover_submodule(r, order, random.Random(0))
+                if isinstance(ref, IrreducibleWitness):
+                    ref, found = (ref.kind, ref.word, ref.factor), (
+                        found.kind, found.word, found.factor)
+                assert found == ref
+
+
+def _nonss_rep(rng, field, n):
+    """The benchmark's [[A, B], [0, A]] construction, in its draw order."""
+    k = n // 2
+    gens = []
+    for _ in range(2):
+        a = random_rep(rng, field, k, count=1).generators[0]
+        b = Matrix(field, [[rng.randrange(field.p) for _ in range(k)] for _ in range(k)])
+        gens.append(_two_blocks(field, a, b, a))
+    return Representation(gens)
+
+
+@pytest.mark.parametrize("p, n, kind, call, parent_count", [
+    (101, 12, "nonss", is_semisimple, 228),
+    (101, 12, "nonss", composition_series, 432),
+    (65521, 6, "irred", is_semisimple, 96),
+], ids=["gf101-nonss-is_semisimple", "gf101-nonss-composition_series",
+        "gf65521-irred-is_semisimple"])
+def test_spins_stop_once_the_answer_is_known(monkeypatch, p, n, kind, call, parent_count):
+    """Regression pin on wasted spin work: operator applications stay at
+    most half of what spinning every vector to closure cost (parent_count)
+    on the benchmark's inputs."""
+    field = Field.prime(p)
+    rng = random.Random(1)
+    r = _nonss_rep(rng, field, n) if kind == "nonss" else random_rep(rng, field, n, count=2)
+    calls = []
+    real_apply = Matrix.apply
+
+    def counting_apply(self, v):
+        calls.append(None)
+        return real_apply(self, v)
+
+    monkeypatch.setattr(Matrix, "apply", counting_apply)
+    call(r)
+    assert len(calls) <= parent_count // 2
 
 
 def test_composition_series_seed_variation():
