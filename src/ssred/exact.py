@@ -334,6 +334,8 @@ def linear_combination(field: Field, coeffs, rows, n: int) -> tuple:
     the end."""
     vec = [field.zero] * n
     for c, row in zip(coeffs, rows):
+        if len(row) != n:
+            raise DimensionMismatch("row length does not match the vector length")
         if c:
             vec = [x + c * y for x, y in zip(vec, row)]
     return tuple(field.reduce(vec))
@@ -375,6 +377,8 @@ class EchelonBasis:
         return len(self.rows)
 
     def contains(self, vec) -> bool:
+        if len(vec) != self.width:
+            raise DimensionMismatch("vector length does not match the basis width")
         return not any(_residual(self.field, self.rows, self.pivots, vec))
 
     def add(self, vec) -> bool:

@@ -72,7 +72,7 @@ class Flag:
         return f"Flag(dims={dims})"
 
 
-def _canonical_weights(weights: tuple[int, ...]) -> tuple[int, ...]:
+def canonical_weights(weights) -> tuple[int, ...]:
     """Center to sum zero and divide out the common factor.
 
     Central shifts of a cocharacter act trivially by conjugation, so this
@@ -114,7 +114,7 @@ class Cocharacter:
         self.basis_change = basis_change
         self.basis_change_inv = inv
         self.weights = weights
-        self.canonical = _canonical_weights(weights)
+        self.canonical = canonical_weights(weights)
 
     def norm_sq(self) -> int:
         return sum(x * x for x in self.canonical)

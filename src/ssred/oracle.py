@@ -11,9 +11,12 @@ the conjugation orbit, so an OrbitIndex decides each orbit once and
 memoizes both verdicts by orbit id; the memos live on the index, never at
 module level.  Orbits are enumerated by conjugating with one element per
 scalar class of GL_n, since g and cg conjugate alike for every scalar c.
-Conjugation m -> g m g^-1 is linear in the entries of m, so each such g
-is stored as the n^2 rows of that linear map, and a conjugate is computed
-as integer dot products on flat entry tuples, without building matrices.
+Conjugation m -> g m g^-1 is linear in the entries of m, so the group
+table packs the coefficients of that linear map for all conjugators into
+one int per (output entry, input entry) pair, a fixed-width slot per
+conjugator.  An entry of every conjugate at once is then one integer
+multiply-add over the entries of m, read back slot by slot modulo p,
+without building matrices.
 
 All enumerations are capped; exceeding a cap raises ResourceBoundExceeded
 rather than grinding on.  The orbit cache honours the SSRED_MAX_MEMORY_MB
@@ -22,7 +25,9 @@ environment variable.
 
 import itertools
 import os
-from operator import mul
+import sys
+from array import array
+from operator import mod, mul
 
 from .errors import (
     GROUP_ELEMENTS_CAP,
@@ -36,6 +41,8 @@ from .flags import Cocharacter, Flag, c_lambda, flag_to_cocharacter, in_P_lambda
 from .reps import Representation
 
 _BYTES_PER_CACHE_ENTRY = 200
+# slot width in bytes -> the array/memoryview format of one unsigned slot
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 def group_order(q: int, n: int) -> int:
@@ -64,14 +71,18 @@ class GroupTable:
     elimination only when its inverse is not yet known from its partner's,
     (c^-1 g^-1)^-1 = c g; every other inverse is (c g)^-1 = c^-1 g^-1.
 
-    `actions` holds, for each conjugator (g, g^-1) in the same order, the
-    n^2 rows of the linear map m -> g m g^-1 on row-major entry tuples:
-    row (i, j) is the outer product of row i of g with column j of g^-1.
-    A row depends only on that pair of vectors, so the table keeps one
-    object per pair, at most q^(2n) of them, shared by every action.
+    `columns[i * n + j][a * n + b]` packs the coefficient of m[a][b] in
+    entry (i, j) of g m g^-1, which is g[i][a] * g^-1[b][j] mod p, for
+    every conjugator at once: one int whose slot t, `slot_bytes` wide in
+    `sys.byteorder`, holds that coefficient for the t-th conjugator.
+    `slot_bytes` is the smallest of 1, 2, 4 and 8 that holds
+    n^2 (p-1)^2, the largest value an entry of a conjugate can take before
+    its reduction mod p, so a sum of n^2 columns times entries of m never
+    carries from one slot into the next.
     """
 
-    __slots__ = ("field", "n", "elements", "inverses", "conjugators", "actions")
+    __slots__ = ("field", "n", "elements", "inverses", "conjugators",
+                 "slot_bytes", "columns")
 
     def __init__(self, field: Field, n: int):
         _require_finite(field)
@@ -110,18 +121,20 @@ class GroupTable:
         self.inverses = tuple(inverses)
         self.conjugators = tuple(
             (g, gi) for g, gi in zip(self.elements, self.inverses) if _leading(g) == 1)
-        rows = {}
-        actions = []
-        for g, gi in self.conjugators:
-            action = []
-            for r in g.entries:
-                for c in zip(*gi.entries):
-                    row = rows.get((r, c))
-                    if row is None:
-                        row = rows[r, c] = tuple(a * b % p for a in r for b in c)
-                    action.append(row)
-            actions.append(tuple(action))
-        self.actions = tuple(actions)
+        self.slot_bytes = next(w for w in _SLOT_FORMATS if n * n * (p - 1) ** 2 < 256**w)
+        fmt = _SLOT_FORMATS[self.slot_bytes]
+        # entry k of the t-th conjugator g (or g^-1) is flat[t * n^2 + k]
+        g_flat = [x for g, _ in self.conjugators for row in g.entries for x in row]
+        gi_flat = [x for _, gi in self.conjugators for row in gi.entries for x in row]
+        columns = []
+        for i in range(n):
+            for j in range(n):
+                columns.append(tuple(
+                    int.from_bytes(array(fmt, list(map(
+                        mod, map(mul, g_flat[i * n + a::n * n], gi_flat[b * n + j::n * n]),
+                        itertools.repeat(p)))).tobytes(), sys.byteorder)
+                    for a in range(n) for b in range(n)))
+        self.columns = tuple(columns)
 
     @property
     def order(self) -> int:
@@ -139,7 +152,7 @@ def _enumerate_invertible(field: Field, n: int) -> list:
 
     def rec(rows):
         if len(rows) == n:
-            out.append(Matrix(field, rows))
+            out.append(Matrix(field, rows, validate=False))
             return
         basis = EchelonBasis(field, n)
         for r in rows:
@@ -237,9 +250,11 @@ class OrbitIndex:
     SSRED_MAX_MEMORY_MB budget.  The closedness verdict and the accessible
     closed orbits of each decided orbit are memoized by orbit id on this
     index, one entry per cached orbit, so the same budget bounds them.
-    Members are found by applying the table's action rows, one action per
-    scalar class, to the flat entries of each matrix, modulo p.  Matrices
-    of another field or size raise DimensionMismatch.
+    Members are found for every scalar class at once: entry r of the
+    conjugates of a matrix with flat entries v is sum_s v[s] * columns[r][s]
+    over the table's packed columns, unpacked slot by slot in
+    `sys.byteorder` and reduced modulo p.  Matrices of another field or
+    size raise DimensionMismatch.
     """
 
     __slots__ = ("table", "_cache", "_max_entries", "_closed", "_accessible")
@@ -266,11 +281,18 @@ class OrbitIndex:
     def orbit_members(self, mats) -> frozenset:
         mats = tuple(mats)
         self._check(mats)
-        p = self.table.field.p
-        flats = [self.encode((m,)) for m in mats]
-        return frozenset(
-            tuple(sum(map(mul, row, v)) % p for v in flats for row in action)
-            for action in self.table.actions)
+        table = self.table
+        p = table.field.p
+        size = len(table.conjugators) * table.slot_bytes
+        fmt = _SLOT_FORMATS[table.slot_bytes]
+        parts = []
+        for v in (self.encode((m,)) for m in mats):
+            for entry_columns in table.columns:
+                packed = sum(x * c for x, c in zip(v, entry_columns) if x)
+                slots = memoryview(packed.to_bytes(size, sys.byteorder)).cast(fmt)
+                parts.append(map(mod, slots, itertools.repeat(p)))
+        # the empty tuple is its own one-member orbit
+        return frozenset(zip(*parts)) if parts else frozenset({()})
 
     def orbit_id(self, mats) -> tuple:
         mats = tuple(mats)
@@ -284,8 +306,7 @@ class OrbitIndex:
         if len(self._cache) + len(members) > self._max_entries:
             raise ResourceBoundExceeded(
                 "orbit cache would exceed the SSRED_MAX_MEMORY_MB budget")
-        for e in members:
-            self._cache[e] = oid
+        self._cache.update(dict.fromkeys(members, oid))
         return oid
 
 

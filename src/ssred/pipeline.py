@@ -31,10 +31,10 @@ from .errors import (
 )
 from .exact import Matrix, Subspace, projective_vectors, right_kernel, spin
 from .flags import (
-    Cocharacter,
     Flag,
     block_diagonal,
     c_lambda,
+    canonical_weights,
     diagonal_blocks,
     flag_to_cocharacter,
     in_P_lambda,
@@ -433,11 +433,10 @@ def optimal_flag(rep: Representation, max_weight_height: int = 4) -> OptimalFlag
             weights = []
             for size, lv in zip(flag.block_sizes, levels):
                 weights.extend([lv] * size)
-            lam = Cocharacter(base.basis_change, weights)
-            if lam.canonical in seen_classes:
+            cw = canonical_weights(weights)
+            if cw in seen_classes:
                 continue
-            seen_classes.add(lam.canonical)
-            cw = lam.canonical
+            seen_classes.add(cw)
             w_min = None
             for a in adapted:
                 for i in range(n):
@@ -452,7 +451,7 @@ def optimal_flag(rep: Representation, max_weight_height: int = 4) -> OptimalFlag
                 limit = c_lambda(rep.generators, base)
                 if in_unipotent_orbit(rep.generators, limit, base):
                     break
-            measure = Fraction(w_min * w_min, lam.norm_sq())
+            measure = Fraction(w_min * w_min, sum(x * x for x in cw))
             candidates.append(FlagCandidate(flag, cw, w_min, measure, limit))
     if not candidates:
         raise InternalInvariantViolation(

@@ -12,6 +12,7 @@ from ssred.exact import (
     Subspace,
     all_vectors,
     charpoly,
+    linear_combination,
     poly_eval_matrix,
     projective_vectors,
     rref,
@@ -280,6 +281,21 @@ def test_wrong_length_vectors_rejected():
         spin(f5, 1, [(1,), (1, 0)], gens)
     with pytest.raises(DimensionMismatch):
         spin(f5, 2, [(1,)], [mat(f5, [[1, 0], [0, 1]])], limit=1)
+
+
+def test_membership_and_combinations_reject_wrong_length():
+    f5 = Field.prime(5)
+    acc = EchelonBasis(f5, 3)
+    acc.add((1, 0, 0))
+    assert acc.contains((4, 0, 0)) and not acc.contains((0, 0, 4))
+    for vec in [(1, 0, 0, 4), (1, 0), ()]:
+        with pytest.raises(DimensionMismatch):
+            acc.contains(vec)
+    assert linear_combination(f5, (1, 1), [(1, 0, 0), (0, 1, 0)], 3) == (1, 1, 0)
+    with pytest.raises(DimensionMismatch):
+        linear_combination(f5, (1, 1), [(1, 0, 0), (0, 1)], 3)
+    with pytest.raises(DimensionMismatch):
+        linear_combination(f5, (0, 1), [(1, 0, 0, 0), (0, 1, 0)], 3)
 
 
 def test_charpoly_frozen():

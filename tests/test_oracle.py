@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -28,6 +29,8 @@ from ssred.reps import Representation
 F2 = Field.prime(2)
 F3 = Field.prime(3)
 F5 = Field.prime(5)
+F7 = Field.prime(7)
+F11 = Field.prime(11)
 
 
 def mat(field, rows):
@@ -122,7 +125,8 @@ def test_scalar_class_orbit_matches_every_conjugate():
 
 def test_action_rows_match_every_conjugate_mod_p():
     """The flat kernel agrees with Matrix conjugation where entry products
-    exceed p, and for n = 1."""
+    exceed p, for n = 1, for the empty tuple, and with two-byte slots:
+    GL2(F11) has n^2 (p-1)^2 = 400, GL2(F7) 144, which still fits one byte."""
     rng = random.Random(83)
     cases = [(F5, 1, (g,)) for g in get_table(F5, 1).elements]
     cases.append((F5, 1, tuple(get_table(F5, 1).elements)))
@@ -131,6 +135,14 @@ def test_action_rows_match_every_conjugate_mod_p():
         cases.append((F5, 2, plain))
         cases.append((F5, 2, generic_tuple(Representation(list(plain)))))
     cases.append((F5, 2, (mat(F5, [[4, 3], [2, 2]]), mat(F5, [[1, 4], [0, 3]]))))
+    cases.append((F5, 2, ()))
+    for field in (F7, F11):
+        top = field.p - 1
+        # all entries p - 1: GL2(F11) slot sums reach 310 before reduction,
+        # past what one byte holds
+        cases.append((field, 2, (mat(field, [[top, top], [top, top]]),)))
+        plain = [mat(field, [[top, 1], [0, top]]), _random_invertible(rng, field, 2)]
+        cases.append((field, 2, generic_tuple(Representation(plain))))
     for field, n, mats in cases:
         table = get_table(field, n)
         every = frozenset(OrbitIndex.encode(g * m * gi for m in mats)
@@ -138,13 +150,28 @@ def test_action_rows_match_every_conjugate_mod_p():
         assert OrbitIndex(table).orbit_members(mats) == every
 
 
-def test_action_rows_are_shared():
-    """One row object per (row of g, column of g^-1) pair: at most q^(2n)."""
-    for field, n in [(F2, 3), (F3, 2)]:
+def test_columns_pack_every_conjugator():
+    """n^4 packed columns; each slot is as wide as the smallest of 1, 2, 4
+    and 8 bytes that holds n^2 (p-1)^2, and slot t of column ((i, j), (a, b))
+    is g_t[i][a] * g_t^-1[b][j] mod p for the t-th conjugator."""
+    rng = random.Random(89)
+    for field, n, width in [(F2, 3, 1), (F3, 2, 1), (F3, 3, 1), (F5, 1, 1),
+                            (F7, 2, 1), (F11, 2, 2)]:
         table = get_table(field, n)
-        assert len(table.actions) == len(table.conjugators)
-        distinct = {id(row) for action in table.actions for row in action}
-        assert len(distinct) <= field.p ** (2 * n)
+        bound = n * n * (field.p - 1) ** 2
+        assert table.slot_bytes == width
+        assert bound < 256 ** width
+        assert width == 1 or bound >= 256 ** (width // 2)  # the next narrower is too small
+        assert len(table.columns) == n * n
+        assert all(len(row) == n * n for row in table.columns)
+        count = len(table.conjugators)
+        for _ in range(40):
+            i, j, a, b = (rng.randrange(n) for _ in range(4))
+            t = rng.randrange(count)
+            g, gi = table.conjugators[t]
+            packed = table.columns[i * n + j][a * n + b].to_bytes(count * width, sys.byteorder)
+            slot = int.from_bytes(packed[t * width:(t + 1) * width], sys.byteorder)
+            assert slot == g.entries[i][a] * gi.entries[b][j] % field.p
 
 
 def test_orbit_index_rejects_other_field_or_size():
@@ -260,6 +287,30 @@ def test_oracle_agrees_with_pipeline_on_gl2_f2():
     for g in get_table(F2, 2).elements:
         r = Representation([g])
         assert oracle_gcr(r) == is_gcr_over_k(r).semisimple
+
+
+def test_oracle_agrees_with_pipeline_on_two_byte_slots():
+    """GL2(F11) tuples, two thirds of them upper triangular (half of those
+    with equal diagonal entries, so mostly not completely reducible): the
+    oracle's verdict matches is_gcr_over_k and exactly one closed orbit is
+    accessible."""
+    rng = random.Random(97)
+    verdicts = []
+    for k in range(21):
+        gens = []
+        while len(gens) < 1 + k % 2:
+            a, d = rng.randrange(1, 11), rng.randrange(1, 11)
+            if k % 3 == 0:
+                gens.append(mat(F11, [[a, rng.randrange(11)], [0, a]]))
+            elif k % 3 == 1:
+                gens.append(mat(F11, [[a, rng.randrange(11)], [0, d]]))
+            else:
+                gens.append(_random_invertible(rng, F11, 2))
+        r = Representation(gens)
+        verdicts.append(oracle_gcr(r))
+        assert verdicts[-1] == is_gcr_over_k(r).semisimple
+        assert len(accessible_closed_orbits(generic_tuple(r))) == 1
+    assert 3 <= verdicts.count(False) <= 18
 
 
 def test_rational_input_rejected():
