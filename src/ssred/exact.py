@@ -10,15 +10,17 @@ operation below is written on those three.
 The public surface is deliberately small: reduced row echelon form,
 kernels, linear solving, subspaces with canonical echelon bases, orbit
 closure of vectors under a set of operators ("spinning"), characteristic
-polynomials, and the first solution of the intertwining system
-g*A_i = B_i*g.  One Gauss-Jordan routine, `EchelonBasis.add`, does
-the elimination behind all of them; `Matrix.det` keeps its own, so that
-it stays an independent reference for `charpoly`.
+polynomials, factorization of polynomials over GF(p), and the first
+solution of the intertwining system g*A_i = B_i*g.  One Gauss-Jordan
+routine, `EchelonBasis.add`, does the elimination behind all the linear
+algebra; `Matrix.det` keeps its own, so that it stays an independent
+reference for `charpoly`.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from bisect import bisect_right
 from fractions import Fraction
 from math import isqrt
@@ -612,6 +614,192 @@ def poly_eval_matrix(coeffs, m: Matrix) -> Matrix:
     for c in reversed(list(coeffs)):
         acc = acc * m + ident.scale(c)
     return acc
+
+
+# Polynomials over GF(p) for factor_mod_p: lists of ints in [0, p),
+# ascending, without trailing zeros, so [] is zero and len(f) - 1 the degree.
+
+def _trim(a: list) -> list:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _monic(a: list, p: int) -> list:
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def _pmul(a: list, b: list, p: int) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for k, d in enumerate(b, i):
+                out[k] += c * d
+    return [c % p for c in out]
+
+
+def _pdivmod(a: list, b: list, p: int) -> tuple[list, list]:
+    """Quotient and remainder of a by a monic b."""
+    r = list(a)
+    db = len(b) - 1
+    q = [0] * max(len(r) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + db] % p
+        if c:
+            for j in range(db):
+                r[k + j] -= c * b[j]
+    return q, _trim([c % p for c in r[:db]])
+
+
+def _mulmod(a: list, b: list, f: list, p: int) -> list:
+    return _pdivmod(_pmul(a, b, p), f, p)[1]
+
+
+def _powmod(a: list, e: int, f: list, p: int) -> list:
+    """a^e mod f, squaring from the top bit down, so that every other
+    product is by a itself: a shift when a is x."""
+    out = [1]
+    for bit in bin(e)[2:]:
+        out = _mulmod(out, out, f, p)
+        if bit == "1":
+            out = _mulmod(out, a, f, p)
+    return out
+
+
+def _psub(a: list, b: list, p: int) -> list:
+    out = a + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = (out[i] - c) % p
+    return _trim(out)
+
+
+def _pgcd(a: list, b: list, p: int) -> list:
+    """The monic gcd of a and b, which are not both zero."""
+    while b:
+        b = _monic(b, p)
+        a, b = b, _pdivmod(a, b, p)[1]
+    return _monic(a, p)
+
+
+def _squarefree(f: list, p: int) -> list:
+    """[(g, e)] with f the product of the g^e, each g monic, squarefree and
+    of positive degree, the g pairwise coprime; f monic.
+
+    Yun's gcds with the derivative split off the multiplicities prime to
+    p; what is left is c(x) = d(x^p) = d(x)^p, since every element of
+    GF(p) is its own p-th root, so the loop goes on with d and p times
+    the multiplicity.
+    """
+    out, scale = [], 1
+    while len(f) > 1:
+        c = _pgcd(f, _trim([i * x % p for i, x in enumerate(f)][1:]), p)
+        w, i = _pdivmod(f, c, p)[0], 1
+        while len(w) > 1:
+            y = _pgcd(w, c, p)
+            g = _pdivmod(w, y, p)[0]
+            if len(g) > 1:
+                out.append((g, i * scale))
+            w, c, i = y, _pdivmod(c, y, p)[0], i + 1
+        f, scale = c[::p], scale * p
+    return out
+
+
+def _frobenius_rows(f: list, p: int) -> list:
+    """Row i is x^(p*i) mod f, padded to deg f entries.  Since h^p =
+    h(x^p) over GF(p), h^p mod f is the sum of h_i times row i."""
+    n = len(f) - 1
+    xp = _powmod([0, 1], p, f, p)
+    rows, r = [], [1]
+    for _ in range(n):
+        rows.append(r + [0] * (n - len(r)))
+        r = _mulmod(r, xp, f, p)
+    return rows
+
+
+def _frobenius(h: list, rows: list, p: int) -> list:
+    """h^p mod f, for h of degree below deg f, from f's Frobenius rows."""
+    acc = [0] * len(rows)
+    for c, row in zip(h, rows):
+        if c:
+            acc = [x + c * y for x, y in zip(acc, row)]
+    return _trim([x % p for x in acc])
+
+
+def _distinct_degree(f: list, rows: list, p: int) -> list:
+    """[(d, g)]: g is the product of the degree-d irreducible factors of
+    the monic squarefree f, whose Frobenius rows are given; g != 1.  The
+    degree-d factors are those of gcd(f, x^(p^d) - x) once the lower
+    degrees are divided out."""
+    out, h, d = [], [0, 1], 1
+    while len(f) - 1 >= 2 * d:
+        h = _frobenius(h, rows, p)
+        g = _pgcd(f, _psub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((d, g))
+            f = _pdivmod(f, g, p)[0]
+        d += 1
+    if len(f) > 1:
+        out.append((len(f) - 1, f))
+    return out
+
+
+def _equal_degree(f: list, d: int, rows: list, p: int, rng) -> list:
+    """The irreducible factors of f, a product of distinct monic
+    irreducibles of degree d, by Cantor-Zassenhaus.  `rows` are the
+    Frobenius rows of a multiple of f.
+
+    For random a mod f, each factor sees a in GF(p^d).  For odd p,
+    b = a * a^p * ... * a^(p^(d-1)) is the norm of a in GF(p), and
+    b^((p-1)/2) - 1 vanishes at about half of the factors.  For p = 2
+    the trace a + a^2 + ... + a^(2^(d-1)) lies in GF(2) and vanishes at
+    about half.  The gcd with f then splits it.
+    """
+    n = len(f) - 1
+    if n == d:
+        return [f]
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(n)])
+        s = t = a
+        for _ in range(d - 1):
+            t = _pdivmod(_frobenius(t, rows, p), f, p)[1]
+            # over GF(2), s - t is s + t
+            s = _psub(s, t, p) if p == 2 else _mulmod(s, t, f, p)
+        if p != 2:
+            s = _psub(_powmod(s, (p - 1) // 2, f, p), [1], p)
+        g = _pgcd(f, s, p)
+        if 1 < len(g) < len(f):
+            return (_equal_degree(g, d, rows, p, rng)
+                    + _equal_degree(_pdivmod(f, g, p)[0], d, rows, p, rng))
+
+
+def factor_mod_p(coeffs, p: int) -> list[tuple[tuple, int]]:
+    """Factor a polynomial (ascending coefficients) over GF(p).
+
+    Returns [(monic ascending coefficient tuple, multiplicity)], sorted by
+    degree then coefficients; [] for zero and for constants.  Squarefree
+    decomposition, then distinct-degree factorization with one Frobenius
+    matrix per squarefree part, then Cantor-Zassenhaus (Math. Comp. 36,
+    1981).  The random choices come from a generator seeded the same way
+    on every call; the factorization is unique, so they change only the
+    time taken.
+    """
+    f = _trim([int(c) % p for c in coeffs])
+    if len(f) < 2:
+        return []
+    rng = random.Random(0)
+    out = []
+    for g, e in _squarefree(_monic(f, p), p):
+        if len(g) == 2:
+            out.append((tuple(g), e))
+            continue
+        rows = _frobenius_rows(g, p)
+        for d, h in _distinct_degree(g, rows, p):
+            out.extend((tuple(u), e) for u in _equal_degree(h, d, rows, p, rng))
+    out.sort(key=lambda fm: (len(fm[0]), fm[0]))
+    return out
 
 
 def sylvester_rows(a: Matrix, d: Matrix) -> list[tuple]:

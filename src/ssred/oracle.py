@@ -63,13 +63,14 @@ def _require_finite(field: Field) -> None:
 
 
 class GroupTable:
-    """Exhaustive listing of GL_n(F_q) with precomputed inverses.
+    """Exhaustive listing of GL_n(F_q).
 
     `conjugators` pairs each element whose first nonzero entry in row 0
     is 1 with its inverse: one representative per scalar class, which is
     all that conjugation needs.  A representative is inverted by
     elimination only when its inverse is not yet known from its partner's,
-    (c^-1 g^-1)^-1 = c g; every other inverse is (c g)^-1 = c^-1 g^-1.
+    (c^-1 g^-1)^-1 = c g.  `inverses`, the inverse of every element in
+    `elements` order, is built on first use as (c g)^-1 = c^-1 g^-1.
 
     `columns[i * n + j][a * n + b]` packs the coefficient of m[a][b] in
     entry (i, j) of g m g^-1, which is g[i][a] * g^-1[b][j] mod p, for
@@ -81,7 +82,7 @@ class GroupTable:
     carries from one slot into the next.
     """
 
-    __slots__ = ("field", "n", "elements", "inverses", "conjugators",
+    __slots__ = ("field", "n", "elements", "_inverses", "conjugators",
                  "slot_bytes", "columns")
 
     def __init__(self, field: Field, n: int):
@@ -106,21 +107,12 @@ class GroupTable:
                     c = _leading(gi)
                     inverse_of[gi.scale(field.inv(c)).entries] = g.scale(c)
                 inverse_of[g.entries] = gi
-        inverses = []
-        for g in elements:
-            c = _leading(g)
-            if c == 1:
-                inverses.append(inverse_of[g.entries])
-            else:
-                ci = field.inv(c)
-                rep = tuple(tuple(ci * x % p for x in row) for row in g.entries)
-                inverses.append(inverse_of[rep].scale(ci))
         self.field = field
         self.n = n
         self.elements = tuple(elements)
-        self.inverses = tuple(inverses)
+        self._inverses = None
         self.conjugators = tuple(
-            (g, gi) for g, gi in zip(self.elements, self.inverses) if _leading(g) == 1)
+            (g, inverse_of[g.entries]) for g in self.elements if _leading(g) == 1)
         self.slot_bytes = next(w for w in _SLOT_FORMATS if n * n * (p - 1) ** 2 < 256**w)
         fmt = _SLOT_FORMATS[self.slot_bytes]
         # entry k of the t-th conjugator g (or g^-1) is flat[t * n^2 + k]
@@ -139,6 +131,19 @@ class GroupTable:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @property
+    def inverses(self) -> tuple:
+        if self._inverses is None:
+            field, p = self.field, self.field.p
+            inverse_of = {g.entries: gi for g, gi in self.conjugators}
+            inverses = []
+            for g in self.elements:
+                ci = field.inv(_leading(g))
+                rep = tuple(tuple(ci * x % p for x in row) for row in g.entries)
+                inverses.append(inverse_of[rep].scale(ci))
+            self._inverses = tuple(inverses)
+        return self._inverses
 
 
 def _leading(g: Matrix):

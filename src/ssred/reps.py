@@ -4,7 +4,8 @@ isomorphism of irreducible modules.
 
 Irreducibility is decided MeatAxe-style (Holt & Rees 1994): take a word
 a in the generators and their inverses, factor its characteristic
-polynomial, and run Norton's test on f(a) for each irreducible factor f.
+polynomial (in-house over GF(p), with sympy over the rationals), and run
+Norton's test on f(a) for each irreducible factor f.
 The test spins kernel vectors of f(a); a proper spin is a submodule.
 When the nullity of f(a) equals deg f, one full primal spin plus one
 full spin in the dual module proves irreducibility, and over a finite
@@ -22,12 +23,6 @@ import itertools
 import random
 from fractions import Fraction
 
-from sympy import GF as _sympy_GF
-from sympy import Poly as _SymPoly
-from sympy import QQ as _SYMPY_QQ
-from sympy import Rational as _SymRational
-from sympy import Symbol as _SymSymbol
-
 from .errors import (
     SPACE_VECTORS_CAP,
     DimensionMismatch,
@@ -42,6 +37,7 @@ from .exact import (
     Matrix,
     Subspace,
     charpoly,
+    factor_mod_p,
     linear_combination,
     poly_eval_matrix,
     projective_vectors,
@@ -52,8 +48,6 @@ from .exact import (
     sylvester_rows,
 )
 from .flags import Flag
-
-_X = _SymSymbol("x")
 
 NORTON_TRIALS = 200
 NORTON_WORD_LENGTH = 8
@@ -175,32 +169,22 @@ def enveloping_basis(rep: Representation) -> EnvelopingAlgebra:
 
 
 def factor_poly(coeffs, field: Field) -> list[tuple[tuple, int]]:
-    """Factor a nonzero polynomial (ascending coefficients) over the field.
+    """Factor a polynomial (ascending coefficients) over the field.
 
     Returns [(monic ascending coefficient tuple, multiplicity)], sorted by
-    degree then coefficients, so the output is deterministic.
+    degree then coefficients, so the output is deterministic; [] for zero
+    and for constants.  GF(p) uses `exact.factor_mod_p`; the rationals
+    use sympy, imported here so that nothing else loads it.
     """
     if field.p is not None:
-        desc = [int(c) for c in reversed(coeffs)]
-        poly = _SymPoly(desc, _X, domain=_sympy_GF(field.p, symmetric=False))
-    else:
-        desc = [_SymRational(c.numerator, c.denominator) for c in reversed(coeffs)]
-        poly = _SymPoly(desc, _X, domain=_SYMPY_QQ)
+        return factor_mod_p(coeffs, field.p)
+    from sympy import QQ, Poly, Rational, Symbol
+
+    desc = [Rational(c.numerator, c.denominator) for c in reversed(coeffs)]
     out = []
-    for fac, mult in poly.factor_list()[1]:
-        raw = list(reversed(fac.all_coeffs()))
-        if field.p is not None:
-            asc = [int(c) % field.p for c in raw]
-            lead = asc[-1]
-            if lead != 1:
-                inv = field.inv(lead)
-                asc = [(c * inv) % field.p for c in asc]
-        else:
-            asc = [Fraction(int(_SymRational(c).p), int(_SymRational(c).q)) for c in raw]
-            lead = asc[-1]
-            if lead != 1:
-                asc = [c / lead for c in asc]
-        out.append((tuple(asc), mult))
+    for fac, mult in Poly(desc, Symbol("x"), domain=QQ).factor_list()[1]:
+        asc = [Fraction(int(Rational(c).p), int(Rational(c).q)) for c in reversed(fac.all_coeffs())]
+        out.append((tuple(c / asc[-1] for c in asc), mult))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out
 

@@ -1,0 +1,124 @@
+"""`exact.factor_mod_p` against sympy's `gf_factor`, and the lazy sympy import.
+
+The reference shares no code with the in-house factoring: sympy is
+imported here and nowhere on the package's GF(p) path, which the
+subprocess test checks.
+"""
+
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor, gf_strip
+
+from ssred.exact import factor_mod_p
+
+PRIMES = (2, 3, 5, 7, 101, 65521, 2**31 - 1)
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def reference(coeffs, p):
+    """sympy's factorization in factor_mod_p's form: monic ascending
+    tuples with multiplicities, sorted by degree then coefficients."""
+    _lead, facs = gf_factor(gf_strip([c % p for c in reversed(coeffs)]), p, ZZ)
+    out = [(tuple(int(c) for c in reversed(f)), m) for f, m in facs]
+    return sorted(out, key=lambda fm: (len(fm[0]), fm[0]))
+
+
+def poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def random_poly(rng, p, deg):
+    return [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_random_polynomials_match_sympy(p):
+    rng = random.Random(p)
+    for deg in range(17):
+        for _ in range(3):
+            f = random_poly(rng, p, deg)
+            assert factor_mod_p(f, p) == reference(f, p), f
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_planted_repeated_factors_match_sympy(p):
+    rng = random.Random(p + 1)
+    for _ in range(12):
+        g = random_poly(rng, p, rng.randrange(1, 4))
+        f = random_poly(rng, p, rng.randrange(0, 4))
+        for _ in range(rng.randrange(2, 5)):
+            f = poly_mul(f, g, p)
+        assert factor_mod_p(f, p) == reference(f, p), f
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_polynomials_in_x_to_the_p_match_sympy(p):
+    """f(x^p) = f(x)^p has zero derivative; times a cofactor it mixes
+    multiplicities divisible by p with others."""
+    rng = random.Random(p + 2)
+    for _ in range(12):
+        g = random_poly(rng, p, rng.randrange(1, 4))
+        f = [0] * ((len(g) - 1) * p + 1)
+        f[::p] = g
+        assert factor_mod_p(f, p) == reference(f, p), f
+        f = poly_mul(f, random_poly(rng, p, rng.randrange(1, 4)), p)
+        assert factor_mod_p(f, p) == reference(f, p), f
+
+
+@pytest.mark.parametrize("coeffs, p, expected", [
+    ((), 5, []),
+    ((0,), 5, []),
+    ((0, 0, 0), 5, []),
+    ((3,), 5, []),
+    ((3, 0, 0), 5, []),
+    ((5, 10), 5, []),  # 10x + 5 is zero mod 5
+    ((0, 2), 5, [((0, 1), 1)]),  # non-monic
+    ((2, 0, 3, 0), 5, [((1, 1), 1), ((4, 1), 1)]),  # 3x^2 + 2 with a trailing zero
+    ((-1, 0, 1), 3, [((1, 1), 1), ((2, 1), 1)]),  # unreduced coefficients
+    ((1, 0, 1), 2, [((1, 1), 2)]),
+])
+def test_degenerate_inputs(coeffs, p, expected):
+    assert factor_mod_p(coeffs, p) == expected
+    assert reference(list(coeffs), p) == expected
+
+
+SUBPROCESS = """
+import sys
+import ssred
+from ssred import Field, Matrix, Representation, is_gcr_over_k, semisimplify
+from ssred.reps import find_submodule
+
+def rep(field, *gens):
+    return Representation([Matrix(field, g) for g in gens])
+
+for p in (2, 101, 65521):
+    field = Field.prime(p)
+    # SL_2(p) on a plane, extended by a trivial line with no complement
+    nonsplit = rep(field, [[1, 1, 1], [0, 1, 0], [0, 0, 1]], [[1, 0, 1], [1, 1, 0], [0, 0, 1]])
+    assert semisimplify(nonsplit).verify()
+    assert not is_gcr_over_k(nonsplit).semisimple
+    natural = rep(field, [[1, 1], [0, 1]], [[1, 0], [1, 1]])
+    assert is_gcr_over_k(natural).verify(natural)
+    assert find_submodule(natural).verify(natural)
+assert "sympy" not in sys.modules, "GF(p) work loaded sympy"
+qq = rep(Field.rational(), [[0, -1], [1, 0]])
+assert is_gcr_over_k(qq).semisimple
+assert "sympy" in sys.modules, "the rational path did not load sympy"
+print("ok")
+"""
+
+
+def test_gf_p_work_leaves_sympy_unloaded():
+    done = subprocess.run([sys.executable, "-c", SUBPROCESS], capture_output=True, text=True,
+                          env={"PYTHONPATH": str(SRC)}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"

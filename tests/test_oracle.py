@@ -60,6 +60,17 @@ def test_group_table_matches_formula():
         assert len(set(table.elements)) == table.order
 
 
+@pytest.mark.parametrize("field, n", [(F3, 2), (F2, 3)])
+def test_group_table_inverses_built_on_first_use(field, n):
+    from ssred.oracle import GroupTable
+    table = GroupTable(field, n)
+    assert table._inverses is None
+    assert table.inverses == tuple(g.inverse() for g in table.elements)
+    assert table.inverses is table.inverses
+    assert table.conjugators == tuple((g, g.inverse()) for g in table.elements
+                                      if next(x for x in g.entries[0] if x) == 1)
+
+
 def test_group_table_cap():
     from ssred.oracle import GroupTable
     with pytest.raises(ResourceBoundExceeded):

@@ -103,6 +103,30 @@ def test_factor_poly():
     assert facs == [((Fraction(-1, 2), Fraction(1)), 1), ((Fraction(1, 2), Fraction(1)), 1)]
 
 
+@pytest.mark.parametrize("field", [Field.prime(5), QQ], ids=repr)
+@pytest.mark.parametrize("coeffs", [(), (0, 0), (1, 0, 0)])
+def test_factor_poly_of_zero_and_constants_is_empty(field, coeffs):
+    assert factor_poly(coeffs, field) == []
+
+
+# Over GF(5): x^2 - 2 is irreducible, so the module is; the transvection
+# minus the identity has nullity 1 and proves norton_pair with factor x.
+IRREDUCIBLE_F5 = rep(Field.prime(5), [[0, 2], [1, 0]], [[1, 1], [0, 1]])
+NORTON_PAIR_WORD_F5 = ((1, (1,)), (-1, ()))
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "norton_pair", "norton_kernel"])
+@pytest.mark.parametrize("factor", [(), (0,), (3,), (0, 0), (1,), (0, 2)])
+def test_degenerate_factor_rejected(kind, factor):
+    """Empty, zero, constant and non-monic factors make verify() return
+    False, never raise; (0, 2) is 2x, whose Norton test succeeds, so only
+    the irreducible-and-monic check rejects it."""
+    good = IrreducibleWitness("norton_pair", word=NORTON_PAIR_WORD_F5, factor=(0, 1))
+    assert good.verify(IRREDUCIBLE_F5)
+    witness = IrreducibleWitness(kind, word=NORTON_PAIR_WORD_F5, factor=factor)
+    assert witness.verify(IRREDUCIBLE_F5) is False
+
+
 def test_find_submodule_transvection():
     found = find_submodule(TRANSVECTION_F2)
     assert isinstance(found, Subspace)
