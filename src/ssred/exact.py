@@ -141,14 +141,12 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "entries")
 
     def __init__(self, field: Field, entries, ncols: int | None = None, validate: bool = True):
-        if validate:
-            rows = tuple(tuple(field.coerce(x) for x in row) for row in entries)
-        else:
-            rows = tuple(tuple(row) for row in entries)
+        rows = (tuple(tuple(map(field.coerce, row)) for row in entries) if validate
+                else tuple(map(tuple, entries)))
         if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
+            if len(set(map(len, rows))) > 1:
                 raise DimensionMismatch("ragged rows")
+            width = len(rows[0])
             if ncols is not None and ncols != width:
                 raise DimensionMismatch("ncols disagrees with row width")
             ncols = width

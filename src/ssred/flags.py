@@ -207,22 +207,24 @@ def c_lambda(m, lam: Cocharacter):
         return tuple(c_lambda(x, lam) for x in m)
     a = _adapted(m, lam)
     w = lam.weights
-    zero = lam.field.zero
-    rows = []
-    for i in range(lam.n):
-        arow = a.entries[i]
-        rows.append(tuple(arow[j] if w[i] == w[j] else zero for j in range(lam.n)))
-        if any(arow[j] != 0 and w[i] < w[j] for j in range(lam.n)):
-            raise LimitDoesNotExist("matrix lies outside P_lambda")
-    blocked = Matrix(lam.field, tuple(rows), ncols=lam.n, validate=False)
-    return lam.basis_change * blocked * lam.basis_change_inv
+    if any(x != 0 and wi < wj for row, wi in zip(a.entries, w) for x, wj in zip(row, w)):
+        raise LimitDoesNotExist("matrix lies outside P_lambda")
+    return lam.basis_change * levi_part(a, w) * lam.basis_change_inv
+
+
+def levi_part(a: Matrix, weights) -> Matrix:
+    """a with the entries between unequal weights zeroed: for a in P_lambda
+    in lambda's adapted basis, its limit there."""
+    zero = a.field.zero
+    rows = tuple(tuple(x if wi == wj else zero for x, wj in zip(row, weights))
+                 for row, wi in zip(a.entries, weights))
+    return Matrix(a.field, rows, ncols=a.ncols, validate=False)
 
 
 def in_unipotent_orbit(gens, limits, lam: Cocharacter) -> bool:
     """Whether some u = I + N in R_u(P_lambda)(k) conjugates each
-    generator h onto its limit l.  In lambda's adapted basis that is
-    N h - l N = l - h, with N zero outside the blocks above the diagonal:
-    at most n(n-1)/2 unknowns.
+    generator h onto its limit l; a wrapper that moves both into lambda's
+    adapted basis for in_unipotent_orbit_adapted, the one solve path.
 
     So it decides whether the limits are GL_n(k)-conjugate to the
     generators, by Bate-Martin-Roehrle-Tange, Thm 3.3: if a reductive G
@@ -231,11 +233,18 @@ def in_unipotent_orbit(gens, limits, lam: Cocharacter) -> bool:
     algebraic closure of k acts on tuples by conjugation, and a linear
     system over k that is solvable there is solvable over k.
     """
+    return in_unipotent_orbit_adapted([_adapted(g, lam) for g in gens],
+                                      [_adapted(s, lam) for s in limits], lam)
+
+
+def in_unipotent_orbit_adapted(hs, ls, lam: Cocharacter) -> bool:
+    """in_unipotent_orbit in lambda's adapted basis: N h - l N = l - h
+    for each pair, with N zero outside the blocks above the diagonal, at
+    most n(n-1)/2 unknowns."""
     n, w = lam.n, lam.weights
     unknowns = [i * n + j for i in range(n) for j in range(n) if w[i] > w[j]]
     rows, rhs = [], []
-    for g, s in zip(gens, limits):
-        h, lim = _adapted(g, lam), _adapted(s, lam)
+    for h, lim in zip(hs, ls):
         # sylvester_rows(lim, h) is N -> lim N - N h
         rows += [tuple(row[c] for c in unknowns) for row in sylvester_rows(lim, h)]
         rhs += [x for row in (h - lim).entries for x in row]

@@ -38,7 +38,8 @@ from .flags import (
     diagonal_blocks,
     flag_to_cocharacter,
     in_P_lambda,
-    in_unipotent_orbit,
+    in_unipotent_orbit_adapted,
+    levi_part,
 )
 from .oracle import subgroup_closure
 from .reps import (
@@ -285,14 +286,15 @@ def clifford_joint_ss(m: Representation, h: Representation, seed: int = 0) -> Cl
     return CliffordResult(ambient, normal)
 
 
-def _invariant_lattice(rep: Representation) -> list[Subspace]:
+def _invariant_lattice(rep: Representation, spins: dict) -> list[Subspace]:
     """All generator-invariant subspaces over a small finite field, as
     sums of cyclic invariant subspaces; a discovered sublattice over the
     rationals.
 
     Every invariant subspace is the sum of the spins of its vectors, so
     over F_q with q^n under the cap the closure of the cyclic subspaces
-    under pairwise sum is the complete lattice.
+    under pairwise sum is the complete lattice.  Each seed's spin is
+    stored in spins, keyed by the seed.
     """
     field = rep.field
     n = rep.n
@@ -310,7 +312,7 @@ def _invariant_lattice(rep: Representation) -> list[Subspace]:
                 seeds.extend(right_kernel(elt))
     found: dict = {}
     for v in seeds:
-        w = spin(field, n, [v], rep.generators)
+        w = spins[v] = spin(field, n, [v], rep.generators)
         if 0 < w.dim:
             found[w.basis.entries] = w
     if field.p is None:
@@ -394,63 +396,54 @@ def optimal_flag(rep: Representation, max_weight_height: int = 4) -> OptimalFlag
 
     The squared measure of a candidate cocharacter is w_min^2 / |lambda|^2
     where w_min is the least positive weight carried by a nonzero
-    off-Levi entry of any enveloping-algebra basis element, computed from
-    the canonical (centered, gcd-reduced) weights.  A flag whose limit
-    stays conjugate to the input gives no candidate: one affine solve
-    per flag, in_unipotent_orbit.  Argmax limits are expected to be
-    semisimple over perfect fields; violations are reported as findings
-    rather than errors.
+    off-Levi entry of the enveloping algebra in the flag's adapted basis,
+    computed from the canonical (centered, gcd-reduced) weights; column j
+    of that algebra is the spin of the adapted basis vector b_j.  The
+    Levi part of the adapted generators is the limit, and a flag whose
+    limit stays conjugate to the input gives no candidate: one affine
+    solve per flag.  Argmax limits are expected to be semisimple over
+    perfect fields; violations, decided blockwise by Levi descent, are
+    reported as findings rather than errors.
     """
     if max_weight_height < 1:
         raise InvalidInput("the weight height bound must be at least 1")
-    pre = is_semisimple(rep)
-    if pre.semisimple:
+    if is_semisimple(rep).semisimple:
         raise PreconditionNotDestabilizable("input is already completely reducible")
-    field = rep.field
-    n = rep.n
-    algebra = enveloping_basis(rep)
+    field, n = rep.field, rep.n
     full = Subspace.full(field, n)
-    proper = _invariant_lattice(rep)
+    spins: dict = {}
     candidates = []
-    for chain in _chains(proper):
+    levi_of = {}
+    for chain in _chains(_invariant_lattice(rep, spins)):
         flag = Flag(chain + [full])
         base = flag_to_cocharacter(flag)
-        # Every weight class below has strictly decreasing levels on the
-        # flag's blocks, so the adapted algebra, the limit and whether it
-        # is conjugate to the input depend on the flag alone.
-        adapted = [base.basis_change_inv * elt * base.basis_change
-                   for elt in algebra.algebra_basis]
-        limit = None
-        seen_classes = set()
-        r = len(flag.steps)
-        for diffs in itertools.product(range(1, max_weight_height + 1), repeat=r - 1):
-            if sum(diffs) > max_weight_height:
-                continue
-            levels = [1]
-            for d in reversed(diffs):
-                levels.append(levels[-1] + d)
-            levels.reverse()
-            weights = []
-            for size, lv in zip(flag.block_sizes, levels):
-                weights.extend([lv] * size)
-            cw = canonical_weights(weights)
-            if cw in seen_classes:
-                continue
-            seen_classes.add(cw)
-            w_min = None
-            for a in adapted:
-                for i in range(n):
-                    for j in range(n):
-                        d = cw[i] - cw[j]
-                        if d > 0 and a.entries[i][j] != 0:
-                            if w_min is None or d < w_min:
-                                w_min = d
-            if w_min is None:
-                continue
-            if limit is None:
-                limit = c_lambda(rep.generators, base)
-                if in_unipotent_orbit(rep.generators, limit, base):
-                    break
+        p, p_inv, w = base.basis_change, base.basis_change_inv, base.weights
+        sizes = flag.block_sizes
+        # Every weight class below orders the blocks as w does, so w_min needs
+        # only the adapted algebra's support above the diagonal blocks; column
+        # j of that algebra is P^-1 spin(b_j).
+        support = set()
+        for j, b in enumerate(p.transpose().entries):
+            if b not in spins:
+                spins[b] = spin(field, n, [b], rep.generators)
+            for u in spins[b].basis.entries:
+                support.update((i, j) for i, x in enumerate(p_inv.apply(u)) if x and w[i] > w[j])
+        if not support:
+            continue
+        adapted = [p_inv * g * p for g in rep.generators]
+        levi = [levi_part(a, w) for a in adapted]
+        if in_unipotent_orbit_adapted(adapted, levi, base):
+            continue
+        levi_of[flag] = levi
+        limit = tuple(p * a * p_inv for a in levi)
+        # levels 1 + sum(d[k:]) on block k: strictly decreasing, the last one 1
+        classes = {canonical_weights([1 + sum(d[k:]) for k, size in enumerate(sizes)
+                                      for _ in range(size)])
+                   for d in itertools.product(range(1, max_weight_height + 1),
+                                              repeat=len(sizes) - 1)
+                   if sum(d) <= max_weight_height}
+        for cw in classes:
+            w_min = min(cw[i] - cw[j] for i, j in support)
             measure = Fraction(w_min * w_min, sum(x * x for x in cw))
             candidates.append(FlagCandidate(flag, cw, w_min, measure, limit))
     if not candidates:
@@ -464,12 +457,9 @@ def optimal_flag(rep: Representation, max_weight_height: int = 4) -> OptimalFlag
     argmax = [c for c in candidates if c.measure == top]
     findings = []
     for c in argmax:
-        cert = is_semisimple(Representation(c.limit_generators))
-        if not cert.semisimple:
-            findings.append({
-                "kind": "non_semisimple_argmax_limit",
-                "dims": [v.dim for v in c.flag.steps],
-                "weights": list(c.weights),
-                "measure": str(c.measure),
-            })
+        cut = zip(*(diagonal_blocks(a, c.flag.block_sizes) for a in levi_of[c.flag]))
+        if not all(is_semisimple(Representation(gens)).semisimple for gens in cut):
+            findings.append({"kind": "non_semisimple_argmax_limit",
+                             "dims": [v.dim for v in c.flag.steps],
+                             "weights": list(c.weights), "measure": str(c.measure)})
     return OptimalFlagReport(argmax, top, candidates, max_weight_height, findings)

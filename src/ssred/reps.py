@@ -174,8 +174,10 @@ def factor_poly(coeffs, field: Field) -> list[tuple[tuple, int]]:
     Returns [(monic ascending coefficient tuple, multiplicity)], sorted by
     degree then coefficients, so the output is deterministic; [] for zero
     and for constants.  GF(p) uses `exact.factor_mod_p`; the rationals
-    use sympy, imported here so that nothing else loads it.
+    use sympy, imported here so that nothing else loads it.  A coefficient
+    that is not an exact scalar of the field raises InvalidInput.
     """
+    coeffs = [field.coerce(c) for c in coeffs]
     if field.p is not None:
         return factor_mod_p(coeffs, field.p)
     from sympy import QQ, Poly, Rational, Symbol

@@ -71,6 +71,31 @@ def test_inexact_scalars_rejected():
     assert Matrix(f5, [[7, -1]]).entries == ((2, 4),)
 
 
+@pytest.mark.parametrize("validate", [True, False])
+def test_matrix_construction_errors(validate):
+    with pytest.raises(DimensionMismatch, match="ragged"):
+        Matrix(F3, [[1, 2], [0]], validate=validate)
+    with pytest.raises(DimensionMismatch, match="ragged"):
+        Matrix(F3, [[1], [0, 1], [1]], validate=validate)
+    with pytest.raises(DimensionMismatch, match="explicit ncols"):
+        Matrix(F3, [], validate=validate)
+    with pytest.raises(DimensionMismatch, match="ncols disagrees"):
+        Matrix(F3, [[1, 2]], ncols=3, validate=validate)
+    empty = Matrix(QQ, (), ncols=4, validate=validate)
+    assert (empty.nrows, empty.ncols, empty.entries) == (0, 4, ())
+    wide = Matrix(F3, [[], []], validate=validate)
+    assert (wide.nrows, wide.ncols) == (2, 0)
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=repr)
+@pytest.mark.parametrize("bad", [0.5, 2.0, "1", "a"], ids=repr)
+def test_matrix_float_and_str_entries_rejected(field, bad):
+    with pytest.raises(InvalidInput):
+        Matrix(field, [[1, bad]])
+    with pytest.raises(InvalidInput):
+        Matrix(field, [[1, 0], [0, bad]], ncols=2)
+
+
 def test_field_arithmetic_small():
     assert F3.add(2, 2) == 1
     assert F3.inv(2) == 2

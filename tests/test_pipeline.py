@@ -30,6 +30,7 @@ from ssred.pipeline import (
 from ssred.reps import (
     Representation,
     composition_series,
+    enveloping_basis,
     is_semisimple,
     iso_class_multiset,
     module_iso,
@@ -410,7 +411,7 @@ def test_in_unipotent_orbit_matches_brute_force(full_corpus):
         if is_gcr_over_k(r).semisimple:
             continue
         full = Subspace.full(r.field, r.n)
-        for chain in _chains(_invariant_lattice(r)):
+        for chain in _chains(_invariant_lattice(r, {})):
             lam = flag_to_cocharacter(Flag(chain + [full]))
             limit = c_lambda(r.generators, lam)
             conjugate = in_unipotent_orbit(r.generators, limit, lam)
@@ -419,14 +420,56 @@ def test_in_unipotent_orbit_matches_brute_force(full_corpus):
     assert set(outcomes) == {True, False}
 
 
+RATIONAL_PINNED = rep(QQ, [[1, 0, 0, 1], [0, 1, -1, 2], [0, 0, 1, 2], [0, 0, 0, 3]])
+
+
 def test_optimal_flag_rational_pinned():
     # one rational generator; each flag's conjugacy question is one affine solve
-    r = rep(QQ, [[1, 0, 0, 1], [0, 1, -1, 2], [0, 0, 1, 2], [0, 0, 0, 3]])
-    report = optimal_flag(r)
+    report = optimal_flag(RATIONAL_PINNED)
     assert report.measure == Fraction(4, 3)
     assert len(report.per_flag_data) == 30
     assert len(report.argmax) == 1
     assert report.findings == ()
+
+
+def reference_w_min(r, flag, weights):
+    """w_min as the least positive weight of a nonzero entry of any
+    enveloping-algebra basis element conjugated into the flag's adapted
+    basis, or None when there is none."""
+    lam = flag_to_cocharacter(flag)
+    n = r.n
+    adapted = [lam.basis_change_inv * a * lam.basis_change
+               for a in enveloping_basis(r).algebra_basis]
+    return min((weights[i] - weights[j] for a in adapted
+                for i in range(n) for j in range(n)
+                if weights[i] > weights[j] and a.entries[i][j] != 0), default=None)
+
+
+def test_optimal_flag_candidates_match_algebra_and_limit_map(full_corpus, gl3_f3_sample):
+    # w_min read off spins equals the enveloping-algebra definition, the
+    # adapted-basis limit equals c_lambda, and a finding is reported for
+    # exactly the argmax limits that are not semisimple
+    checked, outcomes = 0, set()
+    for r in list(full_corpus) + list(gl3_f3_sample) + [RATIONAL_PINNED]:
+        if is_gcr_over_k(r).semisimple:
+            continue
+        report = optimal_flag(r)
+        for c in report.per_flag_data:
+            assert c.w_min == reference_w_min(r, c.flag, c.weights)
+            assert c.limit_generators == c_lambda(r.generators, flag_to_cocharacter(c.flag))
+            checked += 1
+        expected = []
+        for c in report.argmax:
+            semisimple = is_semisimple(Representation(c.limit_generators)).semisimple
+            outcomes.add(semisimple)
+            if not semisimple:
+                expected.append({"kind": "non_semisimple_argmax_limit",
+                                 "dims": [v.dim for v in c.flag.steps],
+                                 "weights": list(c.weights),
+                                 "measure": str(c.measure)})
+        assert list(report.findings) == expected
+    assert checked >= 500
+    assert outcomes == {True, False}
 
 
 def test_ss_result_shape():

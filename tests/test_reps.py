@@ -109,6 +109,13 @@ def test_factor_poly_of_zero_and_constants_is_empty(field, coeffs):
     assert factor_poly(coeffs, field) == []
 
 
+@pytest.mark.parametrize("field", [Field.prime(5), QQ], ids=repr)
+@pytest.mark.parametrize("coeffs", [(2.5, 1), ("a", 1)], ids=repr)
+def test_factor_poly_rejects_inexact_coefficients(field, coeffs):
+    with pytest.raises(InvalidInput):
+        factor_poly(coeffs, field)
+
+
 # Over GF(5): x^2 - 2 is irreducible, so the module is; the transvection
 # minus the identity has nullity 1 and proves norton_pair with factor x.
 IRREDUCIBLE_F5 = rep(Field.prime(5), [[0, 2], [1, 0]], [[1, 1], [0, 1]])
