@@ -57,10 +57,14 @@ class Field:
     _instances: dict = {}
 
     def __new__(cls, p: int | None = None):
+        # checked before the lookup: 7.0 and Fraction(7) hash and compare
+        # equal to 7
+        if p is not None and type(p) is not int:
+            raise InvalidInput(f"field order {p!r} is not an int")
         if p in cls._instances:
             return cls._instances[p]
         if p is not None:
-            if not isinstance(p, int) or not _is_prime(p):
+            if not _is_prime(p):
                 raise InvalidInput(f"field order {p!r} is not prime")
             if p >= _PRIME_CAP:
                 raise InvalidInput(f"prime {p} exceeds the 2^31 cap")
@@ -313,19 +317,22 @@ def right_kernel(m: Matrix) -> list[tuple]:
 
 
 def solve_linear(a: Matrix, b) -> tuple | None:
-    """One solution x of A x = b (free variables set to zero), or None."""
+    """One solution x of A x = b (free variables set to zero), or None.
+
+    The augmented rows are eliminated one at a time, and the solve stops
+    at the first one that reduces to 0 = c with c nonzero.
+    """
     field = a.field
     bvec = tuple(field.coerce(x) for x in b)
     if len(bvec) != a.nrows:
         raise DimensionMismatch("right-hand side length mismatch")
-    aug = Matrix(field, tuple(row + (bv,) for row, bv in zip(a.entries, bvec)),
-                 ncols=a.ncols + 1, validate=False)
-    red, rank, pivots = rref(aug)
-    if pivots and pivots[-1] == a.ncols:
-        return None
+    acc = EchelonBasis(field, a.ncols + 1)
+    for row, bv in zip(a.entries, bvec):
+        if acc.add(row + (bv,)) and acc.pivots[-1] == a.ncols:
+            return None
     x = [field.zero] * a.ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = red.entries[i][a.ncols]
+    for row, pc in zip(acc.rows, acc.pivots):
+        x[pc] = row[-1]
     return tuple(x)
 
 
@@ -360,7 +367,7 @@ class EchelonBasis:
     """Accumulates vectors and keeps a reduced echelon basis of their span.
 
     `add` is the module's one Gauss-Jordan elimination: `rref` (and so
-    `right_kernel`, `solve_linear` and `Matrix.inverse`), `Subspace`,
+    `right_kernel` and `Matrix.inverse`), `solve_linear`, `Subspace`,
     `spin` and the enveloping algebra all feed it their vectors.
     """
 
@@ -376,10 +383,15 @@ class EchelonBasis:
     def dim(self) -> int:
         return len(self.rows)
 
-    def contains(self, vec) -> bool:
+    def residual(self, vec) -> list:
+        """vec minus its combination of the basis rows: zero exactly when
+        vec lies in the span, and zero at every pivot column."""
         if len(vec) != self.width:
             raise DimensionMismatch("vector length does not match the basis width")
-        return not any(_residual(self.field, self.rows, self.pivots, vec))
+        return _residual(self.field, self.rows, self.pivots, vec)
+
+    def contains(self, vec) -> bool:
+        return not any(self.residual(vec))
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True when it enlarged the span.

@@ -100,7 +100,9 @@ class Cocharacter:
     __slots__ = ("field", "n", "basis_change", "basis_change_inv", "weights", "canonical")
 
     def __init__(self, basis_change: Matrix, weights):
-        weights = tuple(int(w) for w in weights)
+        weights = tuple(weights)
+        if any(type(w) is not int for w in weights):
+            raise InvalidInput(f"weights {weights!r} are not all ints")
         n = basis_change.nrows
         if basis_change.ncols != n or len(weights) != n:
             raise DimensionMismatch("adapted basis and weight vector sizes disagree")

@@ -110,8 +110,11 @@ def semisimplify(rep: Representation, seed: int = 0) -> SsResult:
     The limit is block diagonal in the adapted basis with the composition
     factors as its blocks, so its certificate is this Levi decomposition:
     one summand per flag block, spanned by that block's adapted columns
-    and witnessed by the series.
+    and witnessed by the series.  A seed that is not an int raises
+    InvalidInput.
     """
+    if type(seed) is not int:
+        raise InvalidInput(f"seed {seed!r} is not an int")
     cert = is_semisimple(rep)
     if cert.semisimple:
         flag = Flag.trivial(rep.field, rep.n)
@@ -212,7 +215,9 @@ class LeviDescentReport:
 def levi_descent(rep: Representation, block_sizes) -> LeviDescentReport:
     """Compare G-complete reducibility with blockwise complete
     reducibility for generators in block-diagonal shape."""
-    block_sizes = tuple(int(b) for b in block_sizes)
+    block_sizes = tuple(block_sizes)
+    if any(type(b) is not int for b in block_sizes):
+        raise InvalidInput(f"block sizes {block_sizes!r} are not all ints")
     if any(b < 1 for b in block_sizes) or sum(block_sizes) != rep.n:
         raise InvalidInput("block sizes must be positive and sum to n")
     cut = []

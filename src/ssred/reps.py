@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from operator import mul, sub
 
 from .errors import (
     SPACE_VECTORS_CAP,
@@ -351,10 +352,12 @@ def restrict_to_subspace(gens, w: Subspace) -> list[Matrix]:
     field = w.field
     out = []
     for g in gens:
-        cols = [w.coordinates(g.apply(row)) for row in w.basis.entries]
-        if None in cols:
+        images = [g.apply(row) for row in w.basis.entries]
+        if any(any(w.residual(v)) for v in images):
             raise InternalInvariantViolation("subspace is not invariant")
-        out.append(Matrix(field, cols, ncols=w.dim, validate=False).transpose())
+        # a vector of w has its coordinates at w's pivot columns
+        out.append(Matrix(field, [[v[pc] for v in images] for pc in w.pivots],
+                          ncols=w.dim, validate=False))
     return out
 
 
@@ -367,11 +370,21 @@ def quotient_mod_subspace(gens, w: Subspace) -> tuple[list[Matrix], list[int]]:
     field = w.field
     pivots = set(w.pivots)
     free = [j for j in range(w.ambient_dim) if j not in pivots]
+    tails = [[row[f] for f in free] for row in w.basis.entries]
     out = []
     for g in gens:
-        gcols = g.transpose().entries
-        cols = [[u[t] for t in free] for u in (w.residual(gcols[j]) for j in free)]
-        out.append(Matrix(field, cols, ncols=len(free), validate=False).transpose())
+        ge = g.entries
+        heads = [[ge[pc][f] for f in free] for pc in w.pivots]
+        rows = []
+        # D[a][b] is entry free[a] of g e_f less its w-part
+        # sum_i g[pivot_i][f] w_i, for f = free[b]
+        for a, fa in enumerate(free):
+            row = [ge[fa][f] for f in free]
+            for tail, head in zip(tails, heads):
+                if tail[a]:
+                    row = field.axpy(row, tail[a], head)
+            rows.append(row)
+        out.append(Matrix(field, rows, ncols=len(free), validate=False))
     return out, free
 
 
@@ -463,8 +476,11 @@ def composition_series(rep: Representation, seed: int = 0) -> CompositionSeries:
 
     The seed permutes the spin-seed order at every level, so different
     seeds can return genuinely different series when the module admits
-    them; seed 0 keeps the standard order.
+    them; seed 0 keeps the standard order.  A seed that is not an int
+    raises InvalidInput.
     """
+    if type(seed) is not int:
+        raise InvalidInput(f"seed {seed!r} is not an int")
     rng = random.Random(seed)
     chain, factors, witnesses = _series_rec(rep, rng, shuffled=seed != 0)
     full = Subspace.full(rep.field, rep.n)
@@ -517,31 +533,161 @@ class SemisimpleCertificate:
                 and _invariant_complement(rep.generators, self.obstruction) is None)
 
 
+def _quotient_standard_basis(field: Field, quotients):
+    """A standard basis u_0, u_1, ... of the quotient: its standard vectors
+    e_0, e_1, ... taken in order, each one not yet reached spun to closure
+    before the next.
+
+    Returns (origins, basis, relations, inverse).  origins[t] is None when
+    u_t is a seed and (t', i) when u_t = D_i u_t'.  relations lists
+    (t, i, c) for every other pair, with D_i u_t = sum_s c[s] u_s, and
+    inverse[f] holds the coordinates of e_f in the u basis.  Each pair
+    (t, i) costs one application of D_i.
+    """
+    m = quotients[0].nrows
+    # rows (v, c) with v = sum_s c[s] u_s: a residual with v-part zero
+    # carries minus the coordinates of what it reduced
+    acc = EchelonBasis(field, 2 * m)
+    tail = (field.zero,) * m
+    origins, basis, relations = [], [], []
+
+    def place(v, origin):
+        r = acc.residual(v + tail)
+        if not any(r[:m]):
+            return [field.neg(c) for c in r[m:]]
+        r[m + len(basis)] = field.one
+        acc.add(r)
+        origins.append(origin)
+        basis.append(v)
+        return None
+
+    t = 0
+    for f in range(m):
+        if len(basis) == m:
+            break
+        place(tuple(field.one if j == f else field.zero for j in range(m)), None)
+        while t < len(basis):
+            for i, d in enumerate(quotients):
+                c = place(d.apply(basis[t]), (t, i))
+                if c is not None:
+                    relations.append((t, i, c))
+            t += 1
+    return origins, basis, relations, [row[m:] for row in acc.rows]
+
+
+def _splitting_on_standard_basis(field, spun, restrictions, couplings, k):
+    """Solve the splitting system on a standard basis of the quotient.
+
+    A complement is the image of u -> u + xi(u) for a linear map xi from
+    the quotient to w with xi(D u) = A xi(u) + B u for every generator.
+    The unknowns are xi's values y_j on the s seeds.  That rule gives xi
+    on every other basis vector, affine in y, so only the relations of
+    the spin constrain y, with k rows each.  Returns the matrix X of xi
+    on the standard vectors, flat with entry (i, f) at i*m + f: of all
+    solutions, the one that vanishes on the free columns of the
+    k*m-unknown Sylvester system, which is the one `solve_linear` gives
+    that system.  Returns None when there is no complement.
+    """
+    origins, basis, relations, inverse = spun
+    m = len(basis)
+    width = k * origins.count(None) + 1
+    zero, one = field.zero, field.one
+    reduce = field.reduce
+
+    def image(t, i):
+        """xi(D_i u_t) as k affine rows (y coefficients, then constant)."""
+        cols = tuple(zip(*xis[t]))
+        bu = [sum(map(mul, brow, basis[t])) for brow in couplings[i]]
+        return [reduce([sum(map(mul, arow, col)) for col in cols[:-1]]
+                       + [sum(map(mul, arow, cols[-1])) + b])
+                for arow, b in zip(restrictions[i].entries, bu)]
+
+    def combine(coeffs):
+        """sum_t coeffs[t] xi(u_t), entries unreduced."""
+        out = [[zero] * width for _ in range(k)]
+        for c, xi in zip(coeffs, xis):
+            if c:
+                out = [[x + c * y for x, y in zip(orow, xrow)] for orow, xrow in zip(out, xi)]
+        return out
+
+    xis, seeds = [], 0
+    for origin in origins:
+        if origin is None:
+            xis.append([[one if c == k * seeds + r else zero for c in range(width)]
+                        for r in range(k)])
+            seeds += 1
+        else:
+            xis.append(image(*origin))
+    rows, rhs = [], []
+    for t, i, c in relations:
+        for have, want in zip(combine(c), image(t, i)):
+            row = reduce(map(sub, have, want))
+            rows.append(row[:-1])
+            rhs.append(field.neg(row[-1]))
+    system = Matrix(field, rows, ncols=width - 1, validate=False)
+    y = solve_linear(system, rhs)
+    if y is None:
+        return None
+    # X's column f is xi(e_f), read off the u-coordinates of e_f
+    columns = [combine(inverse[f]) for f in range(m)]
+
+    def x_coords(point):
+        return reduce([sum(map(mul, columns[f][r], point)) for r in range(k) for f in range(m)])
+
+    x = x_coords(y + (one,))
+    kernel = right_kernel(system)
+    if not kernel:
+        return x
+    # Sylvester's free columns are the last nonzero positions of its
+    # kernel: reduce x there, reversed, against the reversed kernel
+    directions = EchelonBasis(field, k * m)
+    for z in kernel:
+        directions.add(x_coords(z + (zero,))[::-1])
+    return directions.residual(x[::-1])[::-1]
+
+
 def _invariant_complement(gens, w: Subspace) -> Subspace | None:
     """An invariant complement of the proper invariant subspace w, or None.
 
     In the basis of w's echelon rows w_i followed by the standard vectors
     e_f at w's free columns each generator is [[A, B], [0, D]]: A acts on
     w, D on the quotient, and B[i][f] = g[pivot_i][f].  Every complement
-    is span{e_f + sum_i X[i][f] w_i} for exactly one k x (n-k) matrix X,
-    and it is invariant exactly when A X - X D = -B for every generator.
+    is span{e_f + sum_i X[i][f] w_i} for exactly one k x m matrix X,
+    m = n - k, and it is invariant exactly when A X - X D = -B for every
+    generator.  The solve runs on a standard basis of the quotient
+    (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 7.5):
+    X is fixed by its values on the s spin seeds, so it has k*s unknowns
+    instead of k*m, and s = 1 when the first standard vector generates
+    the quotient.  When s = m nothing is eliminated, and the k*m-unknown
+    Sylvester system is solved as it stands.  Either way the answer is
+    the complement of the solution `solve_linear` gives that system.
     """
     field = w.field
+    k = w.dim
     quotients, free = quotient_mod_subspace(gens, w)
-    rows, rhs = [], []
-    for g, a, d in zip(gens, restrict_to_subspace(gens, w), quotients):
-        rows += sylvester_rows(a, d)
-        rhs += [field.neg(g.entries[pc][f]) for pc in w.pivots for f in free]
-    x = solve_linear(Matrix(field, tuple(rows), ncols=w.dim * len(free), validate=False), rhs)
+    restrictions = restrict_to_subspace(gens, w)
+    couplings = [[[g.entries[pc][f] for f in free] for pc in w.pivots] for g in gens]
+    m = len(free)
+    # every standard vector is a seed (s = m) exactly when each D is
+    # upper triangular
+    if any(d.entries[i][j] for d in quotients for j in range(m) for i in range(j + 1, m)):
+        spun = _quotient_standard_basis(field, quotients)
+        x = _splitting_on_standard_basis(field, spun, restrictions, couplings, k)
+    else:
+        rows, rhs = [], []
+        for a, d, b in zip(restrictions, quotients, couplings):
+            rows += sylvester_rows(a, d)
+            rhs += [field.neg(c) for brow in b for c in brow]
+        x = solve_linear(Matrix(field, tuple(rows), ncols=k * m, validate=False), rhs)
     if x is None:
         return None
     n = w.ambient_dim
-    vectors = []
+    acc = EchelonBasis(field, n)
     for jj, f in enumerate(free):
-        vec = list(linear_combination(field, x[jj::len(free)], w.basis.entries, n))
+        vec = list(linear_combination(field, x[jj::m], w.basis.entries, n))
         vec[f] = field.add(vec[f], field.one)
-        vectors.append(vec)
-    return Subspace.from_vectors(field, n, vectors)
+        acc.add(vec)
+    return acc.subspace()
 
 
 def is_semisimple(rep: Representation, rng: random.Random | None = None) -> SemisimpleCertificate:

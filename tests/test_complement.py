@@ -1,17 +1,33 @@
-"""The splitting-system complement solve against the brute-force oracle,
-and the certificate `semisimplify` builds from the composition series."""
+"""The splitting-system complement solve against the brute-force oracle
+and against the whole k(n-k)-unknown Sylvester solve, and the
+certificate `semisimplify` builds from the composition series."""
 
 import random
 
 import pytest
 
-from ssred.exact import Field, Matrix, Subspace
+from ssred.exact import (
+    Field,
+    Matrix,
+    Subspace,
+    linear_combination,
+    right_kernel,
+    solve_linear,
+    spin,
+    sylvester_rows,
+)
 from ssred.oracle import get_table, invariant_subspaces
 from ssred.pipeline import semisimplify
-from ssred.reps import Representation, _invariant_complement
+from ssred.reps import (
+    Representation,
+    _invariant_complement,
+    _quotient_standard_basis,
+    quotient_mod_subspace,
+)
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
+F5 = Field.prime(5)
 QQ = Field.rational()
 
 
@@ -37,6 +53,155 @@ def test_complement_matches_oracle(random_corpus_gl3_f2):
                 with_complement += 1
                 assert found in expected
     assert pairs > 200 and 0 < with_complement < pairs
+
+
+def sylvester_system(gens, w):
+    """The splitting system A X - X D = -B over all generators, with the
+    k x m unknown X numbered row-major.  The blocks are read off P^-1 g P
+    for P with columns w's basis rows, then e_f at w's free columns."""
+    field, n, k = w.field, w.ambient_dim, w.dim
+    free = [j for j in range(n) if j not in w.pivots]
+    p = Matrix(field, list(w.basis.entries)
+               + [[int(i == f) for i in range(n)] for f in free]).transpose()
+    pinv = p.inverse()
+    rows, rhs = [], []
+    for g in gens:
+        h = (pinv * g * p).entries
+        assert not any(x for row in h[k:] for x in row[:k])
+        a = Matrix(field, [row[:k] for row in h[:k]])
+        d = Matrix(field, [row[k:] for row in h[k:]])
+        rows += sylvester_rows(a, d)
+        rhs += [field.neg(x) for row in h[:k] for x in row[k:]]
+    return Matrix(field, tuple(rows), ncols=k * len(free), validate=False), rhs, free
+
+
+def sylvester_complement(gens, w):
+    """The reference: the complement of the solution `solve_linear` gives
+    the whole Sylvester system, as the solve was before it moved to a
+    standard basis of the quotient."""
+    field = w.field
+    system, rhs, free = sylvester_system(gens, w)
+    x = solve_linear(system, rhs)
+    if x is None:
+        return None
+    n = w.ambient_dim
+    vectors = []
+    for jj, f in enumerate(free):
+        vec = list(linear_combination(field, x[jj::len(free)], w.basis.entries, n))
+        vec[f] = field.add(vec[f], field.one)
+        vectors.append(vec)
+    return Subspace.from_vectors(field, n, vectors)
+
+
+def seed_count(gens, w):
+    """s, the number of standard vectors the quotient's spin starts from."""
+    quotients, _free = quotient_mod_subspace(gens, w)
+    return _quotient_standard_basis(w.field, quotients)[0].count(None)
+
+
+def test_complement_matches_sylvester_on_every_element():
+    pairs = 0
+    for field, n in ((F3, 2), (F2, 3)):
+        for g in get_table(field, n).elements:
+            for w in invariant_subspaces(Representation([g])):
+                if 0 < w.dim < n:
+                    pairs += 1
+                    assert _invariant_complement([g], w) == sylvester_complement([g], w)
+    assert pairs > 300
+
+
+def random_entries(rng, field, nrows, ncols):
+    if field.p is None:
+        return [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
+    return [[rng.randrange(field.p) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def random_invertible(rng, field, n):
+    while True:
+        m = Matrix(field, random_entries(rng, field, n, n))
+        if m.det() != 0:
+            return m
+
+
+def two_blocks(field, a, b, c):
+    """[[a, b], [0, c]]."""
+    k = a.nrows
+    return Matrix(field, [list(ra) + list(rb) for ra, rb in zip(a.entries, b)]
+                  + [[0] * k + list(rc) for rc in c.entries])
+
+
+def first_coordinates(field, n, k):
+    return Subspace.from_vectors(field, n, [[int(i == j) for j in range(n)] for i in range(k)])
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5], ids=repr)
+def test_complement_matches_sylvester_on_random_reps(field):
+    """Random reducible reps, conjugated so that the submodule sits at
+    arbitrary pivot columns, and the proper spins of standard vectors."""
+    rng = random.Random(field.p)
+    pairs = standard = 0
+    for _ in range(60):
+        n = rng.randrange(2, 6)
+        k = rng.randrange(1, n)
+        p = random_invertible(rng, field, n)
+        pinv = p.inverse()
+        gens = []
+        for _ in range(rng.randrange(1, 3)):
+            b = random_entries(rng, field, k, n - k)
+            if rng.random() < 0.3:
+                b = [[0] * (n - k) for _ in range(k)]
+            block = two_blocks(field, random_invertible(rng, field, k), b,
+                               random_invertible(rng, field, n - k))
+            gens.append(p * block * pinv)
+        subspaces = {Subspace.from_vectors(field, n, p.transpose().entries[:k])}
+        for j in range(n):
+            e = [int(i == j) for i in range(n)]
+            subspaces.add(spin(field, n, [e], gens))
+        for w in subspaces:
+            if 0 < w.dim < n:
+                pairs += 1
+                standard += seed_count(gens, w) < n - w.dim
+                assert _invariant_complement(gens, w) == sylvester_complement(gens, w)
+    assert pairs > 80 and standard > 20
+
+
+@pytest.mark.parametrize("field", [F2, Field.prime(101), Field.prime(65521), QQ], ids=repr)
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("kind", ["split", "identity", "not_split"])
+def test_complement_matches_sylvester_on_block_inputs(field, n, kind):
+    """[[A, B], [0, C]] with W the first k coordinates.
+
+    split: C = A and B = A X - X A for one X shared by both generators,
+    so complements exist and are not unique; identity: A = C = I, so
+    every quotient vector is a spin seed (s = m); not_split: random A, B
+    and C."""
+    rng = random.Random(f"{field!r} {n} {kind}")
+    for _ in range(3):
+        k = n // 2 if kind == "split" else rng.randrange(1, n)
+        x = Matrix(field, random_entries(rng, field, k, k))
+        gens = []
+        for _ in range(2):
+            if kind == "identity":
+                a, c = Matrix.identity(field, k), Matrix.identity(field, n - k)
+                b = random_entries(rng, field, k, n - k)
+            elif kind == "split":
+                a = c = random_invertible(rng, field, k)
+                b = (a * x - x * a).entries
+            else:
+                a, c = random_invertible(rng, field, k), random_invertible(rng, field, n - k)
+                b = random_entries(rng, field, k, n - k)
+            gens.append(two_blocks(field, a, b, c))
+        w = first_coordinates(field, n, k)
+        found = _invariant_complement(gens, w)
+        assert found == sylvester_complement(gens, w)
+        if kind == "split":
+            system, _rhs, _free = sylvester_system(gens, w)
+            assert found is not None and right_kernel(system)
+            assert seed_count(gens, w) < n - k or field is F2
+        elif kind == "identity":
+            assert seed_count(gens, w) == n - k
+        else:
+            assert found is None or field is F2
 
 
 def upper_triangular_qq(rng):

@@ -54,6 +54,17 @@ def test_field_interning_and_validation():
         Field.prime(2**31 + 11)
 
 
+@pytest.mark.parametrize("bad", [7.0, Fraction(7), "7", True], ids=repr)
+def test_field_order_type_checked_before_interning(bad):
+    """7.0 and Fraction(7) equal 7, so they would find GF(7) among the
+    interned fields if the lookup ran first."""
+    assert Field(7) is Field.prime(7)
+    with pytest.raises(InvalidInput):
+        Field(bad)
+    with pytest.raises(InvalidInput):
+        Field.prime(bad)
+
+
 def test_inexact_scalars_rejected():
     """ROADMAP defect D4: a float over either field, and anything but an
     int over GF(p), is refused with InvalidInput, never a TypeError."""

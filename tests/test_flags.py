@@ -114,6 +114,12 @@ def test_canonical_weights():
         Cocharacter(ident3, (1, 2, 3))
 
 
+@pytest.mark.parametrize("weights", [(1.5, 0), (1, 0.0), ("a", 0), (True, False)], ids=repr)
+def test_cocharacter_rejects_non_int_weights(weights):
+    with pytest.raises(InvalidInput):
+        Cocharacter(Matrix.identity(F3, 2), weights)
+
+
 def test_in_P_lambda_frozen():
     lam = Cocharacter(Matrix.identity(F2, 2), (2, 1))
     assert in_P_lambda(Matrix.identity(F2, 2), lam)

@@ -264,6 +264,27 @@ def test_levi_descent_frozen():
         levi_descent(TRANSVECTION_F2, (1, 2))
 
 
+@pytest.mark.parametrize("sizes", [(1.9, 1.2), (1.0, 1), ("a", 1), (True, True)], ids=repr)
+def test_levi_descent_rejects_non_int_block_sizes(sizes):
+    with pytest.raises(InvalidInput):
+        levi_descent(DIAG_PM1_F3, sizes)
+
+
+# two 2x2 Jordan blocks over GF(5): the seed picks between several series
+JORDAN_PAIR_F5 = rep(Field.prime(5), [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+
+
+@pytest.mark.parametrize("seed", [None, 1.5, "x", True, 2.0], ids=repr)
+def test_seeds_must_be_ints(seed):
+    for r in (JORDAN_PAIR_F5, DIAG_PM1_F3):  # non-semisimple, then semisimple
+        with pytest.raises(InvalidInput):
+            semisimplify(r, seed=seed)
+    with pytest.raises(InvalidInput):
+        composition_series(JORDAN_PAIR_F5, seed=seed)
+    with pytest.raises(InvalidInput):
+        clifford_joint_ss(TRANSVECTION_F2, TRANSVECTION_F2, seed=seed)
+
+
 def test_levi_descent_randomized_agreement():
     rng = random.Random(61)
     for _ in range(25):
