@@ -75,9 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="semisimplification of matrix groups by cocharacter limits")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for all randomized internals")
+    def common(sp, seeded=False):
+        if seeded:
+            sp.add_argument("--seed", type=int, default=0, help="seed of the composition series")
         sp.add_argument("--out", help="also write the report to this path")
 
     sp = sub.add_parser("check", help="test complete reducibility")
@@ -88,20 +88,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("ss", help="compute the semisimplification")
     sp.add_argument("--input", required=True)
-    common(sp)
+    common(sp, seeded=True)
 
     sp = sub.add_parser("conjugacy",
                         help="certify two semisimplifications conjugate")
     sp.add_argument("--input", required=True)
     sp.add_argument("--seed-b", type=int, default=None,
                     help="seed for the second run (default: seed + 1)")
-    common(sp)
+    common(sp, seeded=True)
 
     sp = sub.add_parser("clifford",
                         help="joint semisimplification of a normal subgroup")
     sp.add_argument("--m", required=True, help="ambient group file")
     sp.add_argument("--h", required=True, help="normal subgroup file")
-    common(sp)
+    common(sp, seeded=True)
 
     sp = sub.add_parser("optimal", help="optimal destabilizing flag search")
     sp.add_argument("--input", required=True)

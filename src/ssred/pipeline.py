@@ -103,25 +103,23 @@ class SsResult:
 def semisimplify(rep: Representation, seed: int = 0) -> SsResult:
     """The k-semisimplification of the generated subgroup.
 
+    One `composition_series` call decides the input and builds its series.
     Semisimple input is its own semisimplification (trivial flag,
-    generators unchanged).  Otherwise the flag of a composition series
-    determines the cocharacter and the generators are replaced by their
-    limits; the seed varies the series when the module admits several.
-    The limit is block diagonal in the adapted basis with the composition
+    generators unchanged) under the certificate of this seed's recursion,
+    for seed 0 `is_gcr_over_k`'s.  Otherwise the series' flag determines
+    the cocharacter and the generators are replaced by their limits.  The
+    limit is block diagonal in the adapted basis with the composition
     factors as its blocks, so its certificate is this Levi decomposition:
     one summand per flag block, spanned by that block's adapted columns
     and witnessed by the series.  A seed that is not an int raises
     InvalidInput.
     """
-    if type(seed) is not int:
-        raise InvalidInput(f"seed {seed!r} is not an int")
-    cert = is_semisimple(rep)
+    series = composition_series(rep, seed=seed)
+    cert = series.certificate
     if cert.semisimple:
         flag = Flag.trivial(rep.field, rep.n)
-        lam = flag_to_cocharacter(flag)
-        return SsResult(rep, flag, lam, rep.generators, cert,
+        return SsResult(rep, flag, flag_to_cocharacter(flag), rep.generators, cert,
                         l_irreducible=len(cert.summands) == 1)
-    series = composition_series(rep, seed=seed)
     lam = flag_to_cocharacter(series.flag)
     ss_gens = [c_lambda(g, lam) for g in rep.generators]
     summands = lam.block_spans()

@@ -388,34 +388,21 @@ def quotient_mod_subspace(gens, w: Subspace) -> tuple[list[Matrix], list[int]]:
     return out, free
 
 
-def lift_from_subspace(w: Subspace, s: Subspace) -> Subspace:
-    """Ambient subspace corresponding to s expressed in w's coordinates."""
-    n = w.ambient_dim
-    return Subspace.from_vectors(w.field, n, [
-        linear_combination(w.field, srow, w.basis.entries, n) for srow in s.basis.entries])
-
-
-def preimage_of_quotient(w: Subspace, free: list[int], sbar: Subspace) -> Subspace:
-    """Ambient preimage of a subspace of the quotient by w."""
-    field = w.field
-    n = w.ambient_dim
-    vectors = list(w.basis.entries)
-    for srow in sbar.basis.entries:
-        vec = [field.zero] * n
-        for c, j in zip(srow, free):
-            vec[j] = c
-        vectors.append(tuple(vec))
-    return Subspace.from_vectors(field, n, vectors)
+def _image(rows, s: Subspace) -> Subspace:
+    """The image of s under the linear map that sends e_i to rows[i]."""
+    field, n = s.field, len(rows[0])
+    return Subspace.from_vectors(field, n, [
+        linear_combination(field, srow, rows, n) for srow in s.basis.entries])
 
 
 class CompositionSeries:
-    """A full invariant flag with irreducible successive quotients."""
+    """A full invariant flag with irreducible successive quotients, and
+    the module's semisimplicity certificate."""
 
-    __slots__ = ("flag", "factors", "witnesses")
+    __slots__ = ("flag", "factors", "witnesses", "certificate")
 
-    def __init__(self, flag: Flag, factors, witnesses):
-        factors = tuple(factors)
-        witnesses = tuple(witnesses)
+    def __init__(self, flag: Flag, factors, witnesses, certificate):
+        factors, witnesses = tuple(factors), tuple(witnesses)
         if len(factors) != len(flag.steps) or len(witnesses) != len(factors):
             raise InternalInvariantViolation("series pieces out of step with its flag")
         if tuple(f.n for f in factors) != flag.block_sizes:
@@ -423,6 +410,7 @@ class CompositionSeries:
         self.flag = flag
         self.factors = factors
         self.witnesses = witnesses
+        self.certificate = certificate
 
     @property
     def length(self) -> int:
@@ -439,55 +427,94 @@ def _discover_submodule(rep: Representation, order, rng):
     A span only grows while it spins, so each spin stops, and loses, once
     it reaches the dimension of the best one so far (n before any).
     """
-    field = rep.field
-    n = rep.n
+    field, n = rep.field, rep.n
     best = None
     for idx in order:
         e = tuple(field.one if t == idx else field.zero for t in range(n))
         w = spin(field, n, [e], rep.generators, limit=n if best is None else best.dim)
         if w is not None:
             best = w
-    if best is not None:
-        return best
-    return find_submodule(rep, rng=rng)
+    return best if best is not None else find_submodule(rep, rng=rng)
 
 
-def _series_rec(rep: Representation, rng, shuffled: bool):
+def _split(rep: Representation, rng, shuffled: bool, series: bool = True, decide: bool = True):
+    """(factors, witnesses, chain, certificate) of V = k^n by one recursion
+    over a discovered submodule W and the quotient V/W: the composition
+    factors and their witnesses, the composition flag's proper steps
+    (empty unless series) and V's SemisimpleCertificate (None unless
+    decide).  V is semisimple exactly when W and V/W are and W has an
+    invariant complement C.  The module map u -> u + xi(u) from V/W onto
+    C carries the summands of V/W, with their witnesses, or its
+    obstruction into V.  Complements are solved while the verdict is open.
+    """
     order = list(range(rep.n))
     if shuffled:
         rng.shuffle(order)
     found = _discover_submodule(rep, order, rng)
     if isinstance(found, IrreducibleWitness):
-        return [], [rep], [found]
-    w = found
-    sub_rep = Representation(restrict_to_subspace(rep.generators, w))
-    quo_mats, free = quotient_mod_subspace(rep.generators, w)
-    quo_rep = Representation(quo_mats)
-    chain1, factors1, wits1 = _series_rec(sub_rep, rng, shuffled)
-    chain2, factors2, wits2 = _series_rec(quo_rep, rng, shuffled)
-    chain = ([lift_from_subspace(w, s) for s in chain1]
-             + [w]
-             + [preimage_of_quotient(w, free, s) for s in chain2])
-    return chain, factors1 + factors2, wits1 + wits2
+        cert = SemisimpleCertificate(True, [Subspace.full(rep.field, rep.n)], [found])
+        return [rep], [found], [], cert if decide else None
+    w, up = found, found.basis.entries
+    restrictions = restrict_to_subspace(rep.generators, w)
+    quotients, free = quotient_mod_subspace(rep.generators, w)
+    graph = _complement_rows(rep.generators, w, free, restrictions, quotients) if decide else None
+    cert = SemisimpleCertificate(False, obstruction=w) if decide and graph is None else None
+    if cert is not None and not series:
+        return [], [], [], cert
+    f1, w1, c1, cert1 = _split(Representation(restrictions), rng, shuffled, series,
+                               decide and cert is None)
+    if cert1 is not None and not cert1.semisimple:
+        cert = SemisimpleCertificate(False, obstruction=_image(up, cert1.obstruction))
+        if not series:
+            return [], [], [], cert
+    f2, w2, c2, cert2 = _split(Representation(quotients), rng, shuffled, series,
+                               decide and cert is None)
+    if cert2 is not None and not cert2.semisimple:
+        cert = SemisimpleCertificate(False, obstruction=_image(graph, cert2.obstruction))
+    elif cert2 is not None:
+        cert = SemisimpleCertificate(True, [_image(up, s) for s in cert1.summands]
+                                     + [_image(graph, s) for s in cert2.summands],
+                                     cert1.witnesses + cert2.witnesses)
+    chain = []
+    if series:
+        units = Matrix.identity(rep.field, rep.n).entries
+        chain = ([_image(up, s) for s in c1] + [w]
+                 + [w.sum(_image([units[f] for f in free], s)) for s in c2])
+    return f1 + f2, w1 + w2, chain, cert
 
 
 def composition_series(rep: Representation, seed: int = 0) -> CompositionSeries:
-    """A composition series of k^n under the generators.
-
-    The seed permutes the spin-seed order at every level, so different
-    seeds can return genuinely different series when the module admits
-    them; seed 0 keeps the standard order.  A seed that is not an int
-    raises InvalidInput.
+    """A composition series of k^n under the generators, with the
+    semisimplicity certificate of the same recursion.  The seed permutes
+    the spin-seed order at every level, so different seeds can return
+    different series and certificates when the module admits them; seed 0
+    keeps the standard order and gives `is_semisimple`'s certificate.  A
+    seed that is not an int raises InvalidInput.
     """
     if type(seed) is not int:
         raise InvalidInput(f"seed {seed!r} is not an int")
-    rng = random.Random(seed)
-    chain, factors, witnesses = _series_rec(rep, rng, shuffled=seed != 0)
-    full = Subspace.full(rep.field, rep.n)
-    flag = Flag(chain + [full])
+    factors, witnesses, chain, cert = _split(rep, random.Random(seed), shuffled=seed != 0)
+    flag = Flag(chain + [Subspace.full(rep.field, rep.n)])
     if not flag.is_preserved_by(rep.generators):
         raise InternalInvariantViolation("composition flag is not invariant")
-    return CompositionSeries(flag, factors, witnesses)
+    return CompositionSeries(flag, factors, witnesses, cert)
+
+
+def is_semisimple(rep: Representation) -> SemisimpleCertificate:
+    """Complete reducibility test with a re-verifiable certificate: the
+    certificate of `composition_series(rep, 0)`, computed without the
+    series, so the recursion stops at the first obstruction."""
+    return _split(rep, random.Random(0), shuffled=False, series=False)[3]
+
+
+def _is_subspace_of(s, field: Field, n: int) -> bool:
+    """Whether s is a Subspace of field^n whose basis rows read as the
+    identity at its pivot columns: then a vector's coordinates are its
+    entries there, as residuals and restriction take them to be."""
+    return (isinstance(s, Subspace) and s.field is field and s.ambient_dim == n
+            and all(0 <= pc < n for pc in s.pivots)
+            and all(row[pc] == (1 if i == j else 0) for i, row in enumerate(s.basis.entries)
+                    for j, pc in enumerate(s.pivots)))
 
 
 class SemisimpleCertificate:
@@ -497,7 +524,7 @@ class SemisimpleCertificate:
     witness that the generators act irreducibly on it, or an invariant
     subspace with no invariant complement.  The verifier recomputes each
     summand's module by restriction, so a witness only counts for the
-    summand it is paired with.
+    summand it is paired with; a subspace of another space fails it.
     """
 
     __slots__ = ("semisimple", "summands", "witnesses", "obstruction")
@@ -512,25 +539,23 @@ class SemisimpleCertificate:
         return self.semisimple
 
     def verify(self, rep: Representation) -> bool:
-        if self.semisimple:
-            if (self.summands is None or self.witnesses is None
-                    or len(self.witnesses) != len(self.summands)
-                    or sum(s.dim for s in self.summands) != rep.n):
+        field, n, gens = rep.field, rep.n, rep.generators
+        if not self.semisimple:
+            o = self.obstruction
+            return (_is_subspace_of(o, field, n) and 0 < o.dim < n
+                    and o.is_invariant_under(gens) and _invariant_complement(gens, o) is None)
+        if (self.summands is None or self.witnesses is None
+                or len(self.witnesses) != len(self.summands)):
+            return False
+        acc = EchelonBasis(field, n)
+        for s, wit in zip(self.summands, self.witnesses):
+            if not (_is_subspace_of(s, field, n) and s.dim > 0 and s.is_invariant_under(gens)
+                    and isinstance(wit, IrreducibleWitness)
+                    and wit.verify(Representation(restrict_to_subspace(gens, s)))):
                 return False
-            acc = EchelonBasis(rep.field, rep.n)
-            for s, wit in zip(self.summands, self.witnesses):
-                if (s.ambient_dim != rep.n or s.dim == 0
-                        or not s.is_invariant_under(rep.generators)):
-                    return False
-                for row in s.basis.entries:
-                    acc.add(row)
-                if not wit.verify(Representation(restrict_to_subspace(rep.generators, s))):
-                    return False
-            return acc.dim == rep.n
-        return (self.obstruction is not None
-                and 0 < self.obstruction.dim < rep.n
-                and self.obstruction.is_invariant_under(rep.generators)
-                and _invariant_complement(rep.generators, self.obstruction) is None)
+            for row in s.basis.entries:
+                acc.add(row)
+        return acc.dim == n == sum(s.dim for s in self.summands)
 
 
 def _quotient_standard_basis(field: Field, quotients):
@@ -646,28 +671,26 @@ def _splitting_on_standard_basis(field, spun, restrictions, couplings, k):
     return directions.residual(x[::-1])[::-1]
 
 
-def _invariant_complement(gens, w: Subspace) -> Subspace | None:
-    """An invariant complement of the proper invariant subspace w, or None.
+def _complement_rows(gens, w: Subspace, free, restrictions, quotients):
+    """The vectors e_f + sum_i X[i][f] w_i, one per free column f of w,
+    that span an invariant complement of the proper invariant subspace w,
+    or None when there is none; restrictions and quotients are the
+    generators on w and on the quotient by w.
 
-    In the basis of w's echelon rows w_i followed by the standard vectors
-    e_f at w's free columns each generator is [[A, B], [0, D]]: A acts on
-    w, D on the quotient, and B[i][f] = g[pivot_i][f].  Every complement
-    is span{e_f + sum_i X[i][f] w_i} for exactly one k x m matrix X,
-    m = n - k, and it is invariant exactly when A X - X D = -B for every
-    generator.  The solve runs on a standard basis of the quotient
-    (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 7.5):
-    X is fixed by its values on the s spin seeds, so it has k*s unknowns
-    instead of k*m, and s = 1 when the first standard vector generates
-    the quotient.  When s = m nothing is eliminated, and the k*m-unknown
-    Sylvester system is solved as it stands.  Either way the answer is
-    the complement of the solution `solve_linear` gives that system.
+    In the basis of the w_i followed by the e_f each generator is
+    [[A, B], [0, D]] with B[i][f] = g[pivot_i][f].  Every complement is
+    such a span for exactly one k x m matrix X, m = n - k, and it is
+    invariant exactly when A X - X D = -B for every generator.  The solve
+    runs on a standard basis of the quotient (Holt, Eick & O'Brien,
+    Handbook of Computational Group Theory, 7.5): X is fixed by its values
+    on the s spin seeds, so it has k*s unknowns instead of k*m, and s = 1
+    when the first standard vector generates the quotient.  When s = m the
+    k*m-unknown Sylvester system is solved as it stands.  Either way X is
+    the solution `solve_linear` gives that system.
     """
     field = w.field
-    k = w.dim
-    quotients, free = quotient_mod_subspace(gens, w)
-    restrictions = restrict_to_subspace(gens, w)
+    k, m, n = w.dim, len(free), w.ambient_dim
     couplings = [[[g.entries[pc][f] for f in free] for pc in w.pivots] for g in gens]
-    m = len(free)
     # every standard vector is a seed (s = m) exactly when each D is
     # upper triangular
     if any(d.entries[i][j] for d in quotients for j in range(m) for i in range(j + 1, m)):
@@ -681,41 +704,18 @@ def _invariant_complement(gens, w: Subspace) -> Subspace | None:
         x = solve_linear(Matrix(field, tuple(rows), ncols=k * m, validate=False), rhs)
     if x is None:
         return None
-    n = w.ambient_dim
-    acc = EchelonBasis(field, n)
-    for jj, f in enumerate(free):
-        vec = list(linear_combination(field, x[jj::m], w.basis.entries, n))
-        vec[f] = field.add(vec[f], field.one)
-        acc.add(vec)
-    return acc.subspace()
+    rows = [list(linear_combination(field, x[jj::m], w.basis.entries, n)) for jj in range(m)]
+    for row, f in zip(rows, free):
+        row[f] = field.add(row[f], field.one)
+    return rows
 
 
-def is_semisimple(rep: Representation, rng: random.Random | None = None) -> SemisimpleCertificate:
-    """Complete reducibility test with a re-verifiable certificate.
-
-    Splits off a discovered submodule along an invariant complement found
-    on the splitting system, and recurses into both parts; a submodule
-    without a complement is the obstruction.
-    """
-    rng = rng or random.Random(0)
-    found = _discover_submodule(rep, range(rep.n), rng)
-    if isinstance(found, IrreducibleWitness):
-        return SemisimpleCertificate(True, summands=[Subspace.full(rep.field, rep.n)],
-                                     witnesses=[found])
-    w = found
-    complement = _invariant_complement(rep.generators, w)
-    if complement is None:
-        return SemisimpleCertificate(False, obstruction=w)
-    out_summands, out_wits = [], []
-    for part in (w, complement):
-        part_rep = Representation(restrict_to_subspace(rep.generators, part))
-        sub = is_semisimple(part_rep, rng)
-        if not sub.semisimple:
-            return SemisimpleCertificate(False,
-                                         obstruction=lift_from_subspace(part, sub.obstruction))
-        out_summands += [lift_from_subspace(part, s) for s in sub.summands]
-        out_wits += sub.witnesses
-    return SemisimpleCertificate(True, summands=out_summands, witnesses=out_wits)
+def _invariant_complement(gens, w: Subspace) -> Subspace | None:
+    """An invariant complement of the proper invariant subspace w, or None
+    (see `_complement_rows`)."""
+    quotients, free = quotient_mod_subspace(gens, w)
+    rows = _complement_rows(gens, w, free, restrict_to_subspace(gens, w), quotients)
+    return None if rows is None else Subspace.from_vectors(w.field, w.ambient_dim, rows)
 
 
 def module_iso(a: Representation, b: Representation) -> Matrix | None:

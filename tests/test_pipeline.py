@@ -102,6 +102,72 @@ def test_semisimplify_semisimple_input_is_fixed():
     assert result.verify()
 
 
+def _summands(cert):
+    return [s.basis for s in cert.summands], [(w.kind, w.word, w.factor) for w in cert.witnesses]
+
+
+def test_semisimple_input_keeps_its_seeds_certificate():
+    """The trivial flag's certificate comes from the seed's own recursion;
+    under seed 0 it is is_gcr_over_k's."""
+    rng = random.Random(71)
+    differs = False
+    for r in [DIAG_PM1_F3] + [random_rep(rng, F3, 3) for _ in range(10)]:
+        if not is_gcr_over_k(r).semisimple:
+            continue
+        for seed in (0, 1, 2):
+            result = semisimplify(r, seed=seed)
+            assert result.flag.block_sizes == (r.n,) and result.verify()
+            own = _summands(composition_series(r, seed=seed).certificate)
+            assert _summands(result.certificate) == own
+            differs |= own != _summands(is_gcr_over_k(r))
+        assert _summands(semisimplify(r).certificate) == _summands(is_gcr_over_k(r))
+    assert differs  # DIAG_PM1_F3 lists its lines in another order under seeds 1 and 2
+
+
+def _bench_nonss(rng, field, n):
+    """The benchmark's `nonss` input: two generators [[A, B], [0, A]],
+    drawn in its order, entries in [-3, 3] over QQ and below p over GF(p)."""
+    def square(k):
+        return Matrix(field, [[rng.randint(-3, 3) if field.p is None else rng.randrange(field.p)
+                               for _ in range(k)] for _ in range(k)])
+
+    k = n // 2
+    gens = []
+    for _ in range(2):
+        a = square(k)
+        while a.det() == 0:
+            a = square(k)
+        b = square(k)
+        gens.append(Matrix(field, [ra + rb for ra, rb in zip(a.entries, b.entries)]
+                           + [(0,) * k + ra for ra in a.entries]))
+    return Representation(gens)
+
+
+@pytest.mark.parametrize("field, n, draw, most", [
+    (QQ, 12, 2, 24),
+    (Field.prime(101), 16, 1, 36),
+], ids=["qq-n12", "gf101-n16"])
+def test_semisimplify_spins_once_per_level(monkeypatch, field, n, draw, most):
+    """The verdict and the series come from one recursion: a separate
+    semisimplicity pre-check repeated the discovery spins (36 and 52
+    calls on these inputs)."""
+    import ssred.reps
+
+    r = _bench_nonss(random.Random(draw), field, n)
+    calls = []
+    real_spin = ssred.reps.spin
+
+    def counting_spin(*args, **kwargs):
+        calls.append(None)
+        return real_spin(*args, **kwargs)
+
+    monkeypatch.setattr(ssred.reps, "spin", counting_spin)
+    for seed in (0, 1):
+        calls.clear()
+        assert semisimplify(r, seed=seed).flag.block_sizes == (n // 2, n // 2)
+        assert len(calls) <= most
+
+
 def test_semisimplify_rational_unipotent():
     u = Representation([mat(QQ, [[1, 1], [0, 1]])])
     result = semisimplify(u)

@@ -173,6 +173,17 @@ def test_cli_conjugacy(tmp_path, capsys):
     assert len(g) == 3 and all(len(row) == 3 for row in g)
 
 
+@pytest.mark.parametrize("command", ["check", "optimal", "oracle"])
+def test_seed_only_on_commands_that_build_a_series(tmp_path, capsys, command):
+    """check, optimal and oracle make no seeded choice, so they take no
+    --seed."""
+    path = write_rep(tmp_path, "u.json", *UNIPOTENT)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", path, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_cli_clifford(tmp_path, capsys):
     m_path = write_rep(tmp_path, "m.json", 2, {"kind": "prime", "p": 3},
                        [[["0", "1"], ["1", "0"]], [["1", "0"], ["0", "2"]]])

@@ -537,6 +537,60 @@ def test_semisimple_certificate_tampering_detected():
     assert not SemisimpleCertificate(True, summands=cert.summands).verify(DIAG_PM1_F3)
 
 
+def test_is_semisimple_takes_no_rng():
+    """The verdict is the seed-0 certificate of the one recursion, so
+    there is nothing to seed."""
+    with pytest.raises(TypeError):
+        is_semisimple(DIAG_PM1_F3, rng=random.Random(5))
+
+
+def test_certificate_from_another_space_rejected():
+    """A summand or an obstruction counts only as a subspace of the
+    module's own space: same field, same dimension, and basis rows that
+    read as the identity at the pivots."""
+    cycle = rep(F2, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])  # semisimple by Maschke
+    assert is_semisimple(cycle).semisimple
+    diagonal = Subspace.from_vectors(F3, 3, [(1, 1, 1)])
+    forged = SemisimpleCertificate(False, obstruction=diagonal)
+    assert not forged.verify(cycle)
+    # the same subspace is an honest obstruction for the cycle over GF(3)
+    assert forged.verify(Representation([mat(F3, g.entries) for g in cycle.generators]))
+
+    shear = rep(F3, [[1, 0], [2, 1]])
+    assert not is_semisimple(shear).semisimple
+    lines = [Subspace.from_vectors(F2, 2, [v]) for v in ((1, 0), (0, 1))]
+    forged = SemisimpleCertificate(True, summands=lines,
+                                   witnesses=[IrreducibleWitness("dimension")] * 2)
+    assert not forged.verify(shear)
+    trivial = Flag.trivial(F3, 2)
+    result = SsResult(shear, trivial, flag_to_cocharacter(trivial), shear.generators,
+                      forged, l_irreducible=False)
+    assert not result.verify()
+
+    honest = is_semisimple(DIAG_PM1_F3)
+    line = honest.summands[0]
+    for cert in (
+            SemisimpleCertificate(False, obstruction=Subspace.from_vectors(F3, 3, [(1, 0, 0)])),
+            SemisimpleCertificate(False, obstruction=line.basis),
+            SemisimpleCertificate(False, obstruction=(1, 0)),
+            SemisimpleCertificate(True, summands=honest.summands, witnesses=[None, None]),
+            SemisimpleCertificate(True, summands=[Subspace.from_vectors(Field.prime(5), 2, [v])
+                                                  for v in ((1, 0), (0, 4))],
+                                  witnesses=honest.witnesses),
+            SemisimpleCertificate(True, summands=[line, Subspace.full(F3, 3)],
+                                  witnesses=honest.witnesses)):
+        assert cert.verify(DIAG_PM1_F3) is False
+
+    # The full space held by rows that are not the identity at the pivots:
+    # read there, the transvection's restriction would be [[2, 1], [1, 1]],
+    # whose charpoly x^2 + 1 is irreducible over GF(3).
+    transvection = rep(F3, [[1, 1], [0, 1]])
+    skewed = Subspace(mat(F3, [[1, 1], [0, 1]]), (0, 1))
+    cyclic = IrreducibleWitness("cyclic", word=((1, (0,)),), factor=(1, 0, 1))
+    forged = SemisimpleCertificate(True, summands=[skewed], witnesses=[cyclic])
+    assert not forged.verify(transvection)
+
+
 def test_is_semisimple_randomized_certificates():
     rng = random.Random(29)
     for _ in range(60):
