@@ -14,6 +14,7 @@ destabilizing flag under an exact Kempf-style length measure.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 from .errors import (
@@ -45,6 +46,7 @@ from .oracle import subgroup_closure
 from .reps import (
     Representation,
     SemisimpleCertificate,
+    _split,
     composition_series,
     deterministic_words,
     enveloping_basis,
@@ -118,7 +120,8 @@ def semisimplify(rep: Representation, seed: int = 0) -> SsResult:
     cert = series.certificate
     if cert.semisimple:
         flag = Flag.trivial(rep.field, rep.n)
-        return SsResult(rep, flag, flag_to_cocharacter(flag), rep.generators, cert,
+        lam = flag_to_cocharacter(flag)
+        return SsResult(rep, flag, lam, rep.generators, cert,
                         l_irreducible=len(cert.summands) == 1)
     lam = flag_to_cocharacter(series.flag)
     ss_gens = [c_lambda(g, lam) for g in rep.generators]
@@ -319,13 +322,14 @@ def _invariant_lattice(rep: Representation, spins: dict) -> list[Subspace]:
         if 0 < w.dim:
             found[w.basis.entries] = w
     if field.p is None:
+        # the proper steps of composition_series(rep)'s flag, built
+        # without solving for complements
         try:
-            series = composition_series(rep)
+            chain = _split(rep, random.Random(0), shuffled=False, decide=False)[2]
         except UndecidedIrreducibility:
-            series = None
-        if series is not None:
-            for step in series.flag.steps[:-1]:
-                found[step.basis.entries] = step
+            chain = []
+        for step in chain:
+            found[step.basis.entries] = step
     worklist = list(found.values())
     while worklist:
         cur = worklist.pop()

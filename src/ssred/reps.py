@@ -402,7 +402,8 @@ class CompositionSeries:
     __slots__ = ("flag", "factors", "witnesses", "certificate")
 
     def __init__(self, flag: Flag, factors, witnesses, certificate):
-        factors, witnesses = tuple(factors), tuple(witnesses)
+        factors = tuple(factors)
+        witnesses = tuple(witnesses)
         if len(factors) != len(flag.steps) or len(witnesses) != len(factors):
             raise InternalInvariantViolation("series pieces out of step with its flag")
         if tuple(f.n for f in factors) != flag.block_sizes:
@@ -427,14 +428,17 @@ def _discover_submodule(rep: Representation, order, rng):
     A span only grows while it spins, so each spin stops, and loses, once
     it reaches the dimension of the best one so far (n before any).
     """
-    field, n = rep.field, rep.n
+    field = rep.field
+    n = rep.n
     best = None
     for idx in order:
         e = tuple(field.one if t == idx else field.zero for t in range(n))
         w = spin(field, n, [e], rep.generators, limit=n if best is None else best.dim)
         if w is not None:
             best = w
-    return best if best is not None else find_submodule(rep, rng=rng)
+    if best is not None:
+        return best
+    return find_submodule(rep, rng=rng)
 
 
 def _split(rep: Representation, rng, shuffled: bool, series: bool = True, decide: bool = True):
@@ -493,8 +497,10 @@ def composition_series(rep: Representation, seed: int = 0) -> CompositionSeries:
     """
     if type(seed) is not int:
         raise InvalidInput(f"seed {seed!r} is not an int")
-    factors, witnesses, chain, cert = _split(rep, random.Random(seed), shuffled=seed != 0)
-    flag = Flag(chain + [Subspace.full(rep.field, rep.n)])
+    rng = random.Random(seed)
+    factors, witnesses, chain, cert = _split(rep, rng, shuffled=seed != 0)
+    full = Subspace.full(rep.field, rep.n)
+    flag = Flag(chain + [full])
     if not flag.is_preserved_by(rep.generators):
         raise InternalInvariantViolation("composition flag is not invariant")
     return CompositionSeries(flag, factors, witnesses, cert)
@@ -689,8 +695,9 @@ def _complement_rows(gens, w: Subspace, free, restrictions, quotients):
     the solution `solve_linear` gives that system.
     """
     field = w.field
-    k, m, n = w.dim, len(free), w.ambient_dim
+    k = w.dim
     couplings = [[[g.entries[pc][f] for f in free] for pc in w.pivots] for g in gens]
+    m = len(free)
     # every standard vector is a seed (s = m) exactly when each D is
     # upper triangular
     if any(d.entries[i][j] for d in quotients for j in range(m) for i in range(j + 1, m)):
@@ -704,6 +711,7 @@ def _complement_rows(gens, w: Subspace, free, restrictions, quotients):
         x = solve_linear(Matrix(field, tuple(rows), ncols=k * m, validate=False), rhs)
     if x is None:
         return None
+    n = w.ambient_dim
     rows = [list(linear_combination(field, x[jj::m], w.basis.entries, n)) for jj in range(m)]
     for row, f in zip(rows, free):
         row[f] = field.add(row[f], field.one)
