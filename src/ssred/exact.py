@@ -299,19 +299,24 @@ def rref(m: Matrix) -> tuple[Matrix, int, list[int]]:
     return Matrix(m.field, rows, ncols=m.ncols, validate=False), acc.dim, acc.pivots
 
 
-def right_kernel(m: Matrix) -> list[tuple]:
-    """Basis of {v : M v = 0}, one vector per free column, in column order."""
+def right_kernel(m: "Matrix | EchelonBasis") -> list[tuple]:
+    """Basis of {v : M v = 0}, one vector per free column, in column order.
+    M may also be an EchelonBasis that already holds M's reduced rows."""
     field = m.field
-    red, rank, pivots = rref(m)
+    if isinstance(m, EchelonBasis):
+        rows, pivots, width = m.rows, m.pivots, m.width
+    else:
+        red, _rank, pivots = rref(m)
+        rows, width = red.entries, m.ncols
     pivot_set = set(pivots)
     basis = []
-    for j in range(m.ncols):
+    for j in range(width):
         if j in pivot_set:
             continue
-        v = [field.zero] * m.ncols
+        v = [field.zero] * width
         v[j] = field.one
-        for i, pc in enumerate(pivots):
-            v[pc] = field.neg(red.entries[i][j])
+        for row, pc in zip(rows, pivots):
+            v[pc] = field.neg(row[j])
         basis.append(tuple(v))
     return basis
 

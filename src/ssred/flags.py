@@ -223,10 +223,11 @@ def levi_part(a: Matrix, weights) -> Matrix:
     return Matrix(a.field, rows, ncols=a.ncols, validate=False)
 
 
-def in_unipotent_orbit(gens, limits, lam: Cocharacter) -> bool:
+def in_unipotent_orbit_adapted(hs, ls, lam: Cocharacter) -> bool:
     """Whether some u = I + N in R_u(P_lambda)(k) conjugates each
-    generator h onto its limit l; a wrapper that moves both into lambda's
-    adapted basis for in_unipotent_orbit_adapted, the one solve path.
+    generator h onto its limit l, both given in lambda's adapted basis:
+    N h - l N = l - h for each pair, with N zero outside the blocks above
+    the diagonal, at most n(n-1)/2 unknowns.
 
     So it decides whether the limits are GL_n(k)-conjugate to the
     generators, by Bate-Martin-Roehrle-Tange, Thm 3.3: if a reductive G
@@ -235,14 +236,6 @@ def in_unipotent_orbit(gens, limits, lam: Cocharacter) -> bool:
     algebraic closure of k acts on tuples by conjugation, and a linear
     system over k that is solvable there is solvable over k.
     """
-    return in_unipotent_orbit_adapted([_adapted(g, lam) for g in gens],
-                                      [_adapted(s, lam) for s in limits], lam)
-
-
-def in_unipotent_orbit_adapted(hs, ls, lam: Cocharacter) -> bool:
-    """in_unipotent_orbit in lambda's adapted basis: N h - l N = l - h
-    for each pair, with N zero outside the blocks above the diagonal, at
-    most n(n-1)/2 unknowns."""
     n, w = lam.n, lam.weights
     unknowns = [i * n + j for i in range(n) for j in range(n) if w[i] > w[j]]
     rows, rhs = [], []

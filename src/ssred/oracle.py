@@ -24,6 +24,7 @@ environment variable.
 """
 
 import itertools
+import math
 import os
 import sys
 from array import array
@@ -47,14 +48,7 @@ _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 def group_order(q: int, n: int) -> int:
     """Order of GL_n(F_q) by the standard product formula."""
-    return _prod(q**n - q**i for i in range(n))
-
-
-def _prod(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out
+    return math.prod(q**n - q**i for i in range(n))
 
 
 def _require_finite(field: Field) -> None:
@@ -333,7 +327,7 @@ def _as_tuple(x) -> tuple:
 def generic_tuple(rep: Representation) -> tuple:
     """Generators followed by their inverses: the tuple fed to the oracle."""
     _require_finite(rep.field)
-    return rep.generators + tuple(m.inverse() for m in rep.generators)
+    return rep.generators + rep.inverses
 
 
 def preserved_flags(x) -> list:

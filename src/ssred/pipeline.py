@@ -14,7 +14,6 @@ destabilizing flag under an exact Kempf-style length measure.
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 
 from .errors import (
@@ -46,7 +45,6 @@ from .oracle import subgroup_closure
 from .reps import (
     Representation,
     SemisimpleCertificate,
-    _split,
     composition_series,
     deterministic_words,
     enveloping_basis,
@@ -261,15 +259,15 @@ def clifford_joint_ss(m: Representation, h: Representation, seed: int = 0) -> Cl
         h_set = subgroup_closure(h.field, h.generators)
         if not all(x in m_set for x in h.generators):
             raise NotNormal("subgroup generators fall outside the ambient group")
-        for g in m.generators:
-            gi = g.inverse()
-            for x in h_set:
+        # g H g^-1 is generated by the conjugates of H's generators and has
+        # |H| elements, so it is H exactly when they lie in H
+        for g, gi in zip(m.generators, m.inverses):
+            for x in h.generators:
                 if g * x * gi not in h_set:
                     raise NotNormal("conjugation by an ambient generator leaves the subgroup")
     else:
         algebra = enveloping_basis(h)
-        for g in m.generators:
-            gi = g.inverse()
+        for g, gi in zip(m.generators, m.inverses):
             for b in algebra.algebra_basis:
                 if not algebra.contains(g * b * gi):
                     raise AlgebraNotStable(
@@ -292,10 +290,10 @@ def clifford_joint_ss(m: Representation, h: Representation, seed: int = 0) -> Cl
     return CliffordResult(ambient, normal)
 
 
-def _invariant_lattice(rep: Representation, spins: dict) -> list[Subspace]:
+def _invariant_lattice(rep: Representation, spins: dict, steps) -> list[Subspace]:
     """All generator-invariant subspaces over a small finite field, as
     sums of cyclic invariant subspaces; a discovered sublattice over the
-    rationals.
+    rationals, which also holds the given invariant steps.
 
     Every invariant subspace is the sum of the spins of its vectors, so
     over F_q with q^n under the cap the closure of the cyclic subspaces
@@ -321,15 +319,8 @@ def _invariant_lattice(rep: Representation, spins: dict) -> list[Subspace]:
         w = spins[v] = spin(field, n, [v], rep.generators)
         if 0 < w.dim:
             found[w.basis.entries] = w
-    if field.p is None:
-        # the proper steps of composition_series(rep)'s flag, built
-        # without solving for complements
-        try:
-            chain = _split(rep, random.Random(0), shuffled=False, decide=False)[2]
-        except UndecidedIrreducibility:
-            chain = []
-        for step in chain:
-            found[step.basis.entries] = step
+    for step in steps:
+        found[step.basis.entries] = step
     worklist = list(found.values())
     while worklist:
         cur = worklist.pop()
@@ -414,14 +405,22 @@ def optimal_flag(rep: Representation, max_weight_height: int = 4) -> OptimalFlag
     """
     if max_weight_height < 1:
         raise InvalidInput("the weight height bound must be at least 1")
-    if is_semisimple(rep).semisimple:
-        raise PreconditionNotDestabilizable("input is already completely reducible")
     field, n = rep.field, rep.n
+    # over QQ the composition flag's proper steps join the lattice, and
+    # the series' recursion gives the verdict too
+    try:
+        series = composition_series(rep) if field.p is None else None
+    except UndecidedIrreducibility:
+        series = None
+    cert = is_semisimple(rep) if series is None else series.certificate
+    if cert.semisimple:
+        raise PreconditionNotDestabilizable("input is already completely reducible")
+    steps = series.flag.steps[:-1] if series is not None else []
     full = Subspace.full(field, n)
     spins: dict = {}
     candidates = []
     levi_of = {}
-    for chain in _chains(_invariant_lattice(rep, spins)):
+    for chain in _chains(_invariant_lattice(rep, spins, steps)):
         flag = Flag(chain + [full])
         base = flag_to_cocharacter(flag)
         p, p_inv, w = base.basis_change, base.basis_change_inv, base.weights

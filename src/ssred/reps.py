@@ -61,26 +61,37 @@ class Representation:
     order matters only for isomorphism alignment.
     """
 
-    __slots__ = ("field", "n", "generators", "name")
+    __slots__ = ("field", "n", "generators", "name", "_inverses")
 
     def __init__(self, generators, name: str | None = None):
         generators = tuple(generators)
         if not generators:
             raise InvalidInput("a representation needs at least one generator")
-        first = generators[0]
-        field = first.field
-        n = first.nrows
+        if not all(isinstance(g, Matrix) for g in generators):
+            raise InvalidInput("every generator must be a Matrix")
+        field, n = generators[0].field, generators[0].nrows
         for i, g in enumerate(generators):
             if g.field is not field:
                 raise DimensionMismatch("generators over different fields")
-            if g.nrows != n or g.ncols != n:
+            if g.nrows != g.ncols:
+                raise DimensionMismatch(f"generator {i} is not square")
+            if g.nrows != n:
                 raise DimensionMismatch("generators of different sizes")
+            # a determinant costs less than an inverse, which may never be needed
             if g.det() == 0:
                 raise InvalidInput(f"generator {i} is singular")
         self.field = field
         self.n = n
         self.generators = generators
         self.name = name
+        self._inverses = None
+
+    @property
+    def inverses(self) -> tuple:
+        """The generators' inverses, computed on first use and kept."""
+        if self._inverses is None:
+            self._inverses = tuple(g.inverse() for g in self.generators)
+        return self._inverses
 
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
@@ -108,10 +119,7 @@ def _flatten(m: Matrix) -> tuple:
 
 def word_entries(rep: Representation) -> tuple:
     """The generators followed by their inverses: the letters of a word."""
-    inverses = tuple(g.inverse() for g in rep.generators)
-    if None in inverses:
-        raise InternalInvariantViolation("validated generator became singular")
-    return rep.generators + inverses
+    return rep.generators + rep.inverses
 
 
 def evaluate_word(word, entries) -> Matrix:
@@ -649,32 +657,29 @@ def _splitting_on_standard_basis(field, spun, restrictions, couplings, k):
             seeds += 1
         else:
             xis.append(image(*origin))
-    rows, rhs = [], []
+    # the rows are (C | -r) for C y = r, eliminated as they are built; a
+    # pivot in the last column is a row 0 = c, so there is no complement.
+    # Otherwise the last kernel vector is (y, 1) for the solution with the
+    # free unknowns zero, and the others, ending in 0, span the
+    # homogeneous solutions
+    acc = EchelonBasis(field, width)
     for t, i, c in relations:
         for have, want in zip(combine(c), image(t, i)):
-            row = reduce(map(sub, have, want))
-            rows.append(row[:-1])
-            rhs.append(field.neg(row[-1]))
-    system = Matrix(field, rows, ncols=width - 1, validate=False)
-    y = solve_linear(system, rhs)
-    if y is None:
-        return None
+            if acc.add(reduce(map(sub, have, want))) and acc.pivots[-1] == width - 1:
+                return None
+    *homogeneous, particular = right_kernel(acc)
     # X's column f is xi(e_f), read off the u-coordinates of e_f
     columns = [combine(inverse[f]) for f in range(m)]
 
     def x_coords(point):
         return reduce([sum(map(mul, columns[f][r], point)) for r in range(k) for f in range(m)])
 
-    x = x_coords(y + (one,))
-    kernel = right_kernel(system)
-    if not kernel:
-        return x
     # Sylvester's free columns are the last nonzero positions of its
     # kernel: reduce x there, reversed, against the reversed kernel
     directions = EchelonBasis(field, k * m)
-    for z in kernel:
-        directions.add(x_coords(z + (zero,))[::-1])
-    return directions.residual(x[::-1])[::-1]
+    for z in homogeneous:
+        directions.add(x_coords(z)[::-1])
+    return directions.residual(x_coords(particular)[::-1])[::-1]
 
 
 def _complement_rows(gens, w: Subspace, free, restrictions, quotients):

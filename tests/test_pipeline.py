@@ -11,7 +11,7 @@ from ssred.errors import (
     PreconditionNotDestabilizable,
 )
 from ssred.exact import Field, Matrix, Subspace
-from ssred.flags import Flag, c_lambda, flag_to_cocharacter, in_unipotent_orbit
+from ssred.flags import Flag, c_lambda, flag_to_cocharacter, in_unipotent_orbit_adapted
 from ssred.oracle import get_table
 from ssred.pipeline import (
     CliffordResult,
@@ -498,10 +498,12 @@ def test_in_unipotent_orbit_matches_brute_force(full_corpus):
         if is_gcr_over_k(r).semisimple:
             continue
         full = Subspace.full(r.field, r.n)
-        for chain in _chains(_invariant_lattice(r, {})):
+        for chain in _chains(_invariant_lattice(r, {}, [])):
             lam = flag_to_cocharacter(Flag(chain + [full]))
             limit = c_lambda(r.generators, lam)
-            conjugate = in_unipotent_orbit(r.generators, limit, lam)
+            p, p_inv = lam.basis_change, lam.basis_change_inv
+            conjugate = in_unipotent_orbit_adapted([p_inv * g * p for g in r.generators],
+                                                   [p_inv * s * p for s in limit], lam)
             assert conjugate == table_conjugate(r.generators, limit)
             outcomes.append(conjugate)
     assert set(outcomes) == {True, False}
@@ -517,6 +519,26 @@ def test_optimal_flag_rational_pinned():
     assert len(report.per_flag_data) == 30
     assert len(report.argmax) == 1
     assert report.findings == ()
+
+
+def test_optimal_flag_rational_pinned_spins_once(monkeypatch):
+    """The verdict and the composition flag's steps come from one
+    recursion: a verdict from `is_semisimple` followed by a series-only
+    recursion made 38 `spin` calls here."""
+    import ssred.pipeline
+    import ssred.reps
+
+    calls = []
+    real_spin = ssred.reps.spin
+
+    def counting_spin(*args, **kwargs):
+        calls.append(None)
+        return real_spin(*args, **kwargs)
+
+    monkeypatch.setattr(ssred.reps, "spin", counting_spin)
+    monkeypatch.setattr(ssred.pipeline, "spin", counting_spin)
+    assert optimal_flag(RATIONAL_PINNED).measure == Fraction(4, 3)
+    assert len(calls) <= 30
 
 
 def reference_w_min(r, flag, weights):

@@ -6,15 +6,22 @@ import pytest
 
 from conftest import random_representation, spin_closure
 
-from ssred.errors import GeneratorCountMismatch, InvalidInput, UndecidedIrreducibility
+from ssred.errors import (
+    DimensionMismatch,
+    GeneratorCountMismatch,
+    InvalidInput,
+    UndecidedIrreducibility,
+)
 from ssred.exact import Field, Matrix, Subspace
 from ssred.flags import Flag, flag_to_cocharacter
+from ssred.oracle import generic_tuple
 from ssred.pipeline import SsResult
 from ssred.reps import (
     IrreducibleWitness,
     Representation,
     SemisimpleCertificate,
     _discover_submodule,
+    _invariant_complement,
     composition_series,
     deterministic_words,
     enveloping_basis,
@@ -67,6 +74,43 @@ def test_representation_validation():
         rep(F2, [[1, 1], [1, 1]])  # singular
     r = rep(F3, [[1, 0], [0, 2]], name="diag")
     assert r.n == 2 and r.field is F3 and r.name == "diag"
+
+
+@pytest.mark.parametrize("gens", [
+    [mat(F3, [[1, 0], [0, 2]]), "x"],
+    [mat(F3, [[1, 0], [0, 2]]), [[1, 0], [0, 1]]],
+    [[[1, 0], [0, 1]]],
+], ids=["string", "nested-list", "only-a-list"])
+def test_representation_rejects_generators_that_are_not_matrices(gens):
+    with pytest.raises(InvalidInput, match="Matrix"):
+        Representation(gens)
+
+
+def test_representation_rejects_a_non_square_generator():
+    with pytest.raises(DimensionMismatch, match="generator 0 is not square"):
+        Representation([mat(F3, [[1, 0, 0], [0, 1, 0]])])
+    with pytest.raises(DimensionMismatch, match="generators of different sizes"):
+        Representation([mat(F3, [[1]]), mat(F3, [[1, 0], [0, 1]])])
+
+
+def test_generators_are_inverted_once(monkeypatch):
+    """The search, the witness verifier and the oracle's generic tuple
+    share the representation's inverses: each generator is inverted once,
+    not once per caller."""
+    r = rep(F3, [[0, -1], [1, 0]], [[1, 1], [0, 1]])
+    calls = []
+    real_inverse = Matrix.inverse
+
+    def counting_inverse(self):
+        calls.append(self)
+        return real_inverse(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counting_inverse)
+    witness = find_submodule(r)
+    assert isinstance(witness, IrreducibleWitness) and witness.word is not None
+    assert witness.verify(r)
+    assert generic_tuple(r) == r.generators + tuple(real_inverse(g) for g in r.generators)
+    assert len(calls) <= len(r.generators)
 
 
 def test_enveloping_basis_frozen():
@@ -445,6 +489,31 @@ def test_spins_stop_once_the_answer_is_known(monkeypatch, p, n, kind, call, pare
     monkeypatch.setattr(Matrix, "apply", counting_apply)
     call(r)
     assert len(calls) <= parent_count // 2
+
+
+def test_non_split_complement_stops_at_the_first_inconsistent_row(monkeypatch):
+    """Regression pin on the standard-basis complement solve: the rows of
+    [[A, B], [0, C]] over GF(101), n = 8, W the first four coordinates,
+    go into the elimination as they are built, and the solve stops at the
+    first row that reduces to 0 = c.  Building every relation's rows
+    first made 76 `Field.reduce` calls on this input."""
+    field, n, k = Field.prime(101), 8, 4
+    rng = random.Random(0)
+    gens = [_two_blocks(field, _random_invertible(rng, field, k),
+                        Matrix(field, [[rng.randrange(field.p) for _ in range(n - k)]
+                                       for _ in range(k)]),
+                        _random_invertible(rng, field, n - k)) for _ in range(2)]
+    w = Subspace.from_vectors(field, n, [[int(i == j) for j in range(n)] for i in range(k)])
+    calls = []
+    real_reduce = Field.reduce
+
+    def counting_reduce(self, xs):
+        calls.append(None)
+        return real_reduce(self, xs)
+
+    monkeypatch.setattr(Field, "reduce", counting_reduce)
+    assert _invariant_complement(gens, w) is None
+    assert len(calls) <= 49
 
 
 def test_composition_series_seed_variation():
