@@ -10,11 +10,12 @@ operation below is written on those three.
 The public surface is deliberately small: reduced row echelon form,
 kernels, linear solving, subspaces with canonical echelon bases, orbit
 closure of vectors under a set of operators ("spinning"), characteristic
-polynomials, factorization of polynomials over GF(p), and the first
-solution of the intertwining system g*A_i = B_i*g.  One Gauss-Jordan
-routine, `EchelonBasis.add`, does the elimination behind all the linear
-algebra; `Matrix.det` keeps its own, so that it stays an independent
-reference for `charpoly`.
+polynomials, factorization of polynomials over GF(p), and one solver of
+A_i X - X D_i = -B_i, `solve_sylvester`, behind invariant complements
+(B the coupling block) and module isomorphisms (`solve_conjugating`,
+B = 0).  One Gauss-Jordan routine, `EchelonBasis.add`, does the
+elimination behind all the linear algebra; `Matrix.det` keeps its own,
+so that it stays an independent reference for `charpoly`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 from math import isqrt
-from operator import add, mul, neg
+from operator import add, mul, neg, sub
 
 from .errors import DimensionMismatch, InvalidInput
 
@@ -479,6 +480,7 @@ class Subspace:
         return not any(self.residual(tuple(field.coerce(x) for x in v)))
 
     def contains(self, other: "Subspace") -> bool:
+        self.basis._check_same_field(other.basis)
         return all(self.contains_vector(row) for row in other.basis.entries)
 
     def coordinates(self, v) -> tuple | None:
@@ -490,12 +492,14 @@ class Subspace:
         return tuple(vv[pc] for pc in self.pivots)
 
     def sum(self, other: "Subspace") -> "Subspace":
+        self.basis._check_same_field(other.basis)
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("subspace sum in different ambient spaces")
         return Subspace.from_vectors(self.field, self.ambient_dim,
                                      self.basis.entries + other.basis.entries)
 
     def intersection(self, other: "Subspace") -> "Subspace":
+        self.basis._check_same_field(other.basis)
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("intersection in different ambient spaces")
         field = self.field
@@ -509,6 +513,9 @@ class Subspace:
             for rel in relations])
 
     def is_invariant_under(self, mats) -> bool:
+        mats = tuple(mats)
+        for m in mats:
+            self.basis._check_same_field(m)
         return all(self.contains_vector(m.apply(row))
                    for m in mats for row in self.basis.entries)
 
@@ -838,27 +845,147 @@ def sylvester_rows(a: Matrix, d: Matrix) -> list[tuple]:
     return rows
 
 
-def solve_conjugating(lhs, rhs) -> Matrix | None:
-    """The first basis vector of {g : g * lhs[i] = rhs[i] * g for all i}.
+def _quotient_standard_basis(field: Field, quotients):
+    """A standard basis u_0, u_1, ... of the quotient: its standard vectors
+    e_0, e_1, ... taken in order, each one not yet reached spun to closure
+    before the next.
 
-    The condition is linear in g, so this is one kernel computation; the
-    basis is the `right_kernel` one, in the column order of g's entries
-    read row-major.  Returns None when only g = 0 solves the system.  The
-    answer may be singular: whether a singular intertwiner means anything
-    is the caller's to decide.
+    Returns (origins, basis, relations, inverse).  origins[t] is None when
+    u_t is a seed and (t', i) when u_t = D_i u_t'.  relations lists
+    (t, i, c) for every other pair, with D_i u_t = sum_s c[s] u_s, and
+    inverse[f] holds the coordinates of e_f in the u basis.  Each pair
+    (t, i) costs one application of D_i.
+    """
+    m = quotients[0].nrows
+    # rows (v, c) with v = sum_s c[s] u_s: a residual with v-part zero
+    # carries minus the coordinates of what it reduced
+    acc = EchelonBasis(field, 2 * m)
+    tail = (field.zero,) * m
+    origins, basis, relations = [], [], []
+
+    def place(v, origin):
+        r = acc.residual(v + tail)
+        if not any(r[:m]):
+            return [field.neg(c) for c in r[m:]]
+        r[m + len(basis)] = field.one
+        acc.add(r)
+        origins.append(origin)
+        basis.append(v)
+        return None
+
+    t = 0
+    for f in range(m):
+        if len(basis) == m:
+            break
+        place(tuple(field.one if j == f else field.zero for j in range(m)), None)
+        while t < len(basis):
+            for i, d in enumerate(quotients):
+                c = place(d.apply(basis[t]), (t, i))
+                if c is not None:
+                    relations.append((t, i, c))
+            t += 1
+    return origins, basis, relations, [row[m:] for row in acc.rows]
+
+
+def solve_sylvester(a, d, b) -> tuple:
+    """Solve A_i X - X D_i = -B_i for all i (A_i and D_i square Matrix,
+    B_i k x m rows).  Returns (x, kernel) in the unknowns of
+    `sylvester_rows`, entry (r, c) of X at r*m + c: x is the solution with
+    the free unknowns zero, as `solve_linear` gives it, and kernel the
+    `right_kernel` basis of the homogeneous system; (None, None) when
+    there is no solution.
+
+    X is a map xi with xi(D_i u) = A_i xi(u) + B_i u, fixed by its values
+    on the s seeds of a standard basis of the D-module (Holt, Eick &
+    O'Brien, Handbook of Computational Group Theory, 7.5): k*s unknowns
+    instead of k*m.  When every D_i is upper triangular every standard
+    vector is a seed, so the k*m rows are eliminated as they stand.
+    Either way the rows (C | -r) for C y = r are eliminated as built and
+    the solve stops at a row 0 = c; otherwise the last kernel vector is
+    (y, 1) and the others, (z, 0), span the homogeneous solutions.
+    """
+    field = d[0].field
+    k, m = a[0].nrows, d[0].nrows
+    zero, one = field.zero, field.one
+    reduce = field.reduce
+
+    def image(t, i):
+        """xi(D_i u_t) as k affine rows (y coefficients, then constant)."""
+        cols = tuple(zip(*xis[t]))
+        bu = [sum(map(mul, brow, basis[t])) for brow in b[i]]
+        return [reduce([sum(map(mul, arow, col)) for col in cols[:-1]]
+                       + [sum(map(mul, arow, cols[-1])) + bt])
+                for arow, bt in zip(a[i].entries, bu)]
+
+    def combine(coeffs):
+        """sum_t coeffs[t] xi(u_t), entries unreduced."""
+        out = [[zero] * width for _ in range(k)]
+        for c, xi in zip(coeffs, xis):
+            if c:
+                out = [[x + c * y for x, y in zip(orow, xrow)] for orow, xrow in zip(out, xi)]
+        return out
+
+    upper = not any(dd.entries[i][j] for dd in d for j in range(m) for i in range(j + 1, m))
+    if upper:
+        width = k * m + 1
+        rows = (row + (c,) for ai, di, bi in zip(a, d, b)
+                for row, c in zip(sylvester_rows(ai, di), (c for brow in bi for c in brow)))
+    else:
+        origins, basis, relations, inverse = _quotient_standard_basis(field, d)
+        width = k * origins.count(None) + 1
+        xis, seeds = [], 0
+        for origin in origins:
+            if origin is None:
+                xis.append([[one if c == k * seeds + r else zero for c in range(width)]
+                            for r in range(k)])
+                seeds += 1
+            else:
+                xis.append(image(*origin))
+        # only the relations of the spin constrain y, with k rows each
+        rows = (reduce(map(sub, have, want)) for t, i, c in relations
+                for have, want in zip(combine(c), image(t, i)))
+    acc = EchelonBasis(field, width)
+    for row in rows:
+        if acc.add(row) and acc.pivots[-1] == width - 1:
+            return None, None
+    *homogeneous, particular = right_kernel(acc)
+    if upper:
+        return particular[:-1], [z[:-1] for z in homogeneous]
+    # X's column f is xi(e_f), read off the u-coordinates of e_f
+    columns = [combine(inverse[f]) for f in range(m)]
+
+    def x_coords(point):
+        return reduce([sum(map(mul, columns[f][r], point)) for r in range(k) for f in range(m)])
+
+    # a Sylvester kernel vector ends in a 1 at its free column, zeros at
+    # the other free ones, so reversed these vectors are the reduced
+    # echelon basis of the solutions, and x reduced against it is zero there
+    directions = EchelonBasis(field, k * m)
+    for z in homogeneous:
+        directions.add(x_coords(z)[::-1])
+    return (directions.residual(x_coords(particular)[::-1])[::-1],
+            [tuple(z[::-1]) for z in reversed(directions.rows)])
+
+
+def solve_conjugating(lhs, rhs) -> Matrix | None:
+    """The first basis vector of {g : g * lhs[i] = rhs[i] * g for all i},
+    the `solve_sylvester` kernel of rhs[i] g - g lhs[i] = 0, with g's
+    entries read row-major.  Returns None when only g = 0 solves the
+    system.  The answer may be singular: whether a singular intertwiner
+    means anything is the caller's to decide.
     """
     lhs, rhs = list(lhs), list(rhs)
     if len(lhs) != len(rhs):
         raise DimensionMismatch("conjugation systems of different lengths")
     if not lhs:
         raise InvalidInput("empty conjugation system")
+    if not all(isinstance(m, Matrix) for m in itertools.chain(lhs, rhs)):
+        raise InvalidInput("every conjugation system entry must be a Matrix")
     field, n = lhs[0].field, lhs[0].nrows
     for m in itertools.chain(lhs, rhs):
         if m.field is not field or m.nrows != n or m.ncols != n:
             raise DimensionMismatch("conjugation system entries must share one square shape")
-    # B_i g - g A_i = 0 for every pair
-    sys_rows = [row for a, b in zip(lhs, rhs) for row in sylvester_rows(b, a)]
-    kernel = right_kernel(Matrix(field, tuple(sys_rows), ncols=n * n, validate=False))
+    _x, kernel = solve_sylvester(rhs, lhs, [Matrix.zeros(field, n, n).entries] * len(lhs))
     if not kernel:
         return None
     return Matrix(field, [kernel[0][i * n:(i + 1) * n] for i in range(n)],

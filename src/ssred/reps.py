@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from operator import mul, sub
 
 from .errors import (
     SPACE_VECTORS_CAP,
@@ -44,9 +43,8 @@ from .exact import (
     projective_vectors,
     right_kernel,
     solve_conjugating,
-    solve_linear,
+    solve_sylvester,
     spin,
-    sylvester_rows,
 )
 from .flags import Flag
 
@@ -572,116 +570,6 @@ class SemisimpleCertificate:
         return acc.dim == n == sum(s.dim for s in self.summands)
 
 
-def _quotient_standard_basis(field: Field, quotients):
-    """A standard basis u_0, u_1, ... of the quotient: its standard vectors
-    e_0, e_1, ... taken in order, each one not yet reached spun to closure
-    before the next.
-
-    Returns (origins, basis, relations, inverse).  origins[t] is None when
-    u_t is a seed and (t', i) when u_t = D_i u_t'.  relations lists
-    (t, i, c) for every other pair, with D_i u_t = sum_s c[s] u_s, and
-    inverse[f] holds the coordinates of e_f in the u basis.  Each pair
-    (t, i) costs one application of D_i.
-    """
-    m = quotients[0].nrows
-    # rows (v, c) with v = sum_s c[s] u_s: a residual with v-part zero
-    # carries minus the coordinates of what it reduced
-    acc = EchelonBasis(field, 2 * m)
-    tail = (field.zero,) * m
-    origins, basis, relations = [], [], []
-
-    def place(v, origin):
-        r = acc.residual(v + tail)
-        if not any(r[:m]):
-            return [field.neg(c) for c in r[m:]]
-        r[m + len(basis)] = field.one
-        acc.add(r)
-        origins.append(origin)
-        basis.append(v)
-        return None
-
-    t = 0
-    for f in range(m):
-        if len(basis) == m:
-            break
-        place(tuple(field.one if j == f else field.zero for j in range(m)), None)
-        while t < len(basis):
-            for i, d in enumerate(quotients):
-                c = place(d.apply(basis[t]), (t, i))
-                if c is not None:
-                    relations.append((t, i, c))
-            t += 1
-    return origins, basis, relations, [row[m:] for row in acc.rows]
-
-
-def _splitting_on_standard_basis(field, spun, restrictions, couplings, k):
-    """Solve the splitting system on a standard basis of the quotient.
-
-    A complement is the image of u -> u + xi(u) for a linear map xi from
-    the quotient to w with xi(D u) = A xi(u) + B u for every generator.
-    The unknowns are xi's values y_j on the s seeds.  That rule gives xi
-    on every other basis vector, affine in y, so only the relations of
-    the spin constrain y, with k rows each.  Returns the matrix X of xi
-    on the standard vectors, flat with entry (i, f) at i*m + f: of all
-    solutions, the one that vanishes on the free columns of the
-    k*m-unknown Sylvester system, which is the one `solve_linear` gives
-    that system.  Returns None when there is no complement.
-    """
-    origins, basis, relations, inverse = spun
-    m = len(basis)
-    width = k * origins.count(None) + 1
-    zero, one = field.zero, field.one
-    reduce = field.reduce
-
-    def image(t, i):
-        """xi(D_i u_t) as k affine rows (y coefficients, then constant)."""
-        cols = tuple(zip(*xis[t]))
-        bu = [sum(map(mul, brow, basis[t])) for brow in couplings[i]]
-        return [reduce([sum(map(mul, arow, col)) for col in cols[:-1]]
-                       + [sum(map(mul, arow, cols[-1])) + b])
-                for arow, b in zip(restrictions[i].entries, bu)]
-
-    def combine(coeffs):
-        """sum_t coeffs[t] xi(u_t), entries unreduced."""
-        out = [[zero] * width for _ in range(k)]
-        for c, xi in zip(coeffs, xis):
-            if c:
-                out = [[x + c * y for x, y in zip(orow, xrow)] for orow, xrow in zip(out, xi)]
-        return out
-
-    xis, seeds = [], 0
-    for origin in origins:
-        if origin is None:
-            xis.append([[one if c == k * seeds + r else zero for c in range(width)]
-                        for r in range(k)])
-            seeds += 1
-        else:
-            xis.append(image(*origin))
-    # the rows are (C | -r) for C y = r, eliminated as they are built; a
-    # pivot in the last column is a row 0 = c, so there is no complement.
-    # Otherwise the last kernel vector is (y, 1) for the solution with the
-    # free unknowns zero, and the others, ending in 0, span the
-    # homogeneous solutions
-    acc = EchelonBasis(field, width)
-    for t, i, c in relations:
-        for have, want in zip(combine(c), image(t, i)):
-            if acc.add(reduce(map(sub, have, want))) and acc.pivots[-1] == width - 1:
-                return None
-    *homogeneous, particular = right_kernel(acc)
-    # X's column f is xi(e_f), read off the u-coordinates of e_f
-    columns = [combine(inverse[f]) for f in range(m)]
-
-    def x_coords(point):
-        return reduce([sum(map(mul, columns[f][r], point)) for r in range(k) for f in range(m)])
-
-    # Sylvester's free columns are the last nonzero positions of its
-    # kernel: reduce x there, reversed, against the reversed kernel
-    directions = EchelonBasis(field, k * m)
-    for z in homogeneous:
-        directions.add(x_coords(z)[::-1])
-    return directions.residual(x_coords(particular)[::-1])[::-1]
-
-
 def _complement_rows(gens, w: Subspace, free, restrictions, quotients):
     """The vectors e_f + sum_i X[i][f] w_i, one per free column f of w,
     that span an invariant complement of the proper invariant subspace w,
@@ -690,33 +578,15 @@ def _complement_rows(gens, w: Subspace, free, restrictions, quotients):
 
     In the basis of the w_i followed by the e_f each generator is
     [[A, B], [0, D]] with B[i][f] = g[pivot_i][f].  Every complement is
-    such a span for exactly one k x m matrix X, m = n - k, and it is
-    invariant exactly when A X - X D = -B for every generator.  The solve
-    runs on a standard basis of the quotient (Holt, Eick & O'Brien,
-    Handbook of Computational Group Theory, 7.5): X is fixed by its values
-    on the s spin seeds, so it has k*s unknowns instead of k*m, and s = 1
-    when the first standard vector generates the quotient.  When s = m the
-    k*m-unknown Sylvester system is solved as it stands.  Either way X is
-    the solution `solve_linear` gives that system.
+    such a span for exactly one k x m matrix X, m = n - k, invariant
+    exactly when A X - X D = -B for every generator (`solve_sylvester`).
     """
     field = w.field
-    k = w.dim
     couplings = [[[g.entries[pc][f] for f in free] for pc in w.pivots] for g in gens]
-    m = len(free)
-    # every standard vector is a seed (s = m) exactly when each D is
-    # upper triangular
-    if any(d.entries[i][j] for d in quotients for j in range(m) for i in range(j + 1, m)):
-        spun = _quotient_standard_basis(field, quotients)
-        x = _splitting_on_standard_basis(field, spun, restrictions, couplings, k)
-    else:
-        rows, rhs = [], []
-        for a, d, b in zip(restrictions, quotients, couplings):
-            rows += sylvester_rows(a, d)
-            rhs += [field.neg(c) for brow in b for c in brow]
-        x = solve_linear(Matrix(field, tuple(rows), ncols=k * m, validate=False), rhs)
+    x, _kernel = solve_sylvester(restrictions, quotients, couplings)
     if x is None:
         return None
-    n = w.ambient_dim
+    m, n = len(free), w.ambient_dim
     rows = [list(linear_combination(field, x[jj::m], w.basis.entries, n)) for jj in range(m)]
     for row, f in zip(rows, free):
         row[f] = field.add(row[f], field.one)
@@ -737,8 +607,10 @@ def module_iso(a: Representation, b: Representation) -> Matrix | None:
 
     By Schur's lemma a nonzero module map out of an irreducible a is
     injective, so the first solution of g a_i = b_i g decides.  A singular
-    one proves a reducible and raises InvalidInput.
+    one proves a reducible; it and a non-Representation raise InvalidInput.
     """
+    if not (isinstance(a, Representation) and isinstance(b, Representation)):
+        raise InvalidInput("module_iso compares two Representations")
     if a.field is not b.field:
         raise DimensionMismatch("modules over different fields")
     if len(a.generators) != len(b.generators):

@@ -10,6 +10,7 @@ from ssred.exact import (
     Field,
     Matrix,
     Subspace,
+    _quotient_standard_basis,
     linear_combination,
     right_kernel,
     solve_linear,
@@ -21,7 +22,6 @@ from ssred.pipeline import semisimplify
 from ssred.reps import (
     Representation,
     _invariant_complement,
-    _quotient_standard_basis,
     quotient_mod_subspace,
 )
 

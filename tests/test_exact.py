@@ -197,6 +197,21 @@ def test_subspace_basics():
     assert Subspace.full(F2, 2).pivots == (0, 1) and Subspace.zero(F2, 2).pivots == ()
 
 
+
+@pytest.mark.parametrize("method", ["contains", "sum", "intersection"])
+def test_subspace_pair_over_another_field_rejected(method):
+    f5 = Field.prime(5)
+    line = Subspace.from_vectors(F3, 2, [(1, 0)])
+    with pytest.raises(DimensionMismatch, match="mixed base fields"):
+        getattr(Subspace.full(f5, 2), method)(line)
+
+
+def test_invariance_under_another_field_rejected():
+    line = Subspace.from_vectors(F3, 2, [(1, 0)])
+    assert line.is_invariant_under([mat(F3, [[1, 1], [0, 1]])])
+    with pytest.raises(DimensionMismatch, match="mixed base fields"):
+        line.is_invariant_under([mat(Field.prime(5), [[1, 1], [0, 1]])])
+
 def test_subspace_pivots_and_residual_randomized():
     rng = random.Random(43)
     for _ in range(100):
@@ -441,6 +456,15 @@ def test_solve_conjugating_rational():
     assert solve_conjugating([c], [mat(QQ, [[5, 0], [0, 4]])]) is None
     with pytest.raises(DimensionMismatch):
         solve_conjugating([c], [mat(QQ, [[1]])])
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    ([[[1, 1], [0, 1]]], [mat(F3, [[1, 1], [0, 1]])]),
+    ([mat(F3, [[1, 1], [0, 1]])], ["x"]),
+], ids=["nested-list", "string"])
+def test_solve_conjugating_rejects_entries_that_are_not_matrices(lhs, rhs):
+    with pytest.raises(InvalidInput, match="Matrix"):
+        solve_conjugating(lhs, rhs)
 
 
 def test_echelon_basis_incremental():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ssred.errors import InvalidInput, LimitDoesNotExist
+from ssred.errors import DimensionMismatch, InvalidInput, LimitDoesNotExist
 from ssred.exact import Field, Matrix, Subspace
 from ssred.flags import (
     Cocharacter,
@@ -68,6 +68,11 @@ def test_flag_validation():
     with pytest.raises(InvalidInput):
         Flag([line3, disjoint_plane, Subspace.full(F2, 3)])  # not nested
     assert Flag.trivial(F2, 2).block_sizes == (2,)
+
+
+def test_flag_over_two_fields_rejected():
+    with pytest.raises(DimensionMismatch, match="mixed base fields"):
+        Flag([span(Field.prime(3), 2, (1, 0)), Subspace.full(Field.prime(5), 2)])
 
 
 def test_flag_to_cocharacter_trivial():

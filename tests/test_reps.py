@@ -698,6 +698,14 @@ def test_module_iso_frozen():
     assert module_iso(a, rep(F2, [[1]])) is None  # dimension mismatch
 
 
+def test_module_iso_rejects_arguments_that_are_not_representations():
+    m = mat(F2, [[0, 1], [1, 1]])
+    with pytest.raises(InvalidInput, match="Representation"):
+        module_iso([m], [m])
+    with pytest.raises(InvalidInput, match="Representation"):
+        module_iso(rep(F2, [[0, 1], [1, 1]]), [m])
+
+
 def test_module_iso_symmetry():
     rng = random.Random(37)
     seen = 0
