@@ -479,8 +479,13 @@ class Subspace:
         field = self.field
         return not any(self.residual(tuple(field.coerce(x) for x in v)))
 
-    def contains(self, other: "Subspace") -> bool:
+    def _check_same_space(self, other: "Subspace"):
         self.basis._check_same_field(other.basis)
+        if self.ambient_dim != other.ambient_dim:
+            raise DimensionMismatch("subspaces of different ambient spaces")
+
+    def contains(self, other: "Subspace") -> bool:
+        self._check_same_space(other)
         return all(self.contains_vector(row) for row in other.basis.entries)
 
     def coordinates(self, v) -> tuple | None:
@@ -492,16 +497,12 @@ class Subspace:
         return tuple(vv[pc] for pc in self.pivots)
 
     def sum(self, other: "Subspace") -> "Subspace":
-        self.basis._check_same_field(other.basis)
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("subspace sum in different ambient spaces")
+        self._check_same_space(other)
         return Subspace.from_vectors(self.field, self.ambient_dim,
                                      self.basis.entries + other.basis.entries)
 
     def intersection(self, other: "Subspace") -> "Subspace":
-        self.basis._check_same_field(other.basis)
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("intersection in different ambient spaces")
+        self._check_same_space(other)
         field = self.field
         n = self.ambient_dim
         if self.dim == 0 or other.dim == 0:
@@ -908,11 +909,12 @@ def solve_sylvester(a, d, b) -> tuple:
     k, m = a[0].nrows, d[0].nrows
     zero, one = field.zero, field.one
     reduce = field.reduce
+    coupled = [any(map(any, bi)) for bi in b]
 
     def image(t, i):
         """xi(D_i u_t) as k affine rows (y coefficients, then constant)."""
         cols = tuple(zip(*xis[t]))
-        bu = [sum(map(mul, brow, basis[t])) for brow in b[i]]
+        bu = [sum(map(mul, brow, basis[t])) for brow in b[i]] if coupled[i] else [zero] * k
         return [reduce([sum(map(mul, arow, col)) for col in cols[:-1]]
                        + [sum(map(mul, arow, cols[-1])) + bt])
                 for arow, bt in zip(a[i].entries, bu)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import DimensionMismatch, InvalidInput, LimitDoesNotExist
-from .exact import Field, Matrix, Subspace, solve_linear, sylvester_rows
+from .exact import Field, Matrix, Subspace, solve_sylvester
 
 
 class Flag:
@@ -223,28 +223,31 @@ def levi_part(a: Matrix, weights) -> Matrix:
     return Matrix(a.field, rows, ncols=a.ncols, validate=False)
 
 
-def in_unipotent_orbit_adapted(hs, ls, lam: Cocharacter) -> bool:
-    """Whether some u = I + N in R_u(P_lambda)(k) conjugates each
-    generator h onto its limit l, both given in lambda's adapted basis:
-    N h - l N = l - h for each pair, with N zero outside the blocks above
-    the diagonal, at most n(n-1)/2 unknowns.
+def splits_adapted(hs, block_sizes) -> bool:
+    """Whether each flag step F_(i-1) < F_i, F_i the span of the first i
+    adapted blocks, has an hs-invariant complement in F_i, hs given in the
+    adapted basis.  On F_i each h is [[A, B], [0, D]], and the complements
+    are the spans of [X; I] with A X - X D = -B for all h: one
+    `solve_sylvester` per step, up to the first that fails.
 
-    So it decides whether the limits are GL_n(k)-conjugate to the
-    generators, by Bate-Martin-Roehrle-Tange, Thm 3.3: if a reductive G
-    acts on an affine variety and x' = lim_{a->0} lambda(a).x exists and
-    lies in G.x, then x' lies in R_u(P_lambda).x.  Here G = GL_n over the
-    algebraic closure of k acts on tuples by conjugation, and a linear
-    system over k that is solvable there is solvable over k.
+    Then some u = I + N in R_u(P_lambda)(k) has u h = l u for each h and
+    its limit l = levi_part(h): u maps each complement onto its block along
+    F_(i-1), and conversely u^-1 of block i is a complement.  So this
+    decides whether the limits are GL_n(k)-conjugate to hs, by
+    Bate-Martin-Roehrle-Tange, Thm 3.3: if a reductive G acts on an affine
+    variety and x' = lim_{a->0} lambda(a).x lies in G.x, then x' lies in
+    R_u(P_lambda).x.  Here G = GL_n over the algebraic closure of k, and a
+    linear system over k solvable there is solvable over k.
     """
-    n, w = lam.n, lam.weights
-    unknowns = [i * n + j for i in range(n) for j in range(n) if w[i] > w[j]]
-    rows, rhs = [], []
-    for h, lim in zip(hs, ls):
-        # sylvester_rows(lim, h) is N -> lim N - N h
-        rows += [tuple(row[c] for c in unknowns) for row in sylvester_rows(lim, h)]
-        rhs += [x for row in (h - lim).entries for x in row]
-    system = Matrix(lam.field, rows, ncols=len(unknowns), validate=False)
-    return solve_linear(system, rhs) is not None
+    field, top = hs[0].field, block_sizes[0]
+    for size in block_sizes[1:]:
+        end = top + size
+        a = [Matrix(field, [r[:top] for r in h.entries[:top]], validate=False) for h in hs]
+        d = [Matrix(field, [r[top:end] for r in h.entries[top:end]], validate=False) for h in hs]
+        if solve_sylvester(a, d, [[r[top:end] for r in h.entries[:top]] for h in hs])[0] is None:
+            return False
+        top = end
+    return True
 
 
 def diagonal_blocks(m: Matrix, block_sizes) -> list[Matrix]:

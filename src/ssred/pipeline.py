@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     InternalInvariantViolation,
     InvalidInput,
+    LimitDoesNotExist,
     NotBlockDiagonal,
     NotNormal,
     PreconditionNotDestabilizable,
@@ -37,9 +38,8 @@ from .flags import (
     canonical_weights,
     diagonal_blocks,
     flag_to_cocharacter,
-    in_P_lambda,
-    in_unipotent_orbit_adapted,
     levi_part,
+    splits_adapted,
 )
 from .oracle import subgroup_closure
 from .reps import (
@@ -85,15 +85,13 @@ class SsResult:
 
     def verify(self) -> bool:
         lam = self.cocharacter
-        if len(self.ss_generators) != len(self.input.generators):
+        try:
+            limits = c_lambda(self.input.generators, lam)
+        except LimitDoesNotExist:
             return False
-        for g, s in zip(self.input.generators, self.ss_generators):
-            if not in_P_lambda(g, lam) or c_lambda(g, lam) != s:
-                return False
-        if lam.flag() != self.flag:
-            return False
-        return self.certificate.semisimple and self.certificate.verify(
-            self.ss_representation())
+        return (limits == self.ss_generators and lam.flag() == self.flag
+                and self.certificate.semisimple
+                and self.certificate.verify(self.ss_representation()))
 
     def __repr__(self):
         return (f"SsResult(blocks={self.flag.block_sizes}, "
@@ -274,10 +272,10 @@ def clifford_joint_ss(m: Representation, h: Representation, seed: int = 0) -> Cl
                         "ambient generator does not stabilize the subgroup's algebra")
     ambient = semisimplify(m, seed=seed)
     lam = ambient.cocharacter
-    for g in h.generators:
-        if not in_P_lambda(g, lam):
-            raise NotNormal("subgroup does not preserve the ambient composition flag")
-    h_gens = [c_lambda(g, lam) for g in h.generators]
+    try:
+        h_gens = c_lambda(h.generators, lam)
+    except LimitDoesNotExist:
+        raise NotNormal("subgroup does not preserve the ambient composition flag") from None
     h_cert = is_semisimple(Representation(h_gens))
     if not h_cert.semisimple:
         raise InternalInvariantViolation(
@@ -398,10 +396,10 @@ def optimal_flag(rep: Representation, max_weight_height: int = 4) -> OptimalFlag
     computed from the canonical (centered, gcd-reduced) weights; column j
     of that algebra is the spin of the adapted basis vector b_j.  The
     Levi part of the adapted generators is the limit, and a flag whose
-    limit stays conjugate to the input gives no candidate: one affine
-    solve per flag.  Argmax limits are expected to be semisimple over
-    perfect fields; violations, decided blockwise by Levi descent, are
-    reported as findings rather than errors.
+    limit stays conjugate to the input, as every step splits
+    (`splits_adapted`), gives no candidate.  Argmax limits are expected
+    to be semisimple over perfect fields; violations, decided blockwise by
+    Levi descent, are reported as findings rather than errors.
     """
     if max_weight_height < 1:
         raise InvalidInput("the weight height bound must be at least 1")
@@ -425,6 +423,9 @@ def optimal_flag(rep: Representation, max_weight_height: int = 4) -> OptimalFlag
         base = flag_to_cocharacter(flag)
         p, p_inv, w = base.basis_change, base.basis_change_inv, base.weights
         sizes = flag.block_sizes
+        adapted = [p_inv * g * p for g in rep.generators]
+        if splits_adapted(adapted, sizes):
+            continue
         # Every weight class below orders the blocks as w does, so w_min needs
         # only the adapted algebra's support above the diagonal blocks; column
         # j of that algebra is P^-1 spin(b_j).
@@ -434,13 +435,7 @@ def optimal_flag(rep: Representation, max_weight_height: int = 4) -> OptimalFlag
                 spins[b] = spin(field, n, [b], rep.generators)
             for u in spins[b].basis.entries:
                 support.update((i, j) for i, x in enumerate(p_inv.apply(u)) if x and w[i] > w[j])
-        if not support:
-            continue
-        adapted = [p_inv * g * p for g in rep.generators]
-        levi = [levi_part(a, w) for a in adapted]
-        if in_unipotent_orbit_adapted(adapted, levi, base):
-            continue
-        levi_of[flag] = levi
+        levi = levi_of[flag] = [levi_part(a, w) for a in adapted]
         limit = tuple(p * a * p_inv for a in levi)
         # levels 1 + sum(d[k:]) on block k: strictly decreasing, the last one 1
         classes = {canonical_weights([1 + sum(d[k:]) for k, size in enumerate(sizes)

@@ -206,6 +206,16 @@ def test_subspace_pair_over_another_field_rejected(method):
         getattr(Subspace.full(f5, 2), method)(line)
 
 
+@pytest.mark.parametrize("method", ["contains", "sum", "intersection"])
+def test_subspace_pair_in_another_ambient_dimension_rejected(method):
+    # the zero space has no basis rows, so containment must check the
+    # ambient dimension itself rather than test rows that are not there
+    with pytest.raises(DimensionMismatch, match="different ambient spaces"):
+        getattr(Subspace.full(F3, 2), method)(Subspace.zero(F3, 3))
+    with pytest.raises(DimensionMismatch, match="different ambient spaces"):
+        getattr(Subspace.full(F3, 3), method)(Subspace.from_vectors(F3, 2, [(1, 0)]))
+
+
 def test_invariance_under_another_field_rejected():
     line = Subspace.from_vectors(F3, 2, [(1, 0)])
     assert line.is_invariant_under([mat(F3, [[1, 1], [0, 1]])])

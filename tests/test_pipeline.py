@@ -10,8 +10,8 @@ from ssred.errors import (
     NotNormal,
     PreconditionNotDestabilizable,
 )
-from ssred.exact import Field, Matrix, Subspace
-from ssred.flags import Flag, c_lambda, flag_to_cocharacter, in_unipotent_orbit_adapted
+from ssred.exact import Field, Matrix, Subspace, solve_linear, sylvester_rows
+from ssred.flags import Cocharacter, Flag, c_lambda, flag_to_cocharacter, levi_part, splits_adapted
 from ssred.oracle import get_table
 from ssred.pipeline import (
     CliffordResult,
@@ -281,6 +281,16 @@ def test_ss_result_verify_rejects_dropped_generators():
     assert semisimplify(r).verify()
 
 
+def test_ss_result_verify_rejects_a_flag_the_input_does_not_preserve():
+    # the transvection moves e2 off span{e2}, so it has no limit along that
+    # flag: verify answers False instead of raising LimitDoesNotExist
+    flag = Flag([Subspace.from_vectors(F2, 2, [(0, 1)]), Subspace.full(F2, 2)])
+    identity = Representation([Matrix.identity(F2, 2)])
+    forged = SsResult(TRANSVECTION_F2, flag, flag_to_cocharacter(flag), identity.generators,
+                      is_semisimple(identity), l_irreducible=True)
+    assert forged.verify() is False
+
+
 def test_module_iso_rejects_reducible_first_module():
     # the two diagonal orderings are conjugate by the coordinate swap, but
     # the first intertwiner is a singular coordinate map, which proves the
@@ -447,13 +457,13 @@ def test_optimal_flag_requires_non_cr_input():
 def test_optimal_flag_jordan_block_findings(monkeypatch):
     import ssred.flags as flags_module
     solves = []
-    real_solve = flags_module.solve_linear
+    real_solve = flags_module.solve_sylvester
 
-    def counting_solve(a, b):
+    def counting_solve(a, d, b):
         solves.append(a)
-        return real_solve(a, b)
+        return real_solve(a, d, b)
 
-    monkeypatch.setattr(flags_module, "solve_linear", counting_solve)
+    monkeypatch.setattr(flags_module, "solve_sylvester", counting_solve)
     j3 = rep(F2, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     report = optimal_flag(j3, max_weight_height=4)
     assert report.measure == Fraction(3, 2)
@@ -464,8 +474,11 @@ def test_optimal_flag_jordan_block_findings(monkeypatch):
     flags = {tuple(v.dim for v in c.flag.steps) for c in report.per_flag_data}
     assert flags == {(1, 3), (2, 3), (1, 2, 3)}
     # j3 has two proper invariant subspaces, so these are all the flag
-    # chains, and the limit of each is compared with the input by one
-    # affine solve, not once per weight class
+    # chains; each is tested for splitting by at most one solve per step
+    # past the first, not once per weight class
+    assert len(solves) <= sum(len(dims) - 1 for dims in flags)
+    assert len(solves) < len(report.per_flag_data)
+    # (1, 2, 3) stops at its first step: j3 acts on span{e1, e2} as J2
     assert len(solves) == len(flags)
     # both argmax limits are non-semisimple: reported, not suppressed
     assert len(report.findings) == 2
@@ -490,30 +503,98 @@ def test_optimal_flag_measure_invariants():
             assert not table_conjugate(r.generators, c.limit_generators)  # destabilizing
 
 
+def _flag_cases(r):
+    """(adapted generators, their limits, cocharacter) for every flag chain
+    of r's invariant lattice."""
+    full = Subspace.full(r.field, r.n)
+    for chain in _chains(_invariant_lattice(r, {}, [])):
+        lam = flag_to_cocharacter(Flag(chain + [full]))
+        p, p_inv = lam.basis_change, lam.basis_change_inv
+        adapted = [p_inv * g * p for g in r.generators]
+        yield adapted, [levi_part(a, lam.weights) for a in adapted], lam
+
+
 def test_in_unipotent_orbit_matches_brute_force(full_corpus):
-    # the affine test in R_u(P_lambda) against conjugation by every element
-    # of GL_n(F_q), on every flag chain of every non-semisimple corpus rep
+    # the splitting test against conjugation by every element of GL_n(F_q),
+    # on every flag chain of every non-semisimple corpus rep
     outcomes = []
     for r in full_corpus:
         if is_gcr_over_k(r).semisimple:
             continue
-        full = Subspace.full(r.field, r.n)
-        for chain in _chains(_invariant_lattice(r, {}, [])):
-            lam = flag_to_cocharacter(Flag(chain + [full]))
-            limit = c_lambda(r.generators, lam)
-            p, p_inv = lam.basis_change, lam.basis_change_inv
-            conjugate = in_unipotent_orbit_adapted([p_inv * g * p for g in r.generators],
-                                                   [p_inv * s * p for s in limit], lam)
-            assert conjugate == table_conjugate(r.generators, limit)
+        for adapted, _levi, lam in _flag_cases(r):
+            conjugate = splits_adapted(adapted, lam.flag().block_sizes)
+            assert conjugate == table_conjugate(r.generators, c_lambda(r.generators, lam))
             outcomes.append(conjugate)
     assert set(outcomes) == {True, False}
+
+
+def _unipotent_orbit_reference(hs, ls, lam):
+    """Whether some u = I + N in R_u(P_lambda)(k) conjugates each h onto
+    its limit l, both in lambda's adapted basis: N h - l N = l - h for each
+    pair, N zero outside the blocks above the diagonal, solved as one
+    affine system in at most n(n-1)/2 unknowns."""
+    n, w = lam.n, lam.weights
+    unknowns = [i * n + j for i in range(n) for j in range(n) if w[i] > w[j]]
+    rows, rhs = [], []
+    for h, lim in zip(hs, ls):
+        # sylvester_rows(lim, h) is N -> lim N - N h
+        rows += [tuple(row[c] for c in unknowns) for row in sylvester_rows(lim, h)]
+        rhs += [x for row in (h - lim).entries for x in row]
+    system = Matrix(lam.field, rows, ncols=len(unknowns), validate=False)
+    return solve_linear(system, rhs) is not None
+
+
+def _block_upper_cases(rng, field, count):
+    """Generators in the standard flag's adapted basis for random block
+    sizes: random block upper triangular ones, and, for every other case,
+    ones conjugated from a block diagonal tuple by some u in R_u(P)."""
+    for case in range(count):
+        n = rng.randrange(2, 6)
+        cuts = sorted(rng.sample(range(1, n), rng.randrange(1, n)))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+        w = [len(sizes) - k for k, size in enumerate(sizes) for _ in range(size)]
+        lam = Cocharacter(Matrix.identity(field, n), w)
+
+        def entry():
+            return rng.randrange(-3, 4) if field.p is None else rng.randrange(field.p)
+
+        hs = [Matrix(field, [[entry() if w[i] >= w[j] else 0 for j in range(n)]
+                             for i in range(n)]) for _ in range(rng.randrange(1, 3))]
+        if case % 2:
+            u = Matrix(field, [[1 if i == j else entry() if w[i] > w[j] else 0
+                                for j in range(n)] for i in range(n)])
+            hs = [u.inverse() * levi_part(h, w) * u for h in hs]
+        yield hs, [levi_part(h, w) for h in hs], lam
+
+
+def test_splitting_matches_the_unipotent_radical_system():
+    # the splitting test against the one affine system in R_u(P_lambda),
+    # both outcomes on each input family
+    rng = random.Random(1931)
+    families = {
+        "small groups": [case for field, n in ((F2, 2), (F3, 2), (F2, 3))
+                         for g in get_table(field, n).elements
+                         if not is_gcr_over_k(Representation([g])).semisimple
+                         for case in _flag_cases(Representation([g]))],
+        "random tuples": [case for _ in range(12) for field in (F2, F3, Field.prime(5))
+                          for case in _flag_cases(random_rep(rng, field, rng.randrange(2, 6)))],
+        "block upper": [case for field in (QQ, Field.prime(101), F2, F3)
+                        for case in _block_upper_cases(rng, field, 24)],
+    }
+    for name, cases in families.items():
+        outcomes = set()
+        for hs, ls, lam in cases:
+            split = splits_adapted(hs, lam.flag().block_sizes)
+            assert split == _unipotent_orbit_reference(hs, ls, lam), (name, hs)
+            outcomes.add(split)
+        assert outcomes == {True, False}, name
 
 
 RATIONAL_PINNED = rep(QQ, [[1, 0, 0, 1], [0, 1, -1, 2], [0, 0, 1, 2], [0, 0, 0, 3]])
 
 
 def test_optimal_flag_rational_pinned():
-    # one rational generator; each flag's conjugacy question is one affine solve
+    # one rational generator; each flag's conjugacy question is a split test
     report = optimal_flag(RATIONAL_PINNED)
     assert report.measure == Fraction(4, 3)
     assert len(report.per_flag_data) == 30
