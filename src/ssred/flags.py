@@ -181,33 +181,20 @@ def flag_to_cocharacter(f: Flag) -> Cocharacter:
     return Cocharacter(basis_change, weights)
 
 
-def _adapted(m: Matrix, lam: Cocharacter) -> Matrix:
-    if m.field is not lam.field or m.nrows != lam.n or m.ncols != lam.n:
-        raise DimensionMismatch("matrix does not match the cocharacter's space")
-    return lam.basis_change_inv * m * lam.basis_change
-
-
-def in_P_lambda(m: Matrix, lam: Cocharacter) -> bool:
-    """Whether lim_{a->0} lambda(a) m lambda(a)^-1 exists.
-
-    In the adapted basis the (i,j) entry is scaled by a^(w_i - w_j), so
-    the limit exists exactly when every entry with w_i < w_j vanishes.
-    """
-    a = _adapted(m, lam)
-    w = lam.weights
-    return all(a.entries[i][j] == 0
-               for i in range(lam.n) for j in range(lam.n) if w[i] < w[j])
-
-
 def c_lambda(m, lam: Cocharacter):
     """The limit lim_{a->0} lambda(a) m lambda(a)^-1.
 
     Accepts a single matrix or a tuple/list of them (mapped entrywise).
-    Restricted to P_lambda this is a group homomorphism onto L_lambda.
+    In the adapted basis the (i,j) entry is scaled by a^(w_i - w_j), so
+    the limit exists, m lying in P_lambda, exactly when every entry with
+    w_i < w_j vanishes; otherwise LimitDoesNotExist is raised.  Restricted
+    to P_lambda this is a group homomorphism onto L_lambda.
     """
     if isinstance(m, (tuple, list)):
         return tuple(c_lambda(x, lam) for x in m)
-    a = _adapted(m, lam)
+    if m.field is not lam.field or m.nrows != lam.n or m.ncols != lam.n:
+        raise DimensionMismatch("matrix does not match the cocharacter's space")
+    a = lam.basis_change_inv * m * lam.basis_change
     w = lam.weights
     if any(x != 0 and wi < wj for row, wi in zip(a.entries, w) for x, wj in zip(row, w)):
         raise LimitDoesNotExist("matrix lies outside P_lambda")

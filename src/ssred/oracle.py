@@ -35,10 +35,11 @@ from .errors import (
     SPACE_VECTORS_CAP,
     DimensionMismatch,
     InvalidInput,
+    LimitDoesNotExist,
     ResourceBoundExceeded,
 )
 from .exact import EchelonBasis, Field, Matrix, Subspace, all_vectors
-from .flags import Cocharacter, Flag, c_lambda, flag_to_cocharacter, in_P_lambda
+from .flags import Cocharacter, Flag, c_lambda, flag_to_cocharacter
 from .reps import Representation
 
 _BYTES_PER_CACHE_ENTRY = 200
@@ -465,7 +466,9 @@ def cocharacter_limits_match_flag_limits(rep: Representation,
         if any(a < b for a, b in zip(weights, weights[1:])):
             continue
         for g in table.elements:
-            lam = Cocharacter(g, weights)
-            if all(in_P_lambda(m, lam) for m in rep.generators):
-                cochar_side.add(index.orbit_id(c_lambda(rep.generators, lam)))
+            try:
+                limit = c_lambda(rep.generators, Cocharacter(g, weights))
+            except LimitDoesNotExist:
+                continue
+            cochar_side.add(index.orbit_id(limit))
     return cochar_side == flag_side

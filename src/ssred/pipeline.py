@@ -45,14 +45,12 @@ from .oracle import subgroup_closure
 from .reps import (
     Representation,
     SemisimpleCertificate,
+    candidate_elements,
     composition_series,
-    deterministic_words,
     enveloping_basis,
-    evaluate_word,
     is_semisimple,
     module_iso,
     restrict_to_subspace,
-    word_entries,
 )
 
 
@@ -68,17 +66,24 @@ def is_gcr_over_k(rep: Representation) -> SemisimpleCertificate:
 class SsResult:
     """A semisimplification: flag, cocharacter, and the limit generators."""
 
-    __slots__ = ("input", "flag", "cocharacter", "ss_generators", "certificate",
-                 "l_irreducible")
+    __slots__ = ("input", "flag", "cocharacter", "ss_generators", "certificate")
 
-    def __init__(self, input_rep, flag, cocharacter, ss_generators, certificate,
-                 l_irreducible):
+    def __init__(self, input_rep, flag, cocharacter, ss_generators, certificate):
         self.input = input_rep
         self.flag = flag
         self.cocharacter = cocharacter
         self.ss_generators = tuple(ss_generators)
         self.certificate = certificate
-        self.l_irreducible = l_irreducible
+
+    @property
+    def l_irreducible(self) -> bool:
+        """Whether every flag block of the limit is irreducible.  The blocks
+        are invariant summands of the limit and the certificate splits it
+        into irreducibles, so by Jordan-Hoelder this holds exactly when
+        there are as many summands as blocks."""
+        cert = self.certificate
+        return (cert.semisimple and cert.summands is not None
+                and len(cert.summands) == len(self.flag.block_sizes))
 
     def ss_representation(self) -> Representation:
         return Representation(self.ss_generators, name=self.input.name)
@@ -117,8 +122,7 @@ def semisimplify(rep: Representation, seed: int = 0) -> SsResult:
     if cert.semisimple:
         flag = Flag.trivial(rep.field, rep.n)
         lam = flag_to_cocharacter(flag)
-        return SsResult(rep, flag, lam, rep.generators, cert,
-                        l_irreducible=len(cert.summands) == 1)
+        return SsResult(rep, flag, lam, rep.generators, cert)
     lam = flag_to_cocharacter(series.flag)
     ss_gens = [c_lambda(g, lam) for g in rep.generators]
     summands = lam.block_spans()
@@ -126,7 +130,7 @@ def semisimplify(rep: Representation, seed: int = 0) -> SsResult:
         if tuple(restrict_to_subspace(ss_gens, span)) != factor.generators:
             raise InternalInvariantViolation("a limit block differs from its composition factor")
     ss_cert = SemisimpleCertificate(True, summands=summands, witnesses=series.witnesses)
-    return SsResult(rep, series.flag, lam, ss_gens, ss_cert, l_irreducible=True)
+    return SsResult(rep, series.flag, lam, ss_gens, ss_cert)
 
 
 class ConjugacyCertificate:
@@ -280,12 +284,7 @@ def clifford_joint_ss(m: Representation, h: Representation, seed: int = 0) -> Cl
     if not h_cert.semisimple:
         raise InternalInvariantViolation(
             "limit of the normal subgroup along the joint flag is not semisimple")
-    # The flag blocks are invariant summands of the limit and the
-    # certificate splits it into irreducibles, so by Jordan-Hoelder every
-    # block is irreducible exactly when there are as many summands as blocks.
-    l_irr = len(h_cert.summands) == len(ambient.flag.block_sizes)
-    normal = SsResult(h, ambient.flag, lam, h_gens, h_cert, l_irreducible=l_irr)
-    return CliffordResult(ambient, normal)
+    return CliffordResult(ambient, SsResult(h, ambient.flag, lam, h_gens, h_cert))
 
 
 def _invariant_lattice(rep: Representation, spins: dict, steps) -> list[Subspace]:
@@ -307,9 +306,7 @@ def _invariant_lattice(rep: Representation, spins: dict, steps) -> list[Subspace
                 f"{field.p}^{n} vectors exceed the invariant-lattice cap")
         seeds.extend(projective_vectors(field, n))
     else:
-        entries = word_entries(rep)
-        for word in deterministic_words(len(entries)):
-            elt = evaluate_word(word, entries)
+        for _word, elt in candidate_elements(rep):
             if not elt.is_zero():
                 seeds.extend(right_kernel(elt))
     found: dict = {}

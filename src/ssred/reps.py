@@ -115,32 +115,30 @@ def _flatten(m: Matrix) -> tuple:
     return tuple(x for row in m.entries for x in row)
 
 
-def word_entries(rep: Representation) -> tuple:
-    """The generators followed by their inverses: the letters of a word."""
-    return rep.generators + rep.inverses
-
-
-def evaluate_word(word, entries) -> Matrix:
-    """The sum of c * entries[i1] * ... * entries[ik] over the terms
-    (c, (i1, ..., ik)) of a word, where () is the identity.  A malformed
-    term, index or scalar raises InvalidInput."""
-    field, n = entries[0].field, entries[0].nrows
+def evaluate_word(word, rep: Representation) -> Matrix:
+    """The sum of c * x_i1 * ... * x_ik over the terms (c, (i1, ..., ik))
+    of a word, where () is the identity and, with g generators, letter
+    i < g is generator i and letter g + i its inverse.  Only a word that
+    names an inverse letter makes the module compute its inverses.  A
+    malformed term, letter or scalar raises InvalidInput."""
+    gens, field, n = rep.generators, rep.field, rep.n
+    g = len(gens)
     if not isinstance(word, tuple):
         raise InvalidInput("a word is a tuple of terms")
     total = Matrix.zeros(field, n, n)
     for term in word:
         if not (isinstance(term, tuple) and len(term) == 2 and isinstance(term[1], tuple)
-                and all(type(i) is int and 0 <= i < len(entries) for i in term[1])):
+                and all(type(i) is int and 0 <= i < 2 * g for i in term[1])):
             raise InvalidInput(f"malformed word term {term!r}")
         product = Matrix.identity(field, n)
         for i in term[1]:
-            product = product * entries[i]
+            product = product * (gens[i] if i < g else rep.inverses[i - g])
         total = total + product.scale(term[0])
     return total
 
 
 def deterministic_words(count: int):
-    """Each of count entries minus the identity, then their pairwise
+    """Each of count letters minus the identity, then their pairwise
     differences, sums and products: the words tried before random ones."""
     pairs = list(itertools.combinations(range(count), 2))
     yield from (((1, (i,)), (-1, ())) for i in range(count))
@@ -150,25 +148,38 @@ def deterministic_words(count: int):
         yield ((1, (i, j)),)
 
 
-def enveloping_basis(rep: Representation) -> EnvelopingAlgebra:
-    """Close span{I, generators, inverses} under left multiplication.
+def candidate_elements(rep: Representation, rng: random.Random | None = None):
+    """(word, element) for each deterministic word over the module's
+    letters, generators then inverses, and then, given an rng, for
+    NORTON_TRIALS random words."""
+    letters = 2 * len(rep.generators)
+    words = deterministic_words(letters)
+    if rng is not None:
+        words = itertools.chain(words, _random_words(rng, letters, rep.field.p))
+    for word in words:
+        yield word, evaluate_word(word, rep)
 
-    Every word in the entries then lies in the span, so the result is a
-    basis of the full enveloping algebra of the group.
+
+def enveloping_basis(rep: Representation) -> EnvelopingAlgebra:
+    """Close span{I, generators} under left multiplication by the
+    generators.
+
+    By Cayley-Hamilton the inverse of an invertible g is a polynomial in
+    g, so the span holds every inverse too: it is the full enveloping
+    algebra of the group.
     """
     field = rep.field
     n = rep.n
-    entries = word_entries(rep)
     acc = EchelonBasis(field, n * n)
     queue = []
-    for m in (Matrix.identity(field, n),) + entries:
+    for m in (Matrix.identity(field, n),) + rep.generators:
         if acc.add(_flatten(m)):
             queue.append(m)
     i = 0
     while i < len(queue):
         m = queue[i]
         i += 1
-        for e in entries:
+        for e in rep.generators:
             prod = e * m
             if acc.add(_flatten(prod)):
                 queue.append(prod)
@@ -240,7 +251,7 @@ class IrreducibleWitness:
             # a factor coefficient must already be a field element
             if any(field.coerce(c) != c for c in self.factor):
                 return False
-            a = evaluate_word(self.word, word_entries(rep))
+            a = evaluate_word(self.word, rep)
         except InvalidInput:
             return False
         deg = len(self.factor) - 1
@@ -305,8 +316,9 @@ def _norton(rep: Representation, b: Matrix, deg: int):
 
 
 def _random_words(rng, count: int, p):
-    """NORTON_TRIALS random words of one to three terms, each at most
-    NORTON_WORD_LENGTH entries long, with a nonzero scalar below p or 10."""
+    """NORTON_TRIALS random words of one to three terms over count
+    letters, each at most NORTON_WORD_LENGTH letters long, with a nonzero
+    scalar below p or 10."""
     for _ in range(NORTON_TRIALS):
         terms = []
         for _ in range(rng.randrange(1, 4)):
@@ -328,10 +340,7 @@ def find_submodule(rep: Representation, rng: random.Random | None = None):
     n = rep.n
     if n == 1:
         return IrreducibleWitness("dimension")
-    entries = word_entries(rep)
-    for word in itertools.chain(deterministic_words(len(entries)),
-                                _random_words(rng or random.Random(0), len(entries), field.p)):
-        a = evaluate_word(word, entries)
+    for word, a in candidate_elements(rep, rng or random.Random(0)):
         for factor, _mult in factor_poly(charpoly(a), field):
             deg = len(factor) - 1
             found = "cyclic" if deg == n else _norton(rep, poly_eval_matrix(factor, a), deg)

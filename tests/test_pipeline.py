@@ -11,8 +11,16 @@ from ssred.errors import (
     PreconditionNotDestabilizable,
 )
 from ssred.exact import Field, Matrix, Subspace, solve_linear, sylvester_rows
-from ssred.flags import Cocharacter, Flag, c_lambda, flag_to_cocharacter, levi_part, splits_adapted
-from ssred.oracle import get_table
+from ssred.flags import (
+    Cocharacter,
+    Flag,
+    c_lambda,
+    diagonal_blocks,
+    flag_to_cocharacter,
+    levi_part,
+    splits_adapted,
+)
+from ssred.oracle import get_table, oracle_irreducible, subgroup_closure
 from ssred.pipeline import (
     CliffordResult,
     ConjugacyCertificate,
@@ -29,6 +37,7 @@ from ssred.pipeline import (
 )
 from ssred.reps import (
     Representation,
+    SemisimpleCertificate,
     composition_series,
     enveloping_basis,
     is_semisimple,
@@ -222,8 +231,7 @@ def test_conjugacy_certificate_rejects_foreign_inputs():
     with pytest.raises(InvalidInput):
         conjugacy_certificate(a, b)
     # a result carrying the input's obstruction instead of a decomposition
-    forged = SsResult(a.input, a.flag, a.cocharacter, a.ss_generators,
-                      is_semisimple(a.input), l_irreducible=False)
+    forged = SsResult(a.input, a.flag, a.cocharacter, a.ss_generators, is_semisimple(a.input))
     with pytest.raises(InvalidInput):
         conjugacy_certificate(a, forged)
 
@@ -246,7 +254,7 @@ def _results_gf2_n3():
 
 def _fewer_ss_generators(result):
     return SsResult(result.input, result.flag, result.cocharacter, result.ss_generators[:1],
-                    result.certificate, result.l_irreducible)
+                    result.certificate)
 
 
 def _other_input():
@@ -268,6 +276,62 @@ def test_conjugacy_certificate_verify_rejects_forgeries(forge):
     assert forge(a, b).verify() is False
 
 
+def test_ss_result_verify_inverts_no_generator(monkeypatch):
+    """The witnesses' words name no inverse letter, so verifying inverts
+    no generator of the two summands' modules."""
+    result = semisimplify(_bench_nonss(random.Random(1), Field.prime(101), 8))
+    calls = []
+    real_inverse = Matrix.inverse
+
+    def counting_inverse(self):
+        calls.append(self)
+        return real_inverse(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counting_inverse)
+    assert result.verify()
+    assert calls == []
+
+
+def _limit_blocks_irreducible(result):
+    """Whether the oracle finds every diagonal block of the limit, in the
+    cocharacter's adapted basis, irreducible."""
+    lam = result.cocharacter
+    blocks = [diagonal_blocks(lam.basis_change_inv * g * lam.basis_change, result.flag.block_sizes)
+              for g in result.ss_generators]
+    return all(oracle_irreducible(Representation(gens)) for gens in zip(*blocks))
+
+
+def _clifford_results(rng):
+    """The ambient and normal results of `clifford_joint_ss` for random
+    groups over GF(2) and GF(3), with the normal closure of each generator
+    and the center as normal subgroups."""
+    out = []
+    for field, n in ((F2, 2), (F2, 3), (F3, 2)) * 4:
+        m = random_rep(rng, field, n)
+        group = subgroup_closure(field, m.generators)
+        normal = [{g * x * g.inverse() for g in group} for x in m.generators]
+        normal.append({g for g in group if all(g * x == x * g for x in m.generators)})
+        for gens in normal:
+            h = Representation(sorted(gens, key=lambda c: c.entries))
+            result = clifford_joint_ss(m, h)
+            out += [result.ambient, result.normal]
+    return out
+
+
+def test_l_irreducible_is_irreducibility_of_every_limit_block(full_corpus, gl3_f3_sample):
+    """l_irreducible is read off the certificate (Jordan-Hoelder); the
+    oracle decides each block of the limit by its subspace lattice."""
+    clifford = _clifford_results(random.Random(47))
+    results = [semisimplify(r) for r in list(full_corpus) + list(gl3_f3_sample)] + clifford
+    for result in results:
+        assert result.l_irreducible == _limit_blocks_irreducible(result)
+    assert {r.l_irreducible for r in results} == {True, False}
+    assert {r.l_irreducible for r in clifford[1::2]} == {True, False}
+    forged = results[0]
+    forged.certificate = SemisimpleCertificate(True)
+    assert forged.l_irreducible is False
+
+
 def test_ss_result_verify_rejects_dropped_generators():
     # the identity alone is semisimple, the pair is not; a trivial-flag
     # result keeping only the identity must not verify
@@ -275,8 +339,7 @@ def test_ss_result_verify_rejects_dropped_generators():
     assert not is_gcr_over_k(r).semisimple
     alone = Representation(r.generators[:1])
     flag = Flag.trivial(F2, 2)
-    forged = SsResult(r, flag, flag_to_cocharacter(flag), alone.generators,
-                      is_semisimple(alone), l_irreducible=False)
+    forged = SsResult(r, flag, flag_to_cocharacter(flag), alone.generators, is_semisimple(alone))
     assert forged.verify() is False
     assert semisimplify(r).verify()
 
@@ -287,7 +350,7 @@ def test_ss_result_verify_rejects_a_flag_the_input_does_not_preserve():
     flag = Flag([Subspace.from_vectors(F2, 2, [(0, 1)]), Subspace.full(F2, 2)])
     identity = Representation([Matrix.identity(F2, 2)])
     forged = SsResult(TRANSVECTION_F2, flag, flag_to_cocharacter(flag), identity.generators,
-                      is_semisimple(identity), l_irreducible=True)
+                      is_semisimple(identity))
     assert forged.verify() is False
 
 

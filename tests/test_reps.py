@@ -22,8 +22,8 @@ from ssred.reps import (
     SemisimpleCertificate,
     _discover_submodule,
     _invariant_complement,
+    candidate_elements,
     composition_series,
-    deterministic_words,
     enveloping_basis,
     evaluate_word,
     factor_poly,
@@ -33,7 +33,6 @@ from ssred.reps import (
     module_iso,
     quotient_mod_subspace,
     restrict_to_subspace,
-    word_entries,
 )
 
 F2 = Field.prime(2)
@@ -58,10 +57,17 @@ CYCLE_TRANSVECTION_F2 = rep(F2, [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
 
 
 def random_rep(rng, field, n, count=None):
+    """Random invertible generators: entries below p over GF(p), small
+    fractions over QQ."""
+    def entry():
+        if field.p is not None:
+            return rng.randrange(field.p)
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
     count = count or rng.randrange(1, 3)
     gens = []
     while len(gens) < count:
-        m = Matrix(field, [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)])
+        m = Matrix(field, [[entry() for _ in range(n)] for _ in range(n)])
         if m.det() != 0:
             gens.append(m)
     return Representation(gens)
@@ -117,7 +123,6 @@ def test_enveloping_basis_frozen():
     assert enveloping_basis(rep(F2, [[1, 0], [0, 1]])).algebra_dim == 1
     assert enveloping_basis(TRANSVECTION_F2).algebra_dim == 2
     assert enveloping_basis(ROTATION_F3).algebra_dim == 2
-    assert len(word_entries(TRANSVECTION_F2)) == 2  # generator and its inverse
 
 
 def test_enveloping_basis_closed_under_products():
@@ -134,6 +139,65 @@ def test_enveloping_basis_closed_under_products():
         for a in gt.algebra_basis:
             for b in gt.algebra_basis:
                 assert acc.contains(_flatten(a * b))
+
+
+def _closure_with_inverses(r):
+    """span{I, generators, inverses} closed under left multiplication by
+    the generators and their inverses: the enveloping algebra of the
+    group by its definition."""
+    from ssred.exact import EchelonBasis
+    from ssred.reps import _flatten
+    letters = r.generators + tuple(g.inverse() for g in r.generators)
+    acc = EchelonBasis(r.field, r.n * r.n)
+    queue = [m for m in (Matrix.identity(r.field, r.n),) + letters if acc.add(_flatten(m))]
+    for m in queue:
+        for e in letters:
+            product = e * m
+            if acc.add(_flatten(product)):
+                queue.append(product)
+    return queue
+
+
+@pytest.mark.parametrize("field", [F2, F3, Field.prime(101), QQ], ids=repr)
+def test_enveloping_basis_spans_the_closure_with_inverses(field):
+    """By Cayley-Hamilton the algebra of the generators holds their
+    inverses, so closing under the generators alone reaches the same
+    span and inverts nothing."""
+    rng = random.Random(41)
+    for _ in range(25):
+        r = random_rep(rng, field, rng.randrange(1, 4))
+        algebra = enveloping_basis(r)
+        reference = _closure_with_inverses(r)
+        assert algebra.algebra_dim == len(reference)
+        assert all(algebra.contains(m) for m in reference)
+        assert r._inverses is None
+
+
+@pytest.mark.parametrize("field", [F2, Field.prime(101), QQ], ids=repr)
+def test_evaluate_word_reads_generators_then_inverses(field):
+    """Letter i < g is generator i and letter g + i its inverse; a word
+    without inverse letters leaves the module's inverses uncomputed."""
+    rng = random.Random(43)
+    kinds = set()
+    for _ in range(20):
+        g = rng.randrange(1, 4)
+        r = random_rep(rng, field, rng.randrange(1, 4), g)
+        letters = r.generators + tuple(x.inverse() for x in r.generators)
+        for alphabet in (g, 2 * g):
+            word = tuple((rng.randrange(1, field.p or 10),
+                          tuple(rng.randrange(alphabet) for _ in range(rng.randrange(0, 5))))
+                         for _ in range(rng.randrange(1, 4)))
+            expected = Matrix.zeros(field, r.n, r.n)
+            for c, indices in word:
+                product = Matrix.identity(field, r.n)
+                for i in indices:
+                    product = product * letters[i]
+                expected = expected + product.scale(c)
+            assert evaluate_word(word, r) == expected
+            names_an_inverse = any(i >= g for _c, indices in word for i in indices)
+            kinds.add(names_an_inverse)
+            assert (r._inverses is not None) == names_an_inverse
+    assert kinds == {True, False}
 
 
 def test_factor_poly():
@@ -254,12 +318,11 @@ def test_norton_kernel_spins_each_kernel_line_once(monkeypatch):
     assert seeds == [[(1, 0, 0)], [(0, 0, 1)], [(1, 0, 1)], [(0, 1, 0)]]
 
 
-def _forged_words(r, rng, count=4):
-    """Every deterministic word of r, then count seeded random words."""
-    from ssred.reps import _random_words
-    entries = len(word_entries(r))
-    return (list(deterministic_words(entries))
-            + list(itertools.islice(_random_words(rng, entries, r.field.p), count)))
+def _forged_elements(r, rng, count=4):
+    """(word, element) for every deterministic word of r, then for count
+    seeded random words."""
+    deterministic = len(list(candidate_elements(r)))
+    return list(itertools.islice(candidate_elements(r, rng), deterministic + count))
 
 
 def test_norton_kernel_witness_cannot_be_forged():
@@ -270,10 +333,8 @@ def test_norton_kernel_witness_cannot_be_forged():
     from ssred.exact import charpoly, poly_eval_matrix, right_kernel, spin
     r = rep(F2, [[1, 1, 0], [1, 1, 1], [1, 0, 0]], [[1, 0, 0], [0, 1, 0], [0, 1, 1]])
     assert isinstance(find_submodule(r), Subspace)
-    entries = word_entries(r)
     full_spinning_kernels = 0
-    for word in _forged_words(r, random.Random(3)):
-        element = evaluate_word(word, entries)
+    for word, element in _forged_elements(r, random.Random(3)):
         for factor, _mult in factor_poly(charpoly(element), F2):
             assert not IrreducibleWitness("norton_kernel", word=word, factor=factor).verify(r)
             kernel = right_kernel(poly_eval_matrix(factor, element))
@@ -296,10 +357,10 @@ def test_verified_witnesses_sit_on_irreducible_modules():
     for r in modules:
         irreducible = oracle_irreducible(r)
         reducible += not irreducible
-        entries = word_entries(r)
-        words = _forged_words(r, rng)
-        factors = {f for word in words
-                   for f, _mult in factor_poly(charpoly(evaluate_word(word, entries)), r.field)}
+        elements = _forged_elements(r, rng)
+        words = [word for word, _element in elements]
+        factors = {f for _word, element in elements
+                   for f, _mult in factor_poly(charpoly(element), r.field)}
         for kind in ("cyclic", "norton_pair", "norton_kernel"):
             for word in words:
                 for factor in sorted(factors):
@@ -584,7 +645,7 @@ def test_forged_semisimple_certificate_rejected():
     assert not forged.verify(transvection)
     trivial = Flag.trivial(F3, 2)
     result = SsResult(transvection, trivial, flag_to_cocharacter(trivial),
-                      transvection.generators, forged, l_irreducible=True)
+                      transvection.generators, forged)
     assert not result.verify()
 
 
@@ -632,8 +693,7 @@ def test_certificate_from_another_space_rejected():
                                    witnesses=[IrreducibleWitness("dimension")] * 2)
     assert not forged.verify(shear)
     trivial = Flag.trivial(F3, 2)
-    result = SsResult(shear, trivial, flag_to_cocharacter(trivial), shear.generators,
-                      forged, l_irreducible=False)
+    result = SsResult(shear, trivial, flag_to_cocharacter(trivial), shear.generators, forged)
     assert not result.verify()
 
     honest = is_semisimple(DIAG_PM1_F3)
