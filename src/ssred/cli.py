@@ -253,16 +253,11 @@ def main(argv=None) -> int:
     out_path = getattr(args, "out", None)
     try:
         inputs, payload, status = _dispatch(args)
-    except _INPUT_ERRORS as exc:
+    except _INPUT_ERRORS + _RESOURCE_ERRORS as exc:
         _emit({"command": args.command, "status": "error",
                "error": {"type": type(exc).__name__, "message": str(exc)}},
               out_path)
-        return EXIT_INVALID_INPUT
-    except _RESOURCE_ERRORS as exc:
-        _emit({"command": args.command, "status": "error",
-               "error": {"type": type(exc).__name__, "message": str(exc)}},
-              out_path)
-        return EXIT_RESOURCE
+        return EXIT_INVALID_INPUT if isinstance(exc, _INPUT_ERRORS) else EXIT_RESOURCE
     except InternalInvariantViolation as exc:
         _emit({"command": args.command, "status": "finding",
                "finding": {"type": type(exc).__name__, "message": str(exc)}},

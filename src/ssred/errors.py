@@ -9,7 +9,8 @@ README "Bounds" lists which error each cap raises where.
 GROUP_ELEMENTS_CAP = 2**21
 # q^n bound for enumerating the vectors, lines or subspaces of F_q^n
 SPACE_VECTORS_CAP = 2**14
-# invariant subspaces, and flags built from them, in the optimal-flag search
+# invariant subspaces in the optimal-flag search, and flags listed by
+# flags.chain_flags there and in the oracle
 FLAG_CANDIDATE_CAP = 2**16
 
 

@@ -12,7 +12,13 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import DimensionMismatch, InvalidInput, LimitDoesNotExist
+from .errors import (
+    FLAG_CANDIDATE_CAP,
+    DimensionMismatch,
+    InvalidInput,
+    LimitDoesNotExist,
+    SearchSpaceExceeded,
+)
 from .exact import Field, Matrix, Subspace, solve_sylvester
 
 
@@ -29,6 +35,8 @@ class Flag:
         steps = tuple(steps)
         if not steps:
             raise InvalidInput("a flag needs at least the full space")
+        if not all(isinstance(v, Subspace) for v in steps):
+            raise InvalidInput("flag steps must be Subspaces")
         n = steps[0].ambient_dim
         prev_dim = 0
         for i, v in enumerate(steps):
@@ -70,6 +78,24 @@ class Flag:
     def __repr__(self):
         dims = [v.dim for v in self.steps]
         return f"Flag(dims={dims})"
+
+
+def chain_flags(proper, full: Subspace) -> list[Flag]:
+    """Flag(chain + [full]) for every strictly increasing chain of the
+    proper subspaces, sorted by dimension, depth first; the empty chain is
+    left out.  More than FLAG_CANDIDATE_CAP flags raise SearchSpaceExceeded."""
+    out = []
+
+    def extend(chain, start):
+        for i, s in enumerate(proper[start:], start):
+            if not chain or (s.dim > chain[-1].dim and s.contains(chain[-1])):
+                out.append(Flag(chain + [s, full]))
+                if len(out) > FLAG_CANDIDATE_CAP:
+                    raise SearchSpaceExceeded("flag enumeration exceeded the candidate cap")
+                extend(chain + [s], i + 1)
+
+    extend([], 0)
+    return out
 
 
 def canonical_weights(weights) -> tuple[int, ...]:

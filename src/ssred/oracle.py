@@ -6,11 +6,12 @@ of generator tuples under simultaneous conjugation.  None of it consults
 the module-theoretic machinery used by the main pipeline, so agreement
 between the two is meaningful evidence of correctness.
 
-Closedness and the set of accessible closed orbits are invariants of
-the conjugation orbit, so an OrbitIndex decides each orbit once and
-memoizes both verdicts by orbit id; the memos live on the index, never at
-module level.  Orbits are enumerated by conjugating with one element per
-scalar class of GL_n, since g and cg conjugate alike for every scalar c.
+Closedness and the accessible closed orbits both read the orbit ids of
+the limits along a tuple's flags, the chains of its invariant subspaces.
+That id set is an orbit invariant, so an OrbitIndex walks each orbit's
+flags once and memoizes the set on the index, never at module level.
+Orbits are enumerated by conjugating with one element per scalar class
+of GL_n, since g and cg conjugate alike for every scalar c.
 Conjugation m -> g m g^-1 is linear in the entries of m, so the group
 table packs the coefficients of that linear map for all conjugators into
 one int per (output entry, input entry) pair, a fixed-width slot per
@@ -18,9 +19,9 @@ conjugator.  An entry of every conjugate at once is then one integer
 multiply-add over the entries of m, read back slot by slot modulo p,
 without building matrices.
 
-All enumerations are capped; exceeding a cap raises ResourceBoundExceeded
-rather than grinding on.  The orbit cache honours the SSRED_MAX_MEMORY_MB
-environment variable.
+All enumerations are capped; exceeding a cap raises ResourceBoundExceeded,
+or SearchSpaceExceeded for the flag enumeration, rather than grinding on.
+The orbit cache honours the SSRED_MAX_MEMORY_MB environment variable.
 """
 
 import itertools
@@ -39,7 +40,7 @@ from .errors import (
     ResourceBoundExceeded,
 )
 from .exact import EchelonBasis, Field, Matrix, Subspace, all_vectors
-from .flags import Cocharacter, Flag, c_lambda, flag_to_cocharacter
+from .flags import Cocharacter, Flag, c_lambda, chain_flags, flag_to_cocharacter
 from .reps import Representation
 
 _BYTES_PER_CACHE_ENTRY = 200
@@ -147,27 +148,22 @@ def _leading(g: Matrix):
 
 
 def _enumerate_invertible(field: Field, n: int) -> list:
+    """Every invertible n x n matrix, built one independent row at a time."""
     nonzero = [v for v in all_vectors(field, n) if any(x != field.zero for x in v)]
-    out = []
-
-    def rec(rows):
-        if len(rows) == n:
-            out.append(Matrix(field, rows, validate=False))
-            return
-        basis = EchelonBasis(field, n)
-        for r in rows:
-            basis.add(r)
-        for v in nonzero:
-            if not basis.contains(v):
-                rec(rows + [v])
-
-    rec([])
-    return out
+    prefixes = [[]]
+    for _ in range(n):
+        grown = []
+        for rows in prefixes:
+            basis = EchelonBasis(field, n)
+            for r in rows:
+                basis.add(r)
+            grown += [rows + [v] for v in nonzero if not basis.contains(v)]
+        prefixes = grown
+    return [Matrix(field, rows, validate=False) for rows in prefixes]
 
 
 _TABLES: dict = {}
 _SUBSPACES: dict = {}
-_FLAGS: dict = {}
 _INDEXES: dict = {}
 
 
@@ -205,31 +201,6 @@ def all_subspaces(field: Field, n: int) -> tuple:
     return result
 
 
-def enumerate_flags(field: Field, n: int) -> tuple:
-    """Every flag in F_q^n, the trivial flag [k^n] included."""
-    key = (field, n)
-    if key in _FLAGS:
-        return _FLAGS[key]
-    proper = sorted(
-        (s for s in all_subspaces(field, n) if 0 < s.dim < n),
-        key=lambda s: (s.dim, s.basis.entries))
-    full = Subspace.full(field, n)
-    flags = [Flag([full])]
-
-    def rec(chain, start):
-        for i in range(start, len(proper)):
-            s = proper[i]
-            if chain and not (s.dim > chain[-1].dim and s.contains(chain[-1])):
-                continue
-            flags.append(Flag(chain + [s, full]))
-            rec(chain + [s], i + 1)
-
-    rec([], 0)
-    result = tuple(flags)
-    _FLAGS[key] = result
-    return result
-
-
 def _cache_entry_limit() -> int:
     raw = os.environ.get("SSRED_MAX_MEMORY_MB", "512")
     try:
@@ -247,9 +218,9 @@ class OrbitIndex:
     An orbit id is the minimum of the flat integer encodings of the
     orbit's members, so ids are stable across runs and processes.  Every
     member encoding seen is cached; the cache size is bounded by the
-    SSRED_MAX_MEMORY_MB budget.  The closedness verdict and the accessible
-    closed orbits of each decided orbit are memoized by orbit id on this
-    index, one entry per cached orbit, so the same budget bounds them.
+    SSRED_MAX_MEMORY_MB budget.  The orbit ids of the flag limits of each
+    decided orbit are memoized by orbit id on this index, one entry per
+    cached orbit, so the same budget bounds them.
     Members are found for every scalar class at once: entry r of the
     conjugates of a matrix with flat entries v is sum_s v[s] * columns[r][s]
     over the table's packed columns, unpacked slot by slot in
@@ -257,14 +228,13 @@ class OrbitIndex:
     size raise DimensionMismatch.
     """
 
-    __slots__ = ("table", "_cache", "_max_entries", "_closed", "_accessible")
+    __slots__ = ("table", "_cache", "_max_entries", "_limits")
 
     def __init__(self, table: GroupTable, max_entries: int | None = None):
         self.table = table
         self._cache = {}
         self._max_entries = _cache_entry_limit() if max_entries is None else max_entries
-        self._closed = {}
-        self._accessible = {}
+        self._limits = {}
 
     @staticmethod
     def encode(mats) -> tuple:
@@ -332,10 +302,12 @@ def generic_tuple(rep: Representation) -> tuple:
 
 
 def preserved_flags(x) -> list:
-    """All flags every matrix in the tuple preserves, the trivial flag included."""
+    """All flags every matrix in the tuple preserves, the trivial flag
+    included: the chains of its invariant proper subspaces."""
     mats = _as_tuple(x)
-    return [f for f in enumerate_flags(mats[0].field, mats[0].nrows)
-            if f.is_preserved_by(mats)]
+    full = Subspace.full(mats[0].field, mats[0].nrows)
+    return [Flag([full])] + chain_flags(
+        [s for s in invariant_subspaces(mats) if 0 < s.dim < full.dim], full)
 
 
 def limit_tuple(x, flag: Flag) -> tuple:
@@ -344,25 +316,31 @@ def limit_tuple(x, flag: Flag) -> tuple:
     return c_lambda(_as_tuple(x), lam)
 
 
+def _flag_limit_ids(mats: tuple, index: OrbitIndex | None) -> tuple:
+    """The tuple's orbit id and the ids of its flag limits, walked once per
+    orbit and memoized on the index (by default the shared one), as
+    conjugating the tuple moves its flags and their limits along."""
+    if index is None:
+        index = get_index(mats[0].field, mats[0].nrows)
+    home = index.orbit_id(mats)
+    ids = index._limits.get(home)
+    if ids is None:
+        ids = index._limits[home] = frozenset(
+            index.orbit_id(limit_tuple(mats, flag)) for flag in preserved_flags(mats))
+    return home, ids
+
+
 def is_cochar_closed(x, index: OrbitIndex | None = None) -> bool:
     """Whether no flag degeneration leaves the conjugation orbit.
 
     This is the geometric characterization of complete reducibility: the
     orbit of the matrix tuple is closed exactly when every cocharacter
-    limit stays inside it, and limits only depend on flags.  Conjugating
-    the tuple moves its flags and their limits along, so the verdict is
-    decided once per orbit and memoized on the index.
+    limit stays inside it, and limits only depend on flags.  The trivial
+    flag's limit is the tuple itself, so the orbit is closed exactly when
+    its flag limits have no other orbit id.
     """
-    mats = _as_tuple(x)
-    if index is None:
-        index = get_index(mats[0].field, mats[0].nrows)
-    home = index.orbit_id(mats)
-    closed = index._closed.get(home)
-    if closed is None:
-        closed = all(index.orbit_id(limit_tuple(mats, flag)) == home
-                     for flag in preserved_flags(mats))
-        index._closed[home] = closed
-    return closed
+    home, ids = _flag_limit_ids(_as_tuple(x), index)
+    return ids == {home}
 
 
 def oracle_gcr(rep: Representation, index: OrbitIndex | None = None) -> bool:
@@ -378,29 +356,23 @@ def accessible_closed_orbits(x, index: OrbitIndex | None = None) -> frozenset:
     """Orbit ids of closed orbits reachable by one flag degeneration.
 
     The theory predicts this set is always a singleton: the orbit of the
-    semisimplification.  Like closedness, the set is an orbit invariant
-    and is memoized on the index.
+    semisimplification.  It is read off the memoized flag limit ids; each
+    limit orbit's closedness is decided on the tuple its id encodes.
     """
     mats = _as_tuple(x)
-    if index is None:
-        index = get_index(mats[0].field, mats[0].nrows)
-    home = index.orbit_id(mats)
-    ids = index._accessible.get(home)
-    if ids is None:
-        found = set()
-        for flag in preserved_flags(mats):
-            limit = limit_tuple(mats, flag)
-            if is_cochar_closed(limit, index):
-                found.add(index.orbit_id(limit))
-        ids = index._accessible[home] = frozenset(found)
-    return ids
+    field, n = mats[0].field, mats[0].nrows
+    return frozenset(
+        oid for oid in _flag_limit_ids(mats, index)[1]
+        if is_cochar_closed([Matrix(field, [oid[r:r + n] for r in range(i, i + n * n, n)],
+                                    ncols=n, validate=False)
+                             for i in range(0, len(oid), n * n)], index))
 
 
-def invariant_subspaces(rep: Representation) -> list:
-    """All subspaces invariant under every generator, zero and full included."""
-    _require_finite(rep.field)
-    return [s for s in all_subspaces(rep.field, rep.n)
-            if s.is_invariant_under(rep.generators)]
+def invariant_subspaces(x) -> list:
+    """All subspaces invariant under every matrix of a tuple or every
+    generator of a Representation, zero and full included."""
+    mats = _as_tuple(x)
+    return [s for s in all_subspaces(mats[0].field, mats[0].nrows) if s.is_invariant_under(mats)]
 
 
 def oracle_irreducible(rep: Representation) -> bool:
@@ -452,20 +424,20 @@ def cocharacter_limits_match_flag_limits(rep: Representation,
     Enumerates all cocharacters with adapted basis in GL_n(F_q) and
     weights bounded by `height`, takes the limits that exist, and compares
     the resulting orbit id set with the one produced by flag degenerations
-    alone.  Only sensible for very small fields and dimensions.
+    alone.  Only sensible for very small fields and dimensions.  A height
+    that is not an int raises InvalidInput.
     """
     _require_finite(rep.field)
+    if type(height) is not int:
+        raise InvalidInput(f"height {height!r} is not an int")
     if height < 1:
         raise InvalidInput("height must be at least 1")
-    table = get_table(rep.field, rep.n)
     index = get_index(rep.field, rep.n)
-    flag_side = {index.orbit_id(limit_tuple(rep, f)) for f in preserved_flags(rep)}
+    flag_side = _flag_limit_ids(rep.generators, index)[1]
     cochar_side = set()
-    weight_range = range(height, -height - 1, -1)
-    for weights in itertools.product(weight_range, repeat=rep.n):
-        if any(a < b for a, b in zip(weights, weights[1:])):
-            continue
-        for g in table.elements:
+    # every non-increasing weight vector with entries in [-height, height]
+    for weights in itertools.combinations_with_replacement(range(height, -height - 1, -1), rep.n):
+        for g in index.table.elements:
             try:
                 limit = c_lambda(rep.generators, Cocharacter(g, weights))
             except LimitDoesNotExist:

@@ -36,6 +36,7 @@ from .flags import (
     block_diagonal,
     c_lambda,
     canonical_weights,
+    chain_flags,
     diagonal_blocks,
     flag_to_cocharacter,
     levi_part,
@@ -50,6 +51,7 @@ from .reps import (
     enveloping_basis,
     is_semisimple,
     module_iso,
+    require_representations,
     restrict_to_subspace,
 )
 
@@ -216,6 +218,7 @@ class LeviDescentReport:
 def levi_descent(rep: Representation, block_sizes) -> LeviDescentReport:
     """Compare G-complete reducibility with blockwise complete
     reducibility for generators in block-diagonal shape."""
+    require_representations(rep)
     block_sizes = tuple(block_sizes)
     if any(type(b) is not int for b in block_sizes):
         raise InvalidInput(f"block sizes {block_sizes!r} are not all ints")
@@ -254,6 +257,7 @@ def clifford_joint_ss(m: Representation, h: Representation, seed: int = 0) -> Cl
     is checked, and normality is otherwise the caller's responsibility.
     Both limits are verified semisimple, which the theory guarantees.
     """
+    require_representations(m, h)
     if m.field is not h.field or m.n != h.n:
         raise DimensionMismatch("group and subgroup live in different spaces")
     if m.field.p is not None:
@@ -268,10 +272,12 @@ def clifford_joint_ss(m: Representation, h: Representation, seed: int = 0) -> Cl
                 if g * x * gi not in h_set:
                     raise NotNormal("conjugation by an ambient generator leaves the subgroup")
     else:
+        # conjugation is an algebra automorphism, so it maps the algebra
+        # into itself exactly when it maps the algebra's generators into it
         algebra = enveloping_basis(h)
         for g, gi in zip(m.generators, m.inverses):
-            for b in algebra.algebra_basis:
-                if not algebra.contains(g * b * gi):
+            for x in h.generators:
+                if not algebra.contains(g * x * gi):
                     raise AlgebraNotStable(
                         "ambient generator does not stabilize the subgroup's algebra")
     ambient = semisimplify(m, seed=seed)
@@ -312,7 +318,7 @@ def _invariant_lattice(rep: Representation, spins: dict, steps) -> list[Subspace
     found: dict = {}
     for v in seeds:
         w = spins[v] = spin(field, n, [v], rep.generators)
-        if 0 < w.dim:
+        if 0 < w.dim < n:
             found[w.basis.entries] = w
     for step in steps:
         found[step.basis.entries] = step
@@ -330,27 +336,7 @@ def _invariant_lattice(rep: Representation, spins: dict, steps) -> list[Subspace
                     worklist.append(combined)
                     if len(found) > FLAG_CANDIDATE_CAP:
                         raise SearchSpaceExceeded("invariant lattice exceeded the cap")
-    proper = [w for w in found.values() if 0 < w.dim < n]
-    proper.sort(key=lambda w: (w.dim, w.basis.entries))
-    return proper
-
-
-def _chains(proper: list[Subspace]):
-    """All strictly increasing chains of proper invariant subspaces."""
-    out = []
-
-    def extend(chain):
-        out.append(chain)
-        if len(out) > FLAG_CANDIDATE_CAP:
-            raise SearchSpaceExceeded("flag enumeration exceeded the candidate cap")
-        last = chain[-1]
-        for w in proper:
-            if w.dim > last.dim and w.contains(last):
-                extend(chain + [w])
-
-    for w in proper:
-        extend([w])
-    return out
+    return sorted(found.values(), key=lambda w: (w.dim, w.basis.entries))
 
 
 class FlagCandidate:
@@ -387,6 +373,12 @@ def optimal_flag(rep: Representation, max_weight_height: int = 4) -> OptimalFlag
     """Search invariant flags and bounded weight vectors for the fastest
     destabilization of a non-completely-reducible group.
 
+    Flags are the chains of the invariant lattice.  A flag's weight classes
+    are its strictly decreasing block levels from at most
+    max_weight_height + 1 down to 1, so a flag of more steps than that has
+    none and is skipped.  A non-Representation or non-int height raises
+    InvalidInput.
+
     The squared measure of a candidate cocharacter is w_min^2 / |lambda|^2
     where w_min is the least positive weight carried by a nonzero
     off-Levi entry of the enveloping algebra in the flag's adapted basis,
@@ -398,6 +390,9 @@ def optimal_flag(rep: Representation, max_weight_height: int = 4) -> OptimalFlag
     to be semisimple over perfect fields; violations, decided blockwise by
     Levi descent, are reported as findings rather than errors.
     """
+    require_representations(rep)
+    if type(max_weight_height) is not int:
+        raise InvalidInput(f"weight height bound {max_weight_height!r} is not an int")
     if max_weight_height < 1:
         raise InvalidInput("the weight height bound must be at least 1")
     field, n = rep.field, rep.n
@@ -411,15 +406,21 @@ def optimal_flag(rep: Representation, max_weight_height: int = 4) -> OptimalFlag
     if cert.semisimple:
         raise PreconditionNotDestabilizable("input is already completely reducible")
     steps = series.flag.steps[:-1] if series is not None else []
-    full = Subspace.full(field, n)
     spins: dict = {}
     candidates = []
     levi_of = {}
-    for chain in _chains(_invariant_lattice(rep, spins, steps)):
-        flag = Flag(chain + [full])
+    for flag in chain_flags(_invariant_lattice(rep, spins, steps), Subspace.full(field, n)):
+        sizes = flag.block_sizes
+        # strictly decreasing block levels, the last one 1, the others drawn
+        # from 2 .. max_weight_height + 1
+        classes = {canonical_weights([level for level, size in zip(levels + (1,), sizes)
+                                      for _ in range(size)])
+                   for levels in itertools.combinations(range(max_weight_height + 1, 1, -1),
+                                                        len(sizes) - 1)}
+        if not classes:
+            continue
         base = flag_to_cocharacter(flag)
         p, p_inv, w = base.basis_change, base.basis_change_inv, base.weights
-        sizes = flag.block_sizes
         adapted = [p_inv * g * p for g in rep.generators]
         if splits_adapted(adapted, sizes):
             continue
@@ -434,12 +435,6 @@ def optimal_flag(rep: Representation, max_weight_height: int = 4) -> OptimalFlag
                 support.update((i, j) for i, x in enumerate(p_inv.apply(u)) if x and w[i] > w[j])
         levi = levi_of[flag] = [levi_part(a, w) for a in adapted]
         limit = tuple(p * a * p_inv for a in levi)
-        # levels 1 + sum(d[k:]) on block k: strictly decreasing, the last one 1
-        classes = {canonical_weights([1 + sum(d[k:]) for k, size in enumerate(sizes)
-                                      for _ in range(size)])
-                   for d in itertools.product(range(1, max_weight_height + 1),
-                                              repeat=len(sizes) - 1)
-                   if sum(d) <= max_weight_height}
         for cw in classes:
             w_min = min(cw[i] - cw[j] for i, j in support)
             measure = Fraction(w_min * w_min, sum(x * x for x in cw))

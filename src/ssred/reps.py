@@ -96,6 +96,13 @@ class Representation:
         return f"Representation({self.field!r}, n={self.n}, gens={len(self.generators)}{label})"
 
 
+def require_representations(*reps) -> None:
+    """Raise InvalidInput unless every argument is a Representation."""
+    for r in reps:
+        if not isinstance(r, Representation):
+            raise InvalidInput(f"expected a Representation, got {type(r).__name__}")
+
+
 class EnvelopingAlgebra:
     """A basis of the enveloping algebra of a group, with the echelon
     basis of its span for membership tests."""
@@ -508,8 +515,10 @@ def composition_series(rep: Representation, seed: int = 0) -> CompositionSeries:
     the spin-seed order at every level, so different seeds can return
     different series and certificates when the module admits them; seed 0
     keeps the standard order and gives `is_semisimple`'s certificate.  A
-    seed that is not an int raises InvalidInput.
+    rep that is not a Representation or a seed that is not an int raises
+    InvalidInput.
     """
+    require_representations(rep)
     if type(seed) is not int:
         raise InvalidInput(f"seed {seed!r} is not an int")
     rng = random.Random(seed)
@@ -524,7 +533,9 @@ def composition_series(rep: Representation, seed: int = 0) -> CompositionSeries:
 def is_semisimple(rep: Representation) -> SemisimpleCertificate:
     """Complete reducibility test with a re-verifiable certificate: the
     certificate of `composition_series(rep, 0)`, computed without the
-    series, so the recursion stops at the first obstruction."""
+    series, so the recursion stops at the first obstruction.  A rep that
+    is not a Representation raises InvalidInput."""
+    require_representations(rep)
     return _split(rep, random.Random(0), shuffled=False, series=False)[3]
 
 
@@ -618,8 +629,7 @@ def module_iso(a: Representation, b: Representation) -> Matrix | None:
     injective, so the first solution of g a_i = b_i g decides.  A singular
     one proves a reducible; it and a non-Representation raise InvalidInput.
     """
-    if not (isinstance(a, Representation) and isinstance(b, Representation)):
-        raise InvalidInput("module_iso compares two Representations")
+    require_representations(a, b)
     if a.field is not b.field:
         raise DimensionMismatch("modules over different fields")
     if len(a.generators) != len(b.generators):

@@ -5,13 +5,13 @@ import pytest
 
 from ssred import oracle
 from ssred.errors import DimensionMismatch, InvalidInput, ResourceBoundExceeded
-from ssred.exact import Field, Matrix, rref
+from ssred.exact import Field, Matrix, Subspace, rref
+from ssred.flags import Flag
 from ssred.oracle import (
     OrbitIndex,
     accessible_closed_orbits,
     all_subspaces,
     cocharacter_limits_match_flag_limits,
-    enumerate_flags,
     generic_tuple,
     get_index,
     get_table,
@@ -21,6 +21,7 @@ from ssred.oracle import (
     normalizer_elements,
     oracle_gcr,
     oracle_irreducible,
+    preserved_flags,
     subgroup_closure,
 )
 from ssred.pipeline import is_gcr_over_k, semisimplify
@@ -88,13 +89,95 @@ def test_all_subspaces_frozen_counts():
 
 
 def test_enumerate_flags_frozen_counts():
-    flags2 = enumerate_flags(F2, 2)
+    # the identity preserves every flag
+    flags2 = preserved_flags((Matrix.identity(F2, 2),))
     assert len(flags2) == 4  # three lines plus the trivial flag
     assert sum(1 for f in flags2 if len(f.steps) == 1) == 1
-    flags3 = enumerate_flags(F2, 3)
+    flags3 = preserved_flags((Matrix.identity(F2, 3),))
     assert len(flags3) == 36  # 1 trivial + 7 lines + 7 planes + 21 chains
     assert sum(1 for f in flags3 if len(f.steps) == 3) == 21
-    assert len(enumerate_flags(F3, 2)) == 5  # four lines plus the trivial flag
+    assert len(preserved_flags((Matrix.identity(F3, 2),))) == 5  # four lines plus the trivial flag
+
+
+def _every_flag(field, n):
+    """Every flag of F_q^n, the trivial flag included: each strictly
+    increasing chain of proper subspaces, extended depth first."""
+    proper = sorted((s for s in all_subspaces(field, n) if 0 < s.dim < n),
+                    key=lambda s: (s.dim, s.basis.entries))
+    full = Subspace.full(field, n)
+    flags = [Flag([full])]
+
+    def rec(chain, start):
+        for i in range(start, len(proper)):
+            s = proper[i]
+            if chain and not (s.dim > chain[-1].dim and s.contains(chain[-1])):
+                continue
+            flags.append(Flag(chain + [s, full]))
+            rec(chain + [s], i + 1)
+
+    rec([], 0)
+    return flags
+
+
+def _triangularizable(rng, field, n):
+    """A random conjugate of a random invertible upper triangular matrix."""
+    g = _random_invertible(rng, field, n)
+    u = Matrix(field, [[rng.randrange(1, field.p) if i == j else rng.randrange(field.p) if i < j
+                        else 0 for j in range(n)] for i in range(n)])
+    return g * u * g.inverse()
+
+
+def test_preserved_flags_are_every_flag_filtered(random_corpus_gl3_f2):
+    """The chains of a tuple's invariant subspaces are exactly the flags of
+    F_q^n that every matrix of the tuple preserves."""
+    rng = random.Random(2113)
+    tuples = [(g,) for field, n in [(F2, 2), (F3, 2), (F2, 3)]
+              for g in get_table(field, n).elements]
+    tuples += [r.generators for r in random_corpus_gl3_f2[:60]]
+    for k in range(40):
+        make = _random_invertible if k % 2 else _triangularizable
+        tuples.append(tuple(make(rng, F3, 3) for _ in range(1 + k % 3 // 2)))
+    every = {}
+    counts = set()
+    for mats in tuples:
+        field, n = mats[0].field, mats[0].nrows
+        if (field, n) not in every:
+            every[field, n] = _every_flag(field, n)
+        expected = [f for f in every[field, n] if f.is_preserved_by(mats)]
+        got = preserved_flags(mats)
+        assert len(got) == len(set(got)) == len(expected)
+        assert set(got) == set(expected)
+        counts.add(len(got))
+    assert 1 in counts and max(counts) > 4
+
+
+def test_oracle_gcr_then_accessible_orbits_walk_each_orbit_once(monkeypatch):
+    """After oracle_gcr, accessible_closed_orbits on the same tuple reads
+    the memoized flag limits: no orbit's flags are walked twice."""
+    rng = random.Random(2114)
+    reps = [Representation([g]) for g in get_table(F3, 2).elements]
+    reps += [Representation([_triangularizable(rng, F2, 3)]) for _ in range(12)]
+    walked = []
+    real_flags = oracle.preserved_flags
+    index = None
+
+    def recording_flags(x):
+        walked.append(index.orbit_id(x))
+        return real_flags(x)
+
+    monkeypatch.setattr(oracle, "preserved_flags", recording_flags)
+    verdicts = set()
+    for r in reps:
+        index = OrbitIndex(get_table(r.field, r.n))
+        home = index.orbit_id(generic_tuple(r))
+        walked.clear()
+        verdicts.add(oracle.oracle_gcr(r, index))
+        assert walked[0] == home
+        orbits = oracle.accessible_closed_orbits(generic_tuple(r), index)
+        assert walked.count(home) == 1
+        assert len(walked) == len(set(walked))
+        assert len(orbits) == 1
+    assert verdicts == {True, False}
 
 
 def test_orbit_ids_identify_conjugates():
@@ -198,7 +281,8 @@ def test_orbit_index_rejects_other_field_or_size():
 
 def test_memoized_verdicts_do_not_depend_on_call_order(random_corpus_gl3_f2, monkeypatch):
     """A shared index answers as a fresh index per call does, in either
-    order, and runs preserved_flags once per orbit decided."""
+    order, and runs preserved_flags once per distinct orbit decided,
+    whichever verdict asks first."""
     reps = [Representation([g]) for field, n in [(F3, 2), (F2, 3)]
             for g in get_table(field, n).elements] + list(random_corpus_gl3_f2)
 
@@ -227,7 +311,7 @@ def test_memoized_verdicts_do_not_depend_on_call_order(random_corpus_gl3_f2, mon
     def recording(kind, fn):
         def wrapped(x, index):
             asked.append(kind)
-            decided.add((kind, index.orbit_id(x)))
+            decided.add(index.orbit_id(x))
             return fn(x, index)
         return wrapped
 

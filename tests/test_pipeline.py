@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -9,24 +10,30 @@ from ssred.errors import (
     NotBlockDiagonal,
     NotNormal,
     PreconditionNotDestabilizable,
+    SsredError,
 )
 from ssred.exact import Field, Matrix, Subspace, solve_linear, sylvester_rows
 from ssred.flags import (
     Cocharacter,
     Flag,
     c_lambda,
+    chain_flags,
     diagonal_blocks,
     flag_to_cocharacter,
     levi_part,
     splits_adapted,
 )
-from ssred.oracle import get_table, oracle_irreducible, subgroup_closure
+from ssred.oracle import (
+    cocharacter_limits_match_flag_limits,
+    get_table,
+    oracle_irreducible,
+    subgroup_closure,
+)
 from ssred.pipeline import (
     CliffordResult,
     ConjugacyCertificate,
     OptimalFlagReport,
     SsResult,
-    _chains,
     _invariant_lattice,
     clifford_joint_ss,
     conjugacy_certificate,
@@ -500,6 +507,107 @@ def test_clifford_rational_algebra_stability():
     assert result.normal.ss_generators == (Matrix.identity(QQ, 2),)
 
 
+def _stabilizes_every_basis_element(m, h):
+    """Reference: conjugation by each generator of m maps every basis
+    element of h's enveloping algebra into that algebra."""
+    algebra = enveloping_basis(h)
+    return all(algebra.contains(g * b * g.inverse())
+               for g in m.generators for b in algebra.algebra_basis)
+
+
+def test_clifford_rational_stability_checks_generators_only():
+    """Checking h's generators decides what checking every basis element of
+    its enveloping algebra decides, on random upper triangular and random
+    full QQ pairs."""
+    rng = random.Random(2115)
+
+    def random_gens(n, upper):
+        gens = []
+        while len(gens) < rng.randrange(1, 3):
+            g = Matrix(QQ, [[Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
+                             if i <= j or not upper else 0 for j in range(n)] for i in range(n)])
+            if g.det() != 0:
+                gens.append(g)
+        return gens
+
+    outcomes = []
+    for k in range(30):
+        n = rng.randrange(2, 4)
+        h = Representation(random_gens(n, upper=True))
+        m = Representation(random_gens(n, upper=k % 3 != 0))
+        try:
+            clifford_joint_ss(m, h)
+            raised = False
+        except AlgebraNotStable:
+            raised = True
+        except SsredError:
+            raised = False
+        stable = _stabilizes_every_basis_element(m, h)
+        assert raised == (not stable)
+        outcomes.append(stable)
+    assert set(outcomes) == {True, False}
+
+
+def test_optimal_flag_skips_flags_without_weight_classes(monkeypatch):
+    """The 6x6 Jordan block over GF(2) has a chain of five proper invariant
+    subspaces.  At height 4 a flag has at most 5 steps with a weight class,
+    so the one 6-step chain gets no cocharacter, and per_flag_data is what
+    it was when that chain was still inverted, split-tested and spun."""
+    import ssred.pipeline
+
+    steps = []
+    real = ssred.pipeline.flag_to_cocharacter
+
+    def recording(flag):
+        steps.append(flag.length)
+        return real(flag)
+
+    monkeypatch.setattr(ssred.pipeline, "flag_to_cocharacter", recording)
+    jordan = rep(F2, [[1 if j in (i, i + 1) else 0 for j in range(6)] for i in range(6)])
+    report = optimal_flag(jordan, max_weight_height=4)
+    data = [([v.dim for v in c.flag.steps], c.weights, c.w_min, str(c.measure))
+            for c in report.per_flag_data]
+    assert len(data) == 100 and {len(d[0]) for d in data} == {2, 3, 4, 5}
+    assert hashlib.sha256(repr(data).encode()).hexdigest() == (
+        "80de35472f72f2d72113fd60834951909ee851231a3ce0ebe9895463c2fe1267")
+    assert len(steps) == 2**5 - 2 and max(steps) == 5
+    steps.clear()
+    report = optimal_flag(jordan, max_weight_height=5)
+    assert len(steps) == 2**5 - 1 and max(steps) == 6
+    assert max(c.flag.length for c in report.per_flag_data) == 6
+
+
+_NOT_A_REP = [TRANSVECTION_F2.generators, list(TRANSVECTION_F2.generators), None]
+
+
+@pytest.mark.parametrize("call", [
+    composition_series,
+    is_semisimple,
+    semisimplify,
+    is_gcr_over_k,
+    optimal_flag,
+    lambda x: clifford_joint_ss(x, TRANSVECTION_F2),
+    lambda x: clifford_joint_ss(TRANSVECTION_F2, x),
+    lambda x: levi_descent(x, [1, 1]),
+    lambda x: Flag([x]),
+    lambda x: Flag([Subspace.from_vectors(F2, 2, [(1, 0)]), x]),
+], ids=["composition_series", "is_semisimple", "semisimplify", "is_gcr_over_k",
+        "optimal_flag", "clifford_ambient", "clifford_normal", "levi_descent",
+        "flag_step", "flag_second_step"])
+@pytest.mark.parametrize("arg", _NOT_A_REP, ids=["tuple", "list", "none"])
+def test_wrong_argument_types_raise_invalid_input(call, arg):
+    with pytest.raises(InvalidInput):
+        call(arg)
+
+
+@pytest.mark.parametrize("height", [2.0, "4", True])
+def test_non_int_heights_raise_invalid_input(height):
+    with pytest.raises(InvalidInput):
+        optimal_flag(TRANSVECTION_F2, max_weight_height=height)
+    with pytest.raises(InvalidInput):
+        cocharacter_limits_match_flag_limits(TRANSVECTION_F2, height=height)
+
+
 def test_optimal_flag_transvection_frozen():
     report = optimal_flag(TRANSVECTION_F2, max_weight_height=3)
     assert len(report.argmax) == 1
@@ -569,9 +677,8 @@ def test_optimal_flag_measure_invariants():
 def _flag_cases(r):
     """(adapted generators, their limits, cocharacter) for every flag chain
     of r's invariant lattice."""
-    full = Subspace.full(r.field, r.n)
-    for chain in _chains(_invariant_lattice(r, {}, [])):
-        lam = flag_to_cocharacter(Flag(chain + [full]))
+    for flag in chain_flags(_invariant_lattice(r, {}, []), Subspace.full(r.field, r.n)):
+        lam = flag_to_cocharacter(flag)
         p, p_inv = lam.basis_change, lam.basis_change_inv
         adapted = [p_inv * g * p for g in r.generators]
         yield adapted, [levi_part(a, lam.weights) for a in adapted], lam

@@ -102,7 +102,8 @@ def test_load_rep_digest(tmp_path):
     import hashlib
     path = write_rep(tmp_path, "u.json", *UNIPOTENT)
     rep, digest = load_rep(path)
-    raw = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     assert digest == "sha256:" + hashlib.sha256(raw).hexdigest()
     with pytest.raises(InvalidInput):
         load_rep(str(tmp_path / "missing.json"))
