@@ -497,9 +497,14 @@ class Subspace:
         return tuple(vv[pc] for pc in self.pivots)
 
     def sum(self, other: "Subspace") -> "Subspace":
+        """The larger basis is already reduced echelon, so only the
+        smaller one's rows are eliminated against it."""
         self._check_same_space(other)
-        return Subspace.from_vectors(self.field, self.ambient_dim,
-                                     self.basis.entries + other.basis.entries)
+        big, small = (self, other) if self.dim >= other.dim else (other, self)
+        acc = EchelonBasis(self.field, self.ambient_dim)
+        acc.rows, acc.pivots = list(big.basis.entries), list(big.pivots)
+        grew = [acc.add(row) for row in small.basis.entries]
+        return acc.subspace() if any(grew) else big
 
     def intersection(self, other: "Subspace") -> "Subspace":
         self._check_same_space(other)
@@ -805,14 +810,15 @@ def factor_mod_p(coeffs, p: int) -> list[tuple[tuple, int]]:
     degree then coefficients; [] for zero and for constants.  Squarefree
     decomposition, then distinct-degree factorization with one Frobenius
     matrix per squarefree part, then Cantor-Zassenhaus (Math. Comp. 36,
-    1981).  The random choices come from a generator seeded the same way
-    on every call; the factorization is unique, so they change only the
-    time taken.
+    1981).  The random choices come from one generator seeded the same
+    way on every call, created at the first part that needs splitting and
+    shared by the later ones; the factorization is unique, so they change
+    only the time taken.
     """
     f = _trim([int(c) % p for c in coeffs])
     if len(f) < 2:
         return []
-    rng = random.Random(0)
+    rng = None
     out = []
     for g, e in _squarefree(_monic(f, p), p):
         if len(g) == 2:
@@ -820,6 +826,8 @@ def factor_mod_p(coeffs, p: int) -> list[tuple[tuple, int]]:
             continue
         rows = _frobenius_rows(g, p)
         for d, h in _distinct_degree(g, rows, p):
+            if rng is None and len(h) - 1 > d:
+                rng = random.Random(0)
             out.extend((tuple(u), e) for u in _equal_degree(h, d, rows, p, rng))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out

@@ -26,29 +26,33 @@ class Flag:
     """A strictly increasing chain of subspaces ending at the full space.
 
     The zero space is left implicit; the trivial flag is the single step
-    [k^n].
+    [k^n].  With validate=False the steps are taken as a nested chain of
+    Subspaces of strictly increasing dimension ending at the full space,
+    unchecked, as `chain_flags` builds them.
     """
 
     __slots__ = ("ambient_dim", "steps", "block_sizes")
 
-    def __init__(self, steps):
+    def __init__(self, steps, validate: bool = True):
         steps = tuple(steps)
-        if not steps:
-            raise InvalidInput("a flag needs at least the full space")
-        if not all(isinstance(v, Subspace) for v in steps):
-            raise InvalidInput("flag steps must be Subspaces")
-        n = steps[0].ambient_dim
-        prev_dim = 0
-        for i, v in enumerate(steps):
-            if v.ambient_dim != n:
-                raise DimensionMismatch("flag steps live in different ambient spaces")
-            if v.dim <= prev_dim:
-                raise InvalidInput("flag dimensions must strictly increase")
-            if i > 0 and not v.contains(steps[i - 1]):
-                raise InvalidInput("flag steps must be nested")
-            prev_dim = v.dim
-        if steps[-1].dim != n:
-            raise InvalidInput("last flag step must be the full space")
+        if validate:
+            if not steps:
+                raise InvalidInput("a flag needs at least the full space")
+            if not all(isinstance(v, Subspace) for v in steps):
+                raise InvalidInput("flag steps must be Subspaces")
+            n = steps[0].ambient_dim
+            prev_dim = 0
+            for i, v in enumerate(steps):
+                if v.ambient_dim != n:
+                    raise DimensionMismatch("flag steps live in different ambient spaces")
+                if v.dim <= prev_dim:
+                    raise InvalidInput("flag dimensions must strictly increase")
+                if i > 0 and not v.contains(steps[i - 1]):
+                    raise InvalidInput("flag steps must be nested")
+                prev_dim = v.dim
+            if steps[-1].dim != n:
+                raise InvalidInput("last flag step must be the full space")
+        n = steps[-1].ambient_dim
         self.ambient_dim = n
         self.steps = steps
         dims = [0] + [v.dim for v in steps]
@@ -89,7 +93,7 @@ def chain_flags(proper, full: Subspace) -> list[Flag]:
     def extend(chain, start):
         for i, s in enumerate(proper[start:], start):
             if not chain or (s.dim > chain[-1].dim and s.contains(chain[-1])):
-                out.append(Flag(chain + [s, full]))
+                out.append(Flag(chain + [s, full], validate=False))
                 if len(out) > FLAG_CANDIDATE_CAP:
                     raise SearchSpaceExceeded("flag enumeration exceeded the candidate cap")
                 extend(chain + [s], i + 1)
@@ -121,11 +125,14 @@ class Cocharacter:
     `basis_change` has the adapted basis as its columns; `weights[i]` is the
     exponent carried by column i and must be non-increasing.  `canonical`
     holds the centered, gcd-reduced weight vector used by length measures.
+    A given `inverse` is taken as the inverse of `basis_change` unchecked,
+    as `flag_to_cocharacter` reads it off the echelon rows; otherwise it is
+    computed, and a singular basis raises InvalidInput.
     """
 
     __slots__ = ("field", "n", "basis_change", "basis_change_inv", "weights", "canonical")
 
-    def __init__(self, basis_change: Matrix, weights):
+    def __init__(self, basis_change: Matrix, weights, inverse: Matrix | None = None):
         weights = tuple(weights)
         if any(type(w) is not int for w in weights):
             raise InvalidInput(f"weights {weights!r} are not all ints")
@@ -134,7 +141,7 @@ class Cocharacter:
             raise DimensionMismatch("adapted basis and weight vector sizes disagree")
         if any(a < b for a, b in zip(weights, weights[1:])):
             raise InvalidInput("weights must be non-increasing")
-        inv = basis_change.inverse()
+        inv = basis_change.inverse() if inverse is None else inverse
         if inv is None:
             raise InvalidInput("adapted basis matrix is singular")
         self.field = basis_change.field
@@ -189,22 +196,36 @@ def flag_to_cocharacter(f: Flag) -> Cocharacter:
     echelon basis whose pivot column is new relative to the previous step;
     pivot sets of nested spaces are themselves nested, so this completes
     each step's basis exactly.
+
+    A chosen row is 1 at its pivot and 0 at the pivots of the rows before
+    it, all pivots of its own step or an earlier one.  So the coordinates
+    c of a vector v in the adapted basis come out in order,
+    c_l = v[pivot_l] - sum_(k<l) row_k[pivot_l] c_k, and this recursion
+    gives the inverse basis change row by row, without elimination.
     """
     field = f.field
     n = f.ambient_dim
     r = len(f.steps)
     cols = []
     weights = []
+    inv_rows = []
     used_pivots: set[int] = set()
     for i, v in enumerate(f.steps):
         w = r - i
         for row, pivot in zip(v.basis.entries, v.pivots):
             if pivot not in used_pivots:
                 used_pivots.add(pivot)
+                inv_row = [field.zero] * n
+                inv_row[pivot] = field.one
+                for earlier, inv_earlier in zip(cols, inv_rows):
+                    if earlier[pivot]:
+                        inv_row = field.axpy(inv_row, earlier[pivot], inv_earlier)
                 cols.append(row)
+                inv_rows.append(inv_row)
                 weights.append(w)
     basis_change = Matrix(field, tuple(cols), ncols=n, validate=False).transpose()
-    return Cocharacter(basis_change, weights)
+    inverse = Matrix(field, inv_rows, ncols=n, validate=False)
+    return Cocharacter(basis_change, weights, inverse=inverse)
 
 
 def c_lambda(m, lam: Cocharacter):

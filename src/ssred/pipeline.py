@@ -14,7 +14,9 @@ destabilizing flag under an exact Kempf-style length measure.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
+from math import comb, lcm
 
 from .errors import (
     FLAG_CANDIDATE_CAP,
@@ -30,7 +32,7 @@ from .errors import (
     SearchSpaceExceeded,
     UndecidedIrreducibility,
 )
-from .exact import Matrix, Subspace, projective_vectors, right_kernel, spin
+from .exact import EchelonBasis, Matrix, Subspace, projective_vectors, right_kernel, spin
 from .flags import (
     Flag,
     block_diagonal,
@@ -293,47 +295,89 @@ def clifford_joint_ss(m: Representation, h: Representation, seed: int = 0) -> Cl
     return CliffordResult(ambient, SsResult(h, ambient.flag, lam, h_gens, h_cert))
 
 
+def _spin_seeds(rep: Representation, spins: dict):
+    """Yield the spin of each lattice seed in turn, kept in spins keyed by
+    the seed, so a seed already there is not spun again.  The seeds are
+    the lines of F_q^n, with q^n under the cap (past it SearchSpaceExceeded
+    is raised), and over the rationals the kernel vectors of the candidate
+    elements."""
+    field = rep.field
+    n = rep.n
+    if field.p is not None:
+        if field.p**n > SPACE_VECTORS_CAP:
+            raise SearchSpaceExceeded(
+                f"{field.p}^{n} vectors exceed the invariant-lattice cap")
+        seeds = projective_vectors(field, n)
+    else:
+        seeds = (v for _word, elt in candidate_elements(rep) if not elt.is_zero()
+                 for v in right_kernel(elt))
+    for v in seeds:
+        if v not in spins:
+            spins[v] = spin(field, n, [v], rep.generators)
+        yield spins[v]
+
+
+def _lines_completely_reducible(field, n: int, line_spins) -> bool:
+    """Whether the module is completely reducible, read off the spins of
+    the lines of F_q^n, which are drawn only until the answer is known.
+
+    A simple submodule is the spin of each of its lines, so a spin W is
+    simple exactly when all (q^d - 1)/(q - 1) lines of W, d = dim W, spin
+    to W.  Such spins are thus all the simple submodules, their sum is the
+    socle, and the module is completely reducible exactly when its socle
+    is F_q^n: True once the simple spins seen so far span it, False when
+    the lines run out first.
+    """
+    q = field.p
+    lines = Counter()
+    socle = EchelonBasis(field, n)
+    for w in line_spins:
+        key = w.basis.entries
+        lines[key] += 1
+        if lines[key] == (q**w.dim - 1) // (q - 1):
+            for row in key:
+                socle.add(row)
+            if socle.dim == n:
+                return True
+    return False
+
+
 def _invariant_lattice(rep: Representation, spins: dict, steps) -> list[Subspace]:
     """All generator-invariant subspaces over a small finite field, as
     sums of cyclic invariant subspaces; a discovered sublattice over the
     rationals, which also holds the given invariant steps.
 
     Every invariant subspace is the sum of the spins of its vectors, so
-    over F_q with q^n under the cap the closure of the cyclic subspaces
-    under pairwise sum is the complete lattice.  Each seed's spin is
-    stored in spins, keyed by the seed.
+    over F_q with q^n under the cap the closure of the line spins under
+    pairwise sum is the complete lattice; past the cap this raises
+    SearchSpaceExceeded.  Over the rationals the closure is under sums and
+    intersections.  Each unordered pair is joined once: a pair whose sum
+    is the larger of the two is comparable, and then its sum and
+    intersection are the pair itself.  Each seed's spin is kept in spins,
+    keyed by the seed.  This builds the lattice whatever the module:
+    `optimal_flag` takes its verdict over F_q from the same line spins
+    (`_lines_completely_reducible`) before it calls this, and over the
+    rationals from the composition series.
     """
     field = rep.field
     n = rep.n
-    seeds = []
-    if field.p is not None:
-        if field.p**n > SPACE_VECTORS_CAP:
-            raise SearchSpaceExceeded(
-                f"{field.p}^{n} vectors exceed the invariant-lattice cap")
-        seeds.extend(projective_vectors(field, n))
-    else:
-        for _word, elt in candidate_elements(rep):
-            if not elt.is_zero():
-                seeds.extend(right_kernel(elt))
-    found: dict = {}
-    for v in seeds:
-        w = spins[v] = spin(field, n, [v], rep.generators)
-        if 0 < w.dim < n:
-            found[w.basis.entries] = w
+    found = {w.basis.entries: w for w in _spin_seeds(rep, spins) if 0 < w.dim < n}
     for step in steps:
         found[step.basis.entries] = step
-    worklist = list(found.values())
-    while worklist:
-        cur = worklist.pop()
-        for other in list(found.values()):
-            for combined in ((cur.sum(other),) if field.p is not None
-                             else (cur.sum(other), cur.intersection(other))):
+    members = list(found.values())
+    for i, cur in enumerate(members):
+        for other in members[:i]:
+            joined = cur.sum(other)
+            if joined.dim == max(cur.dim, other.dim):
+                continue
+            for combined in ((joined,) if field.p is not None
+                             else (joined, cur.intersection(other))):
                 if combined.dim == 0 or combined.dim == n:
                     continue
                 key = combined.basis.entries
                 if key not in found:
                     found[key] = combined
-                    worklist.append(combined)
+                    members.append(combined)
                     if len(found) > FLAG_CANDIDATE_CAP:
                         raise SearchSpaceExceeded("invariant lattice exceeded the cap")
     return sorted(found.values(), key=lambda w: (w.dim, w.basis.entries))
@@ -373,11 +417,26 @@ def optimal_flag(rep: Representation, max_weight_height: int = 4) -> OptimalFlag
     """Search invariant flags and bounded weight vectors for the fastest
     destabilization of a non-completely-reducible group.
 
+    The verdict comes first.  Over F_q with q^n under SPACE_VECTORS_CAP it
+    is read off the line spins the lattice is built from: a simple
+    submodule is the spin of each of its lines, so the spins all of whose
+    lines spin back to them are the simple submodules, their sum is the
+    socle, and the input is completely reducible exactly when the socle
+    is k^n (`_lines_completely_reducible`).  The lines are spun until the
+    simple spins span k^n, so a completely reducible input may stop early,
+    but an irreducible one spins every line.  Over the rationals one
+    composition series gives the verdict and adds its steps to the
+    lattice; past the cap `is_semisimple` gives it.  A completely
+    reducible input raises PreconditionNotDestabilizable, also past the
+    cap, where a non-completely-reducible one raises SearchSpaceExceeded.
+
     Flags are the chains of the invariant lattice.  A flag's weight classes
     are its strictly decreasing block levels from at most
     max_weight_height + 1 down to 1, so a flag of more steps than that has
-    none and is skipped.  A non-Representation or non-int height raises
-    InvalidInput.
+    none and is skipped.  The classes are counted before any is built: a
+    flag of s steps has at most C(max_weight_height, s - 1), and more than
+    FLAG_CANDIDATE_CAP over all flags raise SearchSpaceExceeded.  A
+    non-Representation or non-int height raises InvalidInput.
 
     The squared measure of a candidate cocharacter is w_min^2 / |lambda|^2
     where w_min is the least positive weight carried by a nonzero
@@ -396,27 +455,43 @@ def optimal_flag(rep: Representation, max_weight_height: int = 4) -> OptimalFlag
     if max_weight_height < 1:
         raise InvalidInput("the weight height bound must be at least 1")
     field, n = rep.field, rep.n
-    # over QQ the composition flag's proper steps join the lattice, and
-    # the series' recursion gives the verdict too
-    try:
-        series = composition_series(rep) if field.p is None else None
-    except UndecidedIrreducibility:
-        series = None
-    cert = is_semisimple(rep) if series is None else series.certificate
-    if cert.semisimple:
-        raise PreconditionNotDestabilizable("input is already completely reducible")
-    steps = series.flag.steps[:-1] if series is not None else []
     spins: dict = {}
+    steps = []
+    if field.p is not None and field.p**n <= SPACE_VECTORS_CAP:
+        reducible = _lines_completely_reducible(field, n, _spin_seeds(rep, spins))
+    else:
+        # over QQ the composition flag's proper steps join the lattice, and
+        # the series' recursion gives the verdict too
+        try:
+            series = composition_series(rep) if field.p is None else None
+        except UndecidedIrreducibility:
+            series = None
+        reducible = (is_semisimple(rep) if series is None else series.certificate).semisimple
+        if series is not None:
+            steps = series.flag.steps[:-1]
+    if reducible:
+        raise PreconditionNotDestabilizable("input is already completely reducible")
+    # flags in the order of the candidate sort's tie-break
+    flags = sorted(chain_flags(_invariant_lattice(rep, spins, steps), Subspace.full(field, n)),
+                   key=lambda f: ([v.dim for v in f.steps], [v.basis.entries for v in f.steps]))
+    bound = sum(comb(max_weight_height, f.length - 1) for f in flags)
+    if bound > FLAG_CANDIDATE_CAP:
+        raise SearchSpaceExceeded(
+            f"{bound} weight classes at height {max_weight_height} exceed FLAG_CANDIDATE_CAP")
     candidates = []
     levi_of = {}
-    for flag in chain_flags(_invariant_lattice(rep, spins, steps), Subspace.full(field, n)):
+    classes_of = {}
+    for flag in flags:
         sizes = flag.block_sizes
-        # strictly decreasing block levels, the last one 1, the others drawn
-        # from 2 .. max_weight_height + 1
-        classes = {canonical_weights([level for level, size in zip(levels + (1,), sizes)
-                                      for _ in range(size)])
-                   for levels in itertools.combinations(range(max_weight_height + 1, 1, -1),
-                                                        len(sizes) - 1)}
+        if sizes not in classes_of:
+            # strictly decreasing block levels, the last one 1, the others
+            # drawn from 2 .. max_weight_height + 1, in the sort's order
+            classes_of[sizes] = sorted({
+                canonical_weights([level for level, size in zip(levels + (1,), sizes)
+                                   for _ in range(size)])
+                for levels in itertools.combinations(range(max_weight_height + 1, 1, -1),
+                                                     len(sizes) - 1)})
+        classes = classes_of[sizes]
         if not classes:
             continue
         base = flag_to_cocharacter(flag)
@@ -442,16 +517,19 @@ def optimal_flag(rep: Representation, max_weight_height: int = 4) -> OptimalFlag
     if not candidates:
         raise InternalInvariantViolation(
             "a non-completely-reducible input admitted no destabilizing candidate")
-    candidates.sort(key=lambda c: (-c.measure,
-                                   [v.dim for v in c.flag.steps],
-                                   [v.basis.entries for v in c.flag.steps],
-                                   c.weights))
+    # measures as integers over one denominator; the sort is stable, so
+    # ties keep the flag order, then the weight order
+    scale = lcm(*(c.measure.denominator for c in candidates))
+    candidates.sort(key=lambda c: -c.measure.numerator * (scale // c.measure.denominator))
     top = candidates[0].measure
-    argmax = [c for c in candidates if c.measure == top]
+    argmax = list(itertools.takewhile(lambda c: c.measure == top, candidates))
     findings = []
     for c in argmax:
-        cut = zip(*(diagonal_blocks(a, c.flag.block_sizes) for a in levi_of[c.flag]))
-        if not all(is_semisimple(Representation(gens)).semisimple for gens in cut):
+        sizes = c.flag.block_sizes
+        cut = zip(*(diagonal_blocks(a, sizes) for a in levi_of[c.flag]))
+        # a block of dimension 1 is irreducible
+        if not all(is_semisimple(Representation(gens)).semisimple
+                   for gens, size in zip(cut, sizes) if size > 1):
             findings.append({"kind": "non_semisimple_argmax_limit",
                              "dims": [v.dim for v in c.flag.steps],
                              "weights": list(c.weights), "measure": str(c.measure)})

@@ -91,6 +91,30 @@ def test_degenerate_inputs(coeffs, p, expected):
     assert reference(list(coeffs), p) == expected
 
 
+@pytest.mark.parametrize("coeffs, p, generators", [
+    ((1, 0, 1), 3, 0),  # x^2 + 1 is irreducible over GF(3)
+    ((1, 1, 1, 1), 2, 0),  # (x + 1)^3: one linear part, nothing to split
+    ((0, 2, 0, 1), 3, 1),  # x (x + 1)(x + 2): one split of degree-1 factors
+    # x (x + 1)(x^2 + 1)(x^2 + x + 2): a split in degree 1 and one in degree 2
+    ((0, 2, 0, 1, 1, 2, 1), 3, 1),
+])
+def test_generator_is_made_only_for_a_split(monkeypatch, coeffs, p, generators):
+    """The generator is created at the first part that needs splitting,
+    and shared by the later ones."""
+    import ssred.exact
+
+    made = []
+    real = ssred.exact.random.Random
+
+    def counting(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ssred.exact.random, "Random", counting)
+    assert factor_mod_p(coeffs, p) == reference(list(coeffs), p)
+    assert made == [(0,)] * generators
+
+
 SUBPROCESS = """
 import sys
 import ssred

@@ -109,6 +109,28 @@ def test_cocharacter_flag_roundtrip():
         assert lam.flag() == f
 
 
+def test_adapted_inverse_is_the_eliminated_inverse():
+    """flag_to_cocharacter reads the inverse basis change off the echelon
+    rows; it is the inverse Gauss-Jordan elimination gives, over GF(p)
+    and over QQ."""
+    rng = random.Random(103)
+    qq = Field.rational()
+    for _ in range(80):
+        field = rng.choice([F2, F3, Field.prime(101)])
+        n = rng.randrange(1, 6)
+        lam = flag_to_cocharacter(random_flag(rng, field, n))
+        assert lam.basis_change_inv == lam.basis_change.inverse()
+    for _ in range(20):
+        n = rng.randrange(1, 5)
+        g = Matrix(qq, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        if g.det() == 0:
+            continue
+        cols = g.transpose().entries
+        dims = sorted(rng.sample(range(1, n), rng.randrange(0, n))) + [n]
+        lam = flag_to_cocharacter(Flag([Subspace.from_vectors(qq, n, cols[:d]) for d in dims]))
+        assert lam.basis_change_inv == lam.basis_change.inverse()
+
+
 def test_canonical_weights():
     ident3 = Matrix.identity(F3, 3)
     assert Cocharacter(ident3, (2, 1, 1)).canonical == (2, -1, -1)
