@@ -9,9 +9,13 @@ README "Bounds" lists which error each cap raises where.
 GROUP_ELEMENTS_CAP = 2**21
 # q^n bound for enumerating the vectors, lines or subspaces of F_q^n
 SPACE_VECTORS_CAP = 2**14
-# invariant subspaces in the optimal-flag search, its weight-class
-# candidates, and flags listed by flags.chain_flags there and in the oracle
+# invariant subspaces in the optimal-flag search, and flags listed by
+# flags.chain_flags there and in the oracle
 FLAG_CANDIDATE_CAP = 2**16
+# weight-class candidates in the optimal-flag search: a flag has at most
+# C(4, 2) = 6 up to the default height 4, so FLAG_CANDIDATE_CAP flags stay
+# below this and only a larger height reaches it
+WEIGHT_CLASS_CAP = 2**19
 
 
 class SsredError(Exception):

@@ -21,6 +21,7 @@ from math import comb, lcm
 from .errors import (
     FLAG_CANDIDATE_CAP,
     SPACE_VECTORS_CAP,
+    WEIGHT_CLASS_CAP,
     AlgebraNotStable,
     DimensionMismatch,
     InternalInvariantViolation,
@@ -56,6 +57,12 @@ from .reps import (
     require_representations,
     restrict_to_subspace,
 )
+
+# optimal_flag reads its verdict off the line spins of F_q^n only when
+# there are at most this many lines: on random irreducible GF(p) pairs
+# (Python 3.11, 2-vCPU Xeon) spinning every line took 0.2-0.9x one MeatAxe
+# call up to 15 lines, 2-4x at 31-40 and 64x at 1023
+LINE_VERDICT_LINES = 16
 
 
 def is_gcr_over_k(rep: Representation) -> SemisimpleCertificate:
@@ -355,9 +362,8 @@ def _invariant_lattice(rep: Representation, spins: dict, steps) -> list[Subspace
     is the larger of the two is comparable, and then its sum and
     intersection are the pair itself.  Each seed's spin is kept in spins,
     keyed by the seed.  This builds the lattice whatever the module:
-    `optimal_flag` takes its verdict over F_q from the same line spins
-    (`_lines_completely_reducible`) before it calls this, and over the
-    rationals from the composition series.
+    `optimal_flag` takes its verdict before it calls this, over a small
+    F_q from the same line spins (`_lines_completely_reducible`).
     """
     field = rep.field
     n = rep.n
@@ -417,25 +423,25 @@ def optimal_flag(rep: Representation, max_weight_height: int = 4) -> OptimalFlag
     """Search invariant flags and bounded weight vectors for the fastest
     destabilization of a non-completely-reducible group.
 
-    The verdict comes first.  Over F_q with q^n under SPACE_VECTORS_CAP it
-    is read off the line spins the lattice is built from: a simple
-    submodule is the spin of each of its lines, so the spins all of whose
-    lines spin back to them are the simple submodules, their sum is the
-    socle, and the input is completely reducible exactly when the socle
-    is k^n (`_lines_completely_reducible`).  The lines are spun until the
-    simple spins span k^n, so a completely reducible input may stop early,
-    but an irreducible one spins every line.  Over the rationals one
-    composition series gives the verdict and adds its steps to the
-    lattice; past the cap `is_semisimple` gives it.  A completely
-    reducible input raises PreconditionNotDestabilizable, also past the
-    cap, where a non-completely-reducible one raises SearchSpaceExceeded.
+    The verdict comes first.  Over F_q with at most LINE_VERDICT_LINES
+    lines it is read off the line spins the lattice is built from: a
+    simple submodule is the spin of each of its lines, so the spins all of
+    whose lines spin back to them are the simple submodules, their sum is
+    the socle, and the input is completely reducible exactly when the
+    socle is k^n (`_lines_completely_reducible`).  With more lines
+    `is_semisimple` gives it, which is faster than spinning them all for
+    an irreducible input; over the rationals one composition series gives
+    it and adds its steps to the lattice.  A completely reducible input
+    raises PreconditionNotDestabilizable, also past SPACE_VECTORS_CAP,
+    where a non-completely-reducible one raises SearchSpaceExceeded.
 
     Flags are the chains of the invariant lattice.  A flag's weight classes
     are its strictly decreasing block levels from at most
     max_weight_height + 1 down to 1, so a flag of more steps than that has
     none and is skipped.  The classes are counted before any is built: a
     flag of s steps has at most C(max_weight_height, s - 1), and more than
-    FLAG_CANDIDATE_CAP over all flags raise SearchSpaceExceeded.  A
+    WEIGHT_CLASS_CAP over all flags raise SearchSpaceExceeded, which no
+    input within FLAG_CANDIDATE_CAP flags reaches at a height up to 4.  A
     non-Representation or non-int height raises InvalidInput.
 
     The squared measure of a candidate cocharacter is w_min^2 / |lambda|^2
@@ -457,9 +463,11 @@ def optimal_flag(rep: Representation, max_weight_height: int = 4) -> OptimalFlag
     field, n = rep.field, rep.n
     spins: dict = {}
     steps = []
-    if field.p is not None and field.p**n <= SPACE_VECTORS_CAP:
+    q = field.p
+    if q is not None and q**n <= SPACE_VECTORS_CAP and (q**n - 1) // (q - 1) <= LINE_VERDICT_LINES:
         reducible = _lines_completely_reducible(field, n, _spin_seeds(rep, spins))
     else:
+        # past LINE_VERDICT_LINES the MeatAxe decides faster than the lines;
         # over QQ the composition flag's proper steps join the lattice, and
         # the series' recursion gives the verdict too
         try:
@@ -475,9 +483,10 @@ def optimal_flag(rep: Representation, max_weight_height: int = 4) -> OptimalFlag
     flags = sorted(chain_flags(_invariant_lattice(rep, spins, steps), Subspace.full(field, n)),
                    key=lambda f: ([v.dim for v in f.steps], [v.basis.entries for v in f.steps]))
     bound = sum(comb(max_weight_height, f.length - 1) for f in flags)
-    if bound > FLAG_CANDIDATE_CAP:
+    if bound > WEIGHT_CLASS_CAP:
         raise SearchSpaceExceeded(
-            f"{bound} weight classes at height {max_weight_height} exceed FLAG_CANDIDATE_CAP")
+            f"{bound} weight classes at height {max_weight_height} exceed "
+            f"WEIGHT_CLASS_CAP = {WEIGHT_CLASS_CAP}")
     candidates = []
     levi_of = {}
     classes_of = {}

@@ -1,5 +1,5 @@
-"""`optimal_flag`'s verdict from its own line spins, the lattice closure,
-and the bound on its weight classes."""
+"""`optimal_flag`'s verdict from its own line spins or the MeatAxe, the
+lattice closure, and the bound on its weight classes."""
 
 import random
 from math import comb
@@ -11,12 +11,20 @@ from hypothesis import strategies as st
 import ssred.pipeline
 from ssred.errors import (
     FLAG_CANDIDATE_CAP,
+    WEIGHT_CLASS_CAP,
     PreconditionNotDestabilizable,
     SearchSpaceExceeded,
 )
 from ssred.exact import Field, Matrix, Subspace
+from ssred.flags import chain_flags
 from ssred.oracle import get_table, invariant_subspaces
-from ssred.pipeline import _invariant_lattice, optimal_flag
+from ssred.pipeline import (
+    LINE_VERDICT_LINES,
+    _invariant_lattice,
+    _lines_completely_reducible,
+    _spin_seeds,
+    optimal_flag,
+)
 from ssred.reps import Representation, is_semisimple
 from test_pipeline import _bench_nonss
 
@@ -47,8 +55,10 @@ def _block_upper_triangular(rnd, field, n):
 @pytest.mark.parametrize("family", ["random", "block_upper_triangular"])
 def test_verdict_is_complete_reducibility(field, family):
     """optimal_flag raises PreconditionNotDestabilizable exactly when
-    is_semisimple says the input is completely reducible; both outcomes
-    occur in every family."""
+    is_semisimple says the input is completely reducible, and so does the
+    socle of the line spins, also past LINE_VERDICT_LINES, where
+    optimal_flag asks is_semisimple; both outcomes occur in every
+    family."""
     outcomes = set()
 
     @settings(derandomize=True, max_examples=40, deadline=None)
@@ -61,6 +71,7 @@ def test_verdict_is_complete_reducibility(field, family):
             gens = [_block_upper_triangular(rnd, field, n) for _ in range(count)]
         r = Representation(gens)
         semisimple = is_semisimple(r).semisimple
+        assert _lines_completely_reducible(field, n, _spin_seeds(r, {})) == semisimple
         try:
             optimal_flag(r, max_weight_height=1)
             raised = False
@@ -87,9 +98,11 @@ def test_errors_past_the_space_cap():
         optimal_flag(_bench_nonss(random.Random(1), F101, 4))
 
 
-def test_completely_reducible_input_closes_no_lattice(monkeypatch):
-    """The identity group of GF(2)^8 has every subspace invariant; its
-    verdict comes from the 255 line spins before any sum is taken."""
+@pytest.mark.parametrize("n", [4, 8])
+def test_completely_reducible_input_closes_no_lattice(monkeypatch, n):
+    """The identity group of GF(2)^n has every subspace invariant; its
+    verdict comes before any sum is taken, from the 15 line spins at n = 4
+    and from is_semisimple at n = 8."""
     sums = []
     real_sum = Subspace.sum
 
@@ -99,13 +112,14 @@ def test_completely_reducible_input_closes_no_lattice(monkeypatch):
 
     monkeypatch.setattr(Subspace, "sum", counting_sum)
     with pytest.raises(PreconditionNotDestabilizable):
-        optimal_flag(Representation([Matrix.identity(F2, 8)]))
+        optimal_flag(Representation([Matrix.identity(F2, n)]))
     assert sums == []
 
 
-def test_no_whole_input_semisimplicity_call_over_small_fields(monkeypatch, full_corpus):
-    """Within the cap, is_semisimple only sees argmax limit blocks of
-    dimension at least 2; past it, it decides the whole input."""
+def test_whole_input_semisimplicity_call_only_past_the_line_bound(monkeypatch, full_corpus):
+    """With at most LINE_VERDICT_LINES lines is_semisimple only sees
+    argmax limit blocks of dimension at least 2; with more, also past
+    SPACE_VECTORS_CAP, its first call decides the whole input."""
     seen = []
     real = ssred.pipeline.is_semisimple
 
@@ -114,16 +128,24 @@ def test_no_whole_input_semisimplicity_call_over_small_fields(monkeypatch, full_
         return real(r)
 
     monkeypatch.setattr(ssred.pipeline, "is_semisimple", recording)
-    verdicts = set()
-    for r in list(full_corpus[::7]) + [J3_F2, _bench_nonss(random.Random(1), F2, 8)]:
-        seen.clear()
-        try:
-            optimal_flag(r)
-            verdicts.add(False)
-        except PreconditionNotDestabilizable:
-            verdicts.add(True)
-        assert all(1 < s.n < r.n for s in seen)
-    assert verdicts == {True, False}
+    rnd = random.Random(3)
+    small = list(full_corpus[::7]) + [J3_F2, Representation([Matrix.identity(F2, 4)])]
+    small += [Representation([_block_upper_triangular(rnd, F2, 4)]) for _ in range(5)]
+    large = [Representation([_block_upper_triangular(rnd, F2, 5)]) for _ in range(5)]
+    large += [_bench_nonss(random.Random(1), F2, 8), Representation([Matrix.identity(F2, 5)])]
+    for reps, whole in ((small, False), (large, True)):
+        verdicts = set()
+        for r in reps:
+            assert ((r.field.p**r.n - 1) // (r.field.p - 1) > LINE_VERDICT_LINES) == whole
+            seen.clear()
+            try:
+                optimal_flag(r)
+                verdicts.add(False)
+            except PreconditionNotDestabilizable:
+                verdicts.add(True)
+            assert [s for s in seen if s.generators == r.generators] == seen[:whole]
+            assert all(1 < s.n < r.n for s in seen[whole:])
+        assert verdicts == {True, False}
     seen.clear()
     r = _bench_nonss(random.Random(1), F101, 4)
     with pytest.raises(SearchSpaceExceeded):
@@ -187,13 +209,39 @@ def test_weight_classes_are_counted_before_any_is_built(monkeypatch):
         return real(flag)
 
     monkeypatch.setattr(ssred.pipeline, "flag_to_cocharacter", recording)
-    height = next(h for h in range(1, 1000) if _class_count(h) > FLAG_CANDIDATE_CAP)
-    assert _class_count(height - 1) <= FLAG_CANDIDATE_CAP
-    with pytest.raises(SearchSpaceExceeded, match="FLAG_CANDIDATE_CAP"):
+    height = next(h for h in range(1, 2000) if _class_count(h) > WEIGHT_CLASS_CAP)
+    assert _class_count(height - 1) <= WEIGHT_CLASS_CAP
+    with pytest.raises(SearchSpaceExceeded, match="WEIGHT_CLASS_CAP"):
         optimal_flag(J3_F2, max_weight_height=height)
     assert built == []
     # at a lowered cap the count decides exactly where the search stops
-    monkeypatch.setattr(ssred.pipeline, "FLAG_CANDIDATE_CAP", _class_count(3))
+    monkeypatch.setattr(ssred.pipeline, "WEIGHT_CLASS_CAP", _class_count(3))
     assert len(optimal_flag(J3_F2, max_weight_height=3).per_flag_data) <= _class_count(3)
-    with pytest.raises(SearchSpaceExceeded, match="FLAG_CANDIDATE_CAP"):
+    with pytest.raises(SearchSpaceExceeded, match="WEIGHT_CLASS_CAP"):
         optimal_flag(J3_F2, max_weight_height=4)
+
+
+class _Built(Exception):
+    pass
+
+
+def test_flag_cap_bounds_the_weight_classes_up_to_height_four(monkeypatch):
+    """FLAG_CANDIDATE_CAP complete flags of three steps, the most classes a
+    flag has up to height 4, stay within WEIGHT_CLASS_CAP: the search goes
+    on to build the first cocharacter.  At height 5 the same flags have
+    C(5, 2) = 10 classes each and pass it."""
+    most = max(comb(h, s - 1) for h in range(1, 5) for s in range(1, h + 2))
+    assert most == 6 and most * FLAG_CANDIDATE_CAP <= WEIGHT_CLASS_CAP
+    complete = next(f for f in chain_flags(_invariant_lattice(J3_F2, {}, []),
+                                           Subspace.full(F2, 3)) if f.length == 3)
+
+    def building(flag):
+        raise _Built
+
+    monkeypatch.setattr(ssred.pipeline, "chain_flags",
+                        lambda proper, full: [complete] * FLAG_CANDIDATE_CAP)
+    monkeypatch.setattr(ssred.pipeline, "flag_to_cocharacter", building)
+    with pytest.raises(_Built):
+        optimal_flag(J3_F2)
+    with pytest.raises(SearchSpaceExceeded, match="WEIGHT_CLASS_CAP"):
+        optimal_flag(J3_F2, max_weight_height=5)
