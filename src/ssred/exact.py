@@ -10,12 +10,13 @@ operation below is written on those three.
 The public surface is deliberately small: reduced row echelon form,
 kernels, linear solving, subspaces with canonical echelon bases, orbit
 closure of vectors under a set of operators ("spinning"), characteristic
-polynomials, factorization of polynomials over GF(p), and one solver of
-A_i X - X D_i = -B_i, `solve_sylvester`, behind invariant complements
-(B the coupling block) and module isomorphisms (`solve_conjugating`,
-B = 0).  One Gauss-Jordan routine, `EchelonBasis.add`, does the
-elimination behind all the linear algebra; `Matrix.det` keeps its own,
-so that it stays an independent reference for `charpoly`.
+polynomials, factorization of polynomials over GF(p) and Rabin's
+irreducibility test, and one solver of A_i X - X D_i = -B_i,
+`solve_sylvester`, behind invariant complements (B the coupling block)
+and module isomorphisms (`solve_conjugating`, B = 0).  One Gauss-Jordan
+routine, `EchelonBasis.add`, does the elimination behind all the linear
+algebra; `Matrix.det` keeps its own, so that it stays an independent
+reference for `charpoly`.
 """
 
 from __future__ import annotations
@@ -486,7 +487,8 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         self._check_same_space(other)
-        return all(self.contains_vector(row) for row in other.basis.entries)
+        # echelon rows are field elements already
+        return not any(any(self.residual(row)) for row in other.basis.entries)
 
     def coordinates(self, v) -> tuple | None:
         """Coefficients of v in the echelon basis, or None when v is outside."""
@@ -522,8 +524,9 @@ class Subspace:
         mats = tuple(mats)
         for m in mats:
             self.basis._check_same_field(m)
-        return all(self.contains_vector(m.apply(row))
-                   for m in mats for row in self.basis.entries)
+        # apply returns field elements, so they need no coercion
+        return not any(any(self.residual(m.apply(row)))
+                       for m in mats for row in self.basis.entries)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
@@ -634,12 +637,21 @@ def charpoly(m: Matrix) -> list:
 
 
 def poly_eval_matrix(coeffs, m: Matrix) -> Matrix:
-    """Evaluate a polynomial (ascending coefficients) at a square matrix."""
+    """Evaluate a polynomial (ascending coefficients) at a square matrix.
+
+    Horner's rule starts at the leading coefficient c, whose first step
+    c * m is a scaling, so a polynomial of degree d takes d - 1 products.
+    """
     field = m.field
     n = m.nrows
     ident = Matrix.identity(field, n)
-    acc = Matrix.zeros(field, n, n)
-    for c in reversed(list(coeffs)):
+    coeffs = list(coeffs)
+    if not coeffs:
+        return Matrix.zeros(field, n, n)
+    if len(coeffs) == 1:
+        return ident.scale(coeffs[0])
+    acc = m.scale(coeffs[-1]) + ident.scale(coeffs[-2])
+    for c in reversed(coeffs[:-2]):
         acc = acc * m + ident.scale(c)
     return acc
 
@@ -831,6 +843,32 @@ def factor_mod_p(coeffs, p: int) -> list[tuple[tuple, int]]:
             out.extend((tuple(u), e) for u in _equal_degree(h, d, rows, p, rng))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out
+
+
+def is_irreducible_mod_p(coeffs, p: int) -> bool:
+    """Whether a monic polynomial (ascending coefficients) of positive
+    degree d is irreducible over GF(p); a constant or a polynomial that
+    is not monic gives False.
+
+    Rabin's test (SIAM J. Comput. 9, 1980): f is irreducible exactly when
+    x^(p^d) = x mod f and gcd(x^(p^(d/q)) - x, f) = 1 for each prime q
+    dividing d.  The powers x^(p^i) mod f come one Frobenius step at a
+    time from f's Frobenius rows, so no factor is ever split off.
+    """
+    f = [c % p for c in coeffs]
+    d = len(f) - 1
+    if d < 1 or f[-1] != 1:
+        return False
+    if d == 1:
+        return True
+    rows = _frobenius_rows(f, p)
+    coprime_at = {d // q for q in range(2, d + 1) if d % q == 0 and _is_prime(q)}
+    h = [0, 1]
+    for i in range(1, d + 1):
+        h = _frobenius(h, rows, p)
+        if i in coprime_at and _pgcd(f, _psub(h, [0, 1], p), p) != [1]:
+            return False
+    return h == [0, 1]
 
 
 def sylvester_rows(a: Matrix, d: Matrix) -> list[tuple]:

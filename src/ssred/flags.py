@@ -154,6 +154,12 @@ class Cocharacter:
     def norm_sq(self) -> int:
         return sum(x * x for x in self.canonical)
 
+    @property
+    def is_central(self) -> bool:
+        """Whether every weight is the same: then lambda(a) is a scalar
+        matrix, and conjugating by it fixes every matrix."""
+        return len(set(self.weights)) <= 1
+
     def _levels(self):
         """(start, stop) column ranges of equal weight, largest weight first."""
         start = 0
@@ -235,12 +241,15 @@ def c_lambda(m, lam: Cocharacter):
     In the adapted basis the (i,j) entry is scaled by a^(w_i - w_j), so
     the limit exists, m lying in P_lambda, exactly when every entry with
     w_i < w_j vanishes; otherwise LimitDoesNotExist is raised.  Restricted
-    to P_lambda this is a group homomorphism onto L_lambda.
+    to P_lambda this is a group homomorphism onto L_lambda.  A central
+    lambda has P_lambda = L_lambda = GL_n, and the limit is m itself.
     """
     if isinstance(m, (tuple, list)):
         return tuple(c_lambda(x, lam) for x in m)
     if m.field is not lam.field or m.nrows != lam.n or m.ncols != lam.n:
         raise DimensionMismatch("matrix does not match the cocharacter's space")
+    if lam.is_central:
+        return m
     a = lam.basis_change_inv * m * lam.basis_change
     w = lam.weights
     if any(x != 0 and wi < wj for row, wi in zip(a.entries, w) for x, wj in zip(row, w)):

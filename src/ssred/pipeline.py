@@ -100,14 +100,25 @@ class SsResult:
         return Representation(self.ss_generators, name=self.input.name)
 
     def verify(self) -> bool:
+        """Whether ss_generators are the input's limits along the flag's
+        cocharacter and the certificate proves them completely reducible.
+        The cocharacter's inverse basis change is checked unless it is
+        central, when c_lambda does not use it; then the limits lie in the
+        Levi subgroup and are invertible, so their module is built without
+        a determinant per generator."""
         lam = self.cocharacter
         try:
             limits = c_lambda(self.input.generators, lam)
         except LimitDoesNotExist:
             return False
-        return (limits == self.ss_generators and lam.flag() == self.flag
-                and self.certificate.semisimple
-                and self.certificate.verify(self.ss_representation()))
+        if not (limits == self.ss_generators and lam.flag() == self.flag
+                and self.certificate.semisimple):
+            return False
+        if not (lam.is_central or lam.basis_change_inv * lam.basis_change
+                == Matrix.identity(lam.field, lam.n)):
+            return False
+        limit_rep = Representation(self.ss_generators, name=self.input.name, validate=False)
+        return self.certificate.verify(limit_rep)
 
     def __repr__(self):
         return (f"SsResult(blocks={self.flag.block_sizes}, "
@@ -155,15 +166,19 @@ class ConjugacyCertificate:
         self.rhs = rhs
 
     def verify(self) -> bool:
-        """Whether g conjugates the limits of two results of one input; never raises."""
+        """Whether g conjugates the limits of two results of one input; never
+        raises.  An invertible g conjugates a to b exactly when g a = b g,
+        and the identity does exactly when a = b."""
         lhs, rhs, g = self.lhs, self.rhs, self.g
-        if (lhs.input.generators != rhs.input.generators
+        if (not isinstance(g, Matrix) or lhs.input.generators != rhs.input.generators
                 or len(lhs.ss_generators) != len(rhs.ss_generators)):
             return False
+        field, n = lhs.input.field, lhs.input.n
+        pairs = list(zip(lhs.ss_generators, rhs.ss_generators))
+        if g == Matrix.identity(field, n):
+            return all(a == b and a.field is field and a.nrows == a.ncols == n for a, b in pairs)
         try:
-            gi = g.inverse()
-            return gi is not None and all(
-                g * a * gi == b for a, b in zip(lhs.ss_generators, rhs.ss_generators))
+            return g.det() != 0 and all(g * a == b * g for a, b in pairs)
         except DimensionMismatch:
             return False
 

@@ -38,6 +38,7 @@ from .exact import (
     Subspace,
     charpoly,
     factor_mod_p,
+    is_irreducible_mod_p,
     linear_combination,
     poly_eval_matrix,
     projective_vectors,
@@ -57,29 +58,38 @@ class Representation:
 
     The generated subgroup of GL_n is the object under study; generator
     order matters only for isomorphism alignment.
+
+    With validate=False the generators are taken unchecked as invertible
+    square matrices of one size over one field, which skips a determinant
+    per generator.  It is passed only where invertibility is proved (a
+    test keeps it there): restrictions to an invariant subspace W and
+    quotients by it, as det g = det A * det D for g = [[A, B], [0, D]] in
+    a basis through W, and the limits in `SsResult.verify`, as c_lambda
+    maps P_lambda onto its Levi subgroup.
     """
 
     __slots__ = ("field", "n", "generators", "name", "_inverses")
 
-    def __init__(self, generators, name: str | None = None):
+    def __init__(self, generators, name: str | None = None, validate: bool = True):
         generators = tuple(generators)
-        if not generators:
-            raise InvalidInput("a representation needs at least one generator")
-        if not all(isinstance(g, Matrix) for g in generators):
-            raise InvalidInput("every generator must be a Matrix")
-        field, n = generators[0].field, generators[0].nrows
-        for i, g in enumerate(generators):
-            if g.field is not field:
-                raise DimensionMismatch("generators over different fields")
-            if g.nrows != g.ncols:
-                raise DimensionMismatch(f"generator {i} is not square")
-            if g.nrows != n:
-                raise DimensionMismatch("generators of different sizes")
-            # a determinant costs less than an inverse, which may never be needed
-            if g.det() == 0:
-                raise InvalidInput(f"generator {i} is singular")
-        self.field = field
-        self.n = n
+        if validate:
+            if not generators:
+                raise InvalidInput("a representation needs at least one generator")
+            if not all(isinstance(g, Matrix) for g in generators):
+                raise InvalidInput("every generator must be a Matrix")
+            field, n = generators[0].field, generators[0].nrows
+            for i, g in enumerate(generators):
+                if g.field is not field:
+                    raise DimensionMismatch("generators over different fields")
+                if g.nrows != g.ncols:
+                    raise DimensionMismatch(f"generator {i} is not square")
+                if g.nrows != n:
+                    raise DimensionMismatch("generators of different sizes")
+                # a determinant costs less than an inverse, which may never be needed
+                if g.det() == 0:
+                    raise InvalidInput(f"generator {i} is singular")
+        self.field = generators[0].field
+        self.n = generators[0].nrows
         self.generators = generators
         self.name = name
         self._inverses = None
@@ -126,22 +136,25 @@ def evaluate_word(word, rep: Representation) -> Matrix:
     """The sum of c * x_i1 * ... * x_ik over the terms (c, (i1, ..., ik))
     of a word, where () is the identity and, with g generators, letter
     i < g is generator i and letter g + i its inverse.  Only a word that
-    names an inverse letter makes the module compute its inverses.  A
-    malformed term, letter or scalar raises InvalidInput."""
+    names an inverse letter makes the module compute its inverses, and a
+    term of k letters takes k - 1 products.  A malformed term, letter or
+    scalar raises InvalidInput."""
     gens, field, n = rep.generators, rep.field, rep.n
     g = len(gens)
     if not isinstance(word, tuple):
         raise InvalidInput("a word is a tuple of terms")
-    total = Matrix.zeros(field, n, n)
+    total = None
     for term in word:
         if not (isinstance(term, tuple) and len(term) == 2 and isinstance(term[1], tuple)
                 and all(type(i) is int and 0 <= i < 2 * g for i in term[1])):
             raise InvalidInput(f"malformed word term {term!r}")
-        product = Matrix.identity(field, n)
-        for i in term[1]:
-            product = product * (gens[i] if i < g else rep.inverses[i - g])
-        total = total + product.scale(term[0])
-    return total
+        letters = [gens[i] if i < g else rep.inverses[i - g] for i in term[1]]
+        product = letters[0] if letters else Matrix.identity(field, n)
+        for letter in letters[1:]:
+            product = product * letter
+        product = product.scale(term[0])
+        total = product if total is None else total + product
+    return Matrix.zeros(field, n, n) if total is None else total
 
 
 def deterministic_words(count: int):
@@ -232,7 +245,10 @@ class IrreducibleWitness:
 
     A witness holds only a word (see evaluate_word) and the factor f.  The
     verifier evaluates the word to a on the module it is given, reruns
-    Norton's test on f(a) and accepts only the kind it proves.
+    Norton's test on f(a) and accepts only the kind it proves, and only
+    for a monic f that it finds irreducible itself: over GF(p) by Rabin's
+    test, which shares no step with the factorizer's splitting, and over
+    the rationals by factoring f.
     """
 
     __slots__ = ("kind", "word", "factor")
@@ -266,6 +282,8 @@ class IrreducibleWitness:
             proved = deg == n and charpoly(a) == list(self.factor)
         else:
             proved = _norton(rep, poly_eval_matrix(self.factor, a), deg) == self.kind
+        if field.p is not None:
+            return proved and is_irreducible_mod_p(self.factor, field.p)
         return proved and factor_poly(self.factor, field) == [(self.factor, 1)]
 
     def __repr__(self):
@@ -487,14 +505,15 @@ def _split(rep: Representation, rng, shuffled: bool, series: bool = True, decide
     cert = SemisimpleCertificate(False, obstruction=w) if decide and graph is None else None
     if cert is not None and not series:
         return [], [], [], cert
-    f1, w1, c1, cert1 = _split(Representation(restrictions), rng, shuffled, series,
-                               decide and cert is None)
+    # det g = det A * det D for g = [[A, B], [0, D]], so both are invertible
+    f1, w1, c1, cert1 = _split(Representation(restrictions, validate=False), rng, shuffled,
+                               series, decide and cert is None)
     if cert1 is not None and not cert1.semisimple:
         cert = SemisimpleCertificate(False, obstruction=_image(up, cert1.obstruction))
         if not series:
             return [], [], [], cert
-    f2, w2, c2, cert2 = _split(Representation(quotients), rng, shuffled, series,
-                               decide and cert is None)
+    f2, w2, c2, cert2 = _split(Representation(quotients, validate=False), rng, shuffled,
+                               series, decide and cert is None)
     if cert2 is not None and not cert2.semisimple:
         cert = SemisimpleCertificate(False, obstruction=_image(graph, cert2.obstruction))
     elif cert2 is not None:
@@ -557,6 +576,8 @@ class SemisimpleCertificate:
     subspace with no invariant complement.  The verifier recomputes each
     summand's module by restriction, so a witness only counts for the
     summand it is paired with; a subspace of another space fails it.
+    Restriction computes the residual of every image, so it is also the
+    verifier's one invariance check of a summand or the obstruction.
     """
 
     __slots__ = ("semisimple", "summands", "witnesses", "obstruction")
@@ -571,19 +592,32 @@ class SemisimpleCertificate:
         return self.semisimple
 
     def verify(self, rep: Representation) -> bool:
+        """Whether the certificate holds for rep; never raises for a
+        subspace that is not invariant."""
         field, n, gens = rep.field, rep.n, rep.generators
         if not self.semisimple:
             o = self.obstruction
-            return (_is_subspace_of(o, field, n) and 0 < o.dim < n
-                    and o.is_invariant_under(gens) and _invariant_complement(gens, o) is None)
+            if not (_is_subspace_of(o, field, n) and 0 < o.dim < n):
+                return False
+            try:
+                return _invariant_complement(gens, o) is None
+            except InternalInvariantViolation:
+                return False
         if (self.summands is None or self.witnesses is None
                 or len(self.witnesses) != len(self.summands)):
             return False
         acc = EchelonBasis(field, n)
         for s, wit in zip(self.summands, self.witnesses):
-            if not (_is_subspace_of(s, field, n) and s.dim > 0 and s.is_invariant_under(gens)
-                    and isinstance(wit, IrreducibleWitness)
-                    and wit.verify(Representation(restrict_to_subspace(gens, s)))):
+            if not (_is_subspace_of(s, field, n) and s.dim > 0
+                    and isinstance(wit, IrreducibleWitness)):
+                return False
+            try:
+                # an invertible map restricted to an invariant subspace is
+                # injective, so the summand's module needs no determinant
+                module = Representation(restrict_to_subspace(gens, s), validate=False)
+            except InternalInvariantViolation:
+                return False
+            if not wit.verify(module):
                 return False
             for row in s.basis.entries:
                 acc.add(row)

@@ -378,6 +378,39 @@ def test_charpoly_cayley_hamilton_randomized():
         assert poly_eval_matrix(coeffs, m).is_zero()
 
 
+def _naive_poly_eval(coeffs, m):
+    """Horner's rule from the zero matrix, one product per coefficient."""
+    ident = Matrix.identity(m.field, m.nrows)
+    acc = Matrix.zeros(m.field, m.nrows, m.nrows)
+    for c in reversed(list(coeffs)):
+        acc = acc * m + ident.scale(c)
+    return acc
+
+
+def test_poly_eval_matrix_takes_one_product_less_than_the_degree(monkeypatch):
+    """Horner's rule starts at the leading coefficient, so a polynomial of
+    degree d > 0 takes d - 1 products: a monic linear factor takes none."""
+    rng = random.Random(53)
+    f101 = Field.prime(101)
+    cases = []
+    for field in (F2, f101, QQ):
+        for coeffs in ([], [3], [5, 1], [2, 0, 1], [1, 2, 3, 1], [0, 0, 4, 0]):
+            m = mat(field, [[rng.randrange(-3, 4) for _ in range(3)] for _ in range(3)])
+            cases.append((coeffs, m, _naive_poly_eval(coeffs, m)))
+    calls = []
+    real_mul = Matrix.__mul__
+
+    def counting_mul(self, other):
+        calls.append(None)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    for coeffs, m, expected in cases:
+        calls.clear()
+        assert poly_eval_matrix(coeffs, m) == expected
+        assert len(calls) == max(len(coeffs) - 2, 0), coeffs
+
+
 def test_charpoly_trace_det_coefficients():
     rng = random.Random(47)
     for _ in range(60):

@@ -1,4 +1,5 @@
-"""`exact.factor_mod_p` against sympy's `gf_factor`, and the lazy sympy import.
+"""`exact.factor_mod_p` against sympy's `gf_factor`, Rabin's irreducibility
+test against `factor_mod_p`, and the lazy sympy import.
 
 The reference shares no code with the in-house factoring: sympy is
 imported here and nowhere on the package's GF(p) path, which the
@@ -14,7 +15,7 @@ import pytest
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor, gf_strip
 
-from ssred.exact import factor_mod_p
+from ssred.exact import factor_mod_p, is_irreducible_mod_p
 
 PRIMES = (2, 3, 5, 7, 101, 65521, 2**31 - 1)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -113,6 +114,50 @@ def test_generator_is_made_only_for_a_split(monkeypatch, coeffs, p, generators):
     monkeypatch.setattr(ssred.exact.random, "Random", counting)
     assert factor_mod_p(coeffs, p) == reference(list(coeffs), p)
     assert made == [(0,)] * generators
+
+
+def _rabin_cases(rng, p):
+    """Random monic polynomials of degree 1 to 10, the irreducible ones
+    among them, their squares and products of two of them."""
+    polys = [[rng.randrange(p) for _ in range(d)] + [1]
+             for d in range(1, 11) for _ in range(4)]
+    irreducible = [f for f in polys if factor_mod_p(f, p) == [(tuple(f), 1)]]
+    pairs = [rng.sample(irreducible, 2) for _ in range(10)]
+    return (polys + [poly_mul(f, f, p) for f in irreducible[:10]]
+            + [poly_mul(f, g, p) for f, g in pairs])
+
+
+@pytest.mark.parametrize("p", (2, 3, 101, 65521))
+def test_rabin_agrees_with_factor_mod_p(p):
+    """A monic f is irreducible exactly when factor_mod_p returns f alone;
+    a polynomial that is not monic is rejected even when irreducible."""
+    rng = random.Random(p + 3)
+    seen = set()
+    for f in _rabin_cases(rng, p):
+        irreducible = factor_mod_p(f, p) == [(tuple(f), 1)]
+        seen.add(irreducible)
+        assert is_irreducible_mod_p(f, p) == irreducible, f
+        if irreducible:
+            assert not is_irreducible_mod_p(f + [0], p), f
+            if p > 2:
+                c = rng.randrange(2, p)
+                assert not is_irreducible_mod_p([x * c % p for x in f], p), f
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("coeffs, p, expected", [
+    ((), 5, False),
+    ((1,), 5, False),
+    ((0, 1), 5, True),
+    ((3, 1), 5, True),
+    ((0, 2), 5, False),  # 2x is irreducible but not monic
+    ((1, 0, 1), 3, True),
+    ((1, 0, 1), 2, False),  # (x + 1)^2
+    ((1, 1, 0, 0, 1), 2, True),  # x^4 + x + 1
+    ((1, 0, 1, 0, 1), 2, False),  # (x^2 + x + 1)^2 shares x^2 + x + 1 with x^4 - x
+])
+def test_rabin_on_fixed_polynomials(coeffs, p, expected):
+    assert is_irreducible_mod_p(coeffs, p) is expected
 
 
 SUBPROCESS = """

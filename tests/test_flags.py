@@ -179,6 +179,37 @@ def test_c_lambda_frozen():
     assert pair == (blockm, Matrix.identity(F2, 2))
 
 
+def test_central_c_lambda_matches_the_conjugation_route(monkeypatch):
+    """Along a one-level cocharacter with a random adapted basis P, the
+    limit P levi_part(P^-1 m P) P^-1 is m itself, which c_lambda returns
+    without a product."""
+    from ssred.flags import levi_part
+
+    rng = random.Random(227)
+    cases = []
+    for _ in range(60):
+        field = rng.choice([F2, F3, Field.prime(101)])
+        n = rng.randrange(1, 5)
+        p = random_invertible(rng, field, n)
+        lam = Cocharacter(p, [rng.randrange(-3, 4)] * n)
+        m = Matrix(field, [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)])
+        pi = lam.basis_change_inv
+        cases.append((m, lam, p * levi_part(pi * m * p, lam.weights) * pi))
+    calls = []
+    real_mul = Matrix.__mul__
+
+    def counting_mul(self, other):
+        calls.append(None)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    for m, lam, conjugated in cases:
+        assert lam.is_central
+        assert c_lambda(m, lam) == conjugated == m
+    assert calls == []
+    assert not Cocharacter(Matrix.identity(F2, 2), (2, 1)).is_central
+
+
 def test_c_lambda_homomorphism_randomized():
     rng = random.Random(211)
     for _ in range(200):

@@ -43,6 +43,7 @@ from ssred.pipeline import (
     semisimplify,
 )
 from ssred.reps import (
+    IrreducibleWitness,
     Representation,
     SemisimpleCertificate,
     composition_series,
@@ -264,9 +265,16 @@ def _fewer_ss_generators(result):
                     result.certificate)
 
 
+def _with_ss_generators(result, gens):
+    return SsResult(result.input, result.flag, result.cocharacter, gens, result.certificate)
+
+
 def _other_input():
     return semisimplify(rep(F2, [[1, 0, 1], [0, 1, 0], [0, 0, 1]],
                             [[1, 0, 0], [0, 1, 1], [0, 0, 1]]))
+
+
+I2, I3_F3 = Matrix.identity(F2, 2), Matrix.identity(F3, 3)
 
 
 @pytest.mark.parametrize("forge", [
@@ -275,7 +283,13 @@ def _other_input():
     lambda a, b: ConjugacyCertificate(Matrix.identity(F3, 3), a, b),
     lambda a, b: ConjugacyCertificate(Matrix.identity(F2, 3), a, _fewer_ss_generators(b)),
     lambda a, b: ConjugacyCertificate(Matrix.identity(F2, 3), a, _other_input()),
-], ids=["g_2x2", "g_3x2", "g_over_f3", "rhs_fewer_ss_generators", "rhs_of_another_input"])
+    # g = I, and equal limits of the wrong shape or field on both sides
+    lambda a, b: ConjugacyCertificate(Matrix.identity(F2, 3), _with_ss_generators(a, (I2,)),
+                                      _with_ss_generators(b, (I2,))),
+    lambda a, b: ConjugacyCertificate(Matrix.identity(F2, 3), _with_ss_generators(a, (I3_F3,)),
+                                      _with_ss_generators(b, (I3_F3,))),
+], ids=["g_2x2", "g_3x2", "g_over_f3", "rhs_fewer_ss_generators", "rhs_of_another_input",
+        "ss_generators_2x2", "ss_generators_over_f3"])
 def test_conjugacy_certificate_verify_rejects_forgeries(forge):
     _, a, b = _results_gf2_n3()
     assert conjugacy_certificate(a, b).verify()
@@ -285,18 +299,71 @@ def test_conjugacy_certificate_verify_rejects_forgeries(forge):
 
 def test_ss_result_verify_inverts_no_generator(monkeypatch):
     """The witnesses' words name no inverse letter, so verifying inverts
-    no generator of the two summands' modules."""
+    no generator of the two summands' modules; and invertibility is
+    proved for the limit module and its summands' restrictions, so the
+    verifier takes no determinant either."""
     result = semisimplify(_bench_nonss(random.Random(1), Field.prime(101), 8))
     calls = []
-    real_inverse = Matrix.inverse
+    real_inverse, real_det = Matrix.inverse, Matrix.det
 
     def counting_inverse(self):
-        calls.append(self)
+        calls.append("inverse")
         return real_inverse(self)
 
+    def counting_det(self):
+        calls.append("det")
+        return real_det(self)
+
     monkeypatch.setattr(Matrix, "inverse", counting_inverse)
+    monkeypatch.setattr(Matrix, "det", counting_det)
     assert result.verify()
     assert calls == []
+
+
+def test_conjugacy_certificate_rejects_a_singular_g():
+    """g a = b g holds for g = 0, and for a singular projection when every
+    limit is the identity; only the determinant rejects them."""
+    a, b = semisimplify(TRANSVECTION_F2, seed=0), semisimplify(TRANSVECTION_F2, seed=1)
+    assert a.ss_generators == (Matrix.identity(F2, 2),)
+    for g in (Matrix.zeros(F2, 2, 2), mat(F2, [[1, 0], [0, 0]])):
+        assert all(g * x == y * g for x, y in zip(a.ss_generators, b.ss_generators))
+        assert ConjugacyCertificate(g, a, b).verify() is False
+    assert ConjugacyCertificate(mat(F2, [[0, 1], [1, 0]]), a, b).verify() is True
+    assert ConjugacyCertificate(None, a, b).verify() is False
+
+
+def test_ss_result_verify_rejects_singular_ss_generators():
+    """Every subspace is invariant under the zero matrix, so a certificate
+    of two lines verifies on it; the limit check rejects the result
+    before its module is built without a determinant."""
+    flag = Flag.trivial(F2, 2)
+    zero = Matrix.zeros(F2, 2, 2)
+    lines = [Subspace.from_vectors(F2, 2, [v]) for v in ((1, 0), (0, 1))]
+    cert = SemisimpleCertificate(True, summands=lines,
+                                 witnesses=[IrreducibleWitness("dimension")] * 2)
+    assert cert.verify(Representation([zero], validate=False))
+    forged = SsResult(TRANSVECTION_F2, flag, flag_to_cocharacter(flag), (zero,), cert)
+    assert forged.verify() is False
+
+
+def test_ss_result_verify_rejects_a_cocharacter_with_a_wrong_inverse():
+    """A Cocharacter takes a given inverse unchecked.  With the zero matrix
+    as the inverse, c_lambda sends every generator to 0, which a
+    certificate of coordinate lines fits: the verifier checks the
+    inverse, since its limits are invertible only when that is right."""
+    r, result, _ = _results_gf2_n3()
+    assert result.verify()
+    lam = result.cocharacter
+    forged_lam = Cocharacter(lam.basis_change, lam.weights, inverse=Matrix.zeros(F2, 3, 3))
+    limits = c_lambda(r.generators, forged_lam)
+    assert all(x.is_zero() for x in limits)
+    lines = [Subspace.from_vectors(F2, 3, [v]) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    cert = SemisimpleCertificate(True, summands=lines,
+                                 witnesses=[IrreducibleWitness("dimension")] * 3)
+    forged = SsResult(r, result.flag, forged_lam, limits, cert)
+    assert forged_lam.flag() == result.flag
+    assert cert.verify(Representation(limits, validate=False))
+    assert forged.verify() is False
 
 
 def _limit_blocks_irreducible(result):

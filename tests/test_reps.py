@@ -200,6 +200,42 @@ def test_evaluate_word_reads_generators_then_inverses(field):
     assert kinds == {True, False}
 
 
+def _naive_word(word, r):
+    """evaluate_word's sum with every product started at the identity."""
+    g = len(r.generators)
+    total = Matrix.zeros(r.field, r.n, r.n)
+    for c, indices in word:
+        product = Matrix.identity(r.field, r.n)
+        for i in indices:
+            product = product * (r.generators[i] if i < g else r.generators[i - g].inverse())
+        total = total + product.scale(c)
+    return total
+
+
+@pytest.mark.parametrize("word, products", [
+    (((1, (0,)),), 0),
+    (((1, (1,)), (-1, ())), 0),  # the first deterministic words
+    (((2, (0, 1)),), 1),
+    (((1, (0, 1, 0)), (3, (1,))), 2),
+    ((), 0),
+], ids=["letter", "letter-minus-identity", "pair", "two-terms", "empty"])
+def test_evaluate_word_starts_each_product_at_its_first_letter(monkeypatch, word, products):
+    """A term of k letters takes k - 1 products: none for one letter or
+    for the identity term ()."""
+    r = random_rep(random.Random(59), Field.prime(101), 4, count=2)
+    expected = _naive_word(word, r)
+    calls = []
+    real_mul = Matrix.__mul__
+
+    def counting_mul(self, other):
+        calls.append(None)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting_mul)
+    assert evaluate_word(word, r) == expected
+    assert len(calls) == products
+
+
 def test_factor_poly():
     # x^2 + 1 stays irreducible over GF(3), splits over GF(2)
     assert factor_poly([1, 0, 1], F3) == [((1, 0, 1), 1)]
@@ -368,6 +404,24 @@ def test_verified_witnesses_sit_on_irreducible_modules():
                         assert irreducible, (r, kind, word, factor)
                         accepted += 1
     assert reducible > 0 and accepted > 0
+
+
+@pytest.mark.parametrize("module", [ROTATION_F3, IRREDUCIBLE_F5, CYCLE_TRANSVECTION_F2],
+                         ids=["rotation", "norton-pair", "cycle-transvection"])
+def test_gf_p_witness_verification_runs_no_factorizer(monkeypatch, module):
+    """Over GF(p) the witness verifier proves its factor irreducible by
+    Rabin's test, not with the factorizer the search used."""
+    import ssred.reps
+
+    witness = find_submodule(module)
+    assert witness.factor is not None
+
+    def refuse(*args):
+        raise AssertionError("the verifier factored a polynomial")
+
+    monkeypatch.setattr(ssred.reps, "factor_poly", refuse)
+    monkeypatch.setattr(ssred.reps, "factor_mod_p", refuse)
+    assert witness.verify(module)
 
 
 def test_all_lines_witness_verification():
@@ -665,6 +719,24 @@ def test_semisimple_certificate_tampering_detected():
     # a positive certificate without summands or witnesses
     assert not SemisimpleCertificate(True).verify(TRANSVECTION_F2)
     assert not SemisimpleCertificate(True, summands=cert.summands).verify(DIAG_PM1_F3)
+
+
+def test_subspaces_that_are_not_invariant_are_rejected_without_raising():
+    """Restriction is the verifier's one invariance check: it raises
+    InternalInvariantViolation for a subspace that is not invariant, and
+    verify() turns that into False."""
+    diagonal = Subspace.from_vectors(F3, 2, [(1, 1)])
+    second = Subspace.from_vectors(F3, 2, [(0, 1)])
+    # two lines spanning the plane, each with a dimension witness that
+    # holds for any one-dimensional module: only invariance fails
+    forged = SemisimpleCertificate(True, summands=[diagonal, second],
+                                   witnesses=[IrreducibleWitness("dimension")] * 2)
+    assert forged.verify(DIAG_PM1_F3) is False
+    shear = rep(F3, [[1, 1], [0, 1]])
+    assert is_semisimple(shear).verify(shear)
+    # span{e2} is not invariant under the shear, which has no second line
+    assert SemisimpleCertificate(False, obstruction=second).verify(shear) is False
+    assert SemisimpleCertificate(False, obstruction=diagonal).verify(shear) is False
 
 
 def test_is_semisimple_takes_no_rng():
