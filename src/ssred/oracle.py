@@ -24,6 +24,7 @@ or SearchSpaceExceeded for the flag enumeration, rather than grinding on.
 The orbit cache honours the SSRED_MAX_MEMORY_MB environment variable.
 """
 
+import functools
 import itertools
 import math
 import os
@@ -39,7 +40,7 @@ from .errors import (
     LimitDoesNotExist,
     ResourceBoundExceeded,
 )
-from .exact import EchelonBasis, Field, Matrix, Subspace, all_vectors
+from .exact import EchelonBasis, Field, Matrix, Subspace, all_vectors, projective_vectors
 from .flags import Cocharacter, Flag, c_lambda, chain_flags, flag_to_cocharacter
 from .reps import Representation
 
@@ -59,14 +60,15 @@ def _require_finite(field: Field) -> None:
 
 
 class GroupTable:
-    """Exhaustive listing of GL_n(F_q).
+    """Exhaustive listing of GL_n(F_q), one scalar class at a time.
 
     `conjugators` pairs each element whose first nonzero entry in row 0
-    is 1 with its inverse: one representative per scalar class, which is
-    all that conjugation needs.  A representative is inverted by
-    elimination only when its inverse is not yet known from its partner's,
-    (c^-1 g^-1)^-1 = c g.  `inverses`, the inverse of every element in
-    `elements` order, is built on first use as (c g)^-1 = c^-1 g^-1.
+    is 1 with its inverse, in lexicographic row order: one representative
+    per scalar class, which is all that conjugation needs and all that is
+    stored.  Row i of a representative g enters a width-2n echelon basis
+    as (row | e_i); the elimination that proves the rows independent
+    reduces (g | I) to (I | g^-1), so each inverse is read off the rows.
+    `elements`, every c g in lexicographic row order, is derived on use.
 
     `columns[i * n + j][a * n + b]` packs the coefficient of m[a][b] in
     entry (i, j) of g m g^-1, which is g[i][a] * g^-1[b][j] mod p, for
@@ -78,37 +80,21 @@ class GroupTable:
     carries from one slot into the next.
     """
 
-    __slots__ = ("field", "n", "elements", "_inverses", "conjugators",
-                 "slot_bytes", "columns")
+    __slots__ = ("field", "n", "conjugators", "slot_bytes", "columns")
 
     def __init__(self, field: Field, n: int):
         _require_finite(field)
-        order = group_order(field.p, n)
+        p = field.p
+        order = group_order(p, n)
         if order > GROUP_ELEMENTS_CAP:
             raise ResourceBoundExceeded(
-                f"|GL_{n}(F_{field.p})| = {order} exceeds the table cap {GROUP_ELEMENTS_CAP}")
-        elements = _enumerate_invertible(field, n)
-        if len(elements) != order:
-            raise ResourceBoundExceeded(
-                "group enumeration does not match the order formula")
-        p = field.p
-        inverse_of = {}
-        for g in elements:
-            if _leading(g) == 1:
-                # re-keyed by g's own entries, so no scaled copy stays a key
-                gi = inverse_of.pop(g.entries, None)
-                if gi is None:
-                    gi = g.inverse()
-                    # g^-1's representative c^-1 g^-1 has the inverse c g
-                    c = _leading(gi)
-                    inverse_of[gi.scale(field.inv(c)).entries] = g.scale(c)
-                inverse_of[g.entries] = gi
+                f"|GL_{n}(F_{p})| = {order} exceeds the table cap {GROUP_ELEMENTS_CAP}")
         self.field = field
         self.n = n
-        self.elements = tuple(elements)
-        self._inverses = None
-        self.conjugators = tuple(
-            (g, inverse_of[g.entries]) for g in self.elements if _leading(g) == 1)
+        self.conjugators = _representatives(field, n)
+        if len(self.conjugators) * (p - 1) != order:
+            raise ResourceBoundExceeded(
+                "group enumeration does not match the order formula")
         self.slot_bytes = next(w for w in _SLOT_FORMATS if n * n * (p - 1) ** 2 < 256**w)
         fmt = _SLOT_FORMATS[self.slot_bytes]
         # entry k of the t-th conjugator g (or g^-1) is flat[t * n^2 + k]
@@ -126,60 +112,51 @@ class GroupTable:
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.conjugators) * (self.field.p - 1)
 
     @property
-    def inverses(self) -> tuple:
-        if self._inverses is None:
-            field, p = self.field, self.field.p
-            inverse_of = {g.entries: gi for g, gi in self.conjugators}
-            inverses = []
-            for g in self.elements:
-                ci = field.inv(_leading(g))
-                rep = tuple(tuple(ci * x % p for x in row) for row in g.entries)
-                inverses.append(inverse_of[rep].scale(ci))
-            self._inverses = tuple(inverses)
-        return self._inverses
+    def elements(self) -> list:
+        return _scalar_multiples(self.field, [g for g, _ in self.conjugators])
 
 
-def _leading(g: Matrix):
-    """The first nonzero entry of row 0 of an invertible matrix."""
-    return next(x for x in g.entries[0] if x != 0)
-
-
-def _enumerate_invertible(field: Field, n: int) -> list:
-    """Every invertible n x n matrix, built one independent row at a time."""
-    nonzero = [v for v in all_vectors(field, n) if any(x != field.zero for x in v)]
-    prefixes = [[]]
-    for _ in range(n):
+def _representatives(field: Field, n: int) -> tuple:
+    """(g, g^-1) for every g whose row 0 leads with 1, in lexicographic
+    row order.  A row v is independent of the i rows before it exactly when
+    (v | e_i) adds a pivot left of column n to their basis."""
+    nonzero = [v for v in all_vectors(field, n) if any(v)]
+    lines = sorted(projective_vectors(field, n))
+    units = Matrix.identity(field, n).entries
+    prefixes = [((), EchelonBasis(field, 2 * n))]
+    for i in range(n):
         grown = []
-        for rows in prefixes:
-            basis = EchelonBasis(field, n)
-            for r in rows:
-                basis.add(r)
-            grown += [rows + [v] for v in nonzero if not basis.contains(v)]
+        for rows, basis in prefixes:
+            for v in lines if i == 0 else nonzero:
+                child = EchelonBasis(field, 2 * n)
+                child.rows, child.pivots = basis.rows[:], basis.pivots[:]
+                child.add(v + units[i])
+                if child.pivots[-1] < n:
+                    grown.append((rows + (v,), child))
         prefixes = grown
-    return [Matrix(field, rows, validate=False) for rows in prefixes]
+    return tuple((Matrix(field, rows, validate=False),
+                  Matrix(field, [r[n:] for r in basis.rows], validate=False))
+                 for rows, basis in prefixes)
 
 
-_TABLES: dict = {}
-_SUBSPACES: dict = {}
-_INDEXES: dict = {}
+def _scalar_multiples(field: Field, reps) -> list:
+    """Every c g for the given g and nonzero c, in lexicographic row order."""
+    return sorted((g.scale(c) for g in reps for c in range(1, field.p)),
+                  key=lambda m: m.entries)
 
 
+@functools.cache
 def get_table(field: Field, n: int) -> GroupTable:
-    key = (field, n)
-    if key not in _TABLES:
-        _TABLES[key] = GroupTable(field, n)
-    return _TABLES[key]
+    return GroupTable(field, n)
 
 
+@functools.cache
 def all_subspaces(field: Field, n: int) -> tuple:
     """Every subspace of F_q^n, zero and full included, via RREF shapes."""
     _require_finite(field)
-    key = (field, n)
-    if key in _SUBSPACES:
-        return _SUBSPACES[key]
     if field.p**n > SPACE_VECTORS_CAP:
         raise ResourceBoundExceeded(
             f"subspace lattice of F_{field.p}^{n} exceeds the cap {SPACE_VECTORS_CAP}")
@@ -196,9 +173,7 @@ def all_subspaces(field: Field, n: int) -> tuple:
                 for (i, c), x in zip(free, values):
                     rows[i][c] = x
                 out.append(Subspace.from_vectors(field, n, [tuple(r) for r in rows]))
-    result = tuple(out)
-    _SUBSPACES[key] = result
-    return result
+    return tuple(out)
 
 
 def _cache_entry_limit() -> int:
@@ -280,11 +255,9 @@ class OrbitIndex:
         return oid
 
 
+@functools.cache
 def get_index(field: Field, n: int) -> OrbitIndex:
-    key = (field, n)
-    if key not in _INDEXES:
-        _INDEXES[key] = OrbitIndex(get_table(field, n))
-    return _INDEXES[key]
+    return OrbitIndex(get_table(field, n))
 
 
 def _as_tuple(x) -> tuple:
@@ -410,11 +383,9 @@ def normalizer_elements(rep: Representation) -> list:
     _require_finite(rep.field)
     table = get_table(rep.field, rep.n)
     h_set = subgroup_closure(rep.field, rep.generators)
-    out = []
-    for g, gi in zip(table.elements, table.inverses):
-        if all(g * h * gi in h_set for h in rep.generators):
-            out.append(g)
-    return out
+    # scalars are central, so the normalizer is a union of scalar classes
+    return _scalar_multiples(rep.field, [
+        g for g, gi in table.conjugators if all(g * h * gi in h_set for h in rep.generators)])
 
 
 def cocharacter_limits_match_flag_limits(rep: Representation,
@@ -437,9 +408,10 @@ def cocharacter_limits_match_flag_limits(rep: Representation,
     cochar_side = set()
     # every non-increasing weight vector with entries in [-height, height]
     for weights in itertools.combinations_with_replacement(range(height, -height - 1, -1), rep.n):
-        for g in index.table.elements:
+        # c g and g give the same cocharacter
+        for g, gi in index.table.conjugators:
             try:
-                limit = c_lambda(rep.generators, Cocharacter(g, weights))
+                limit = c_lambda(rep.generators, Cocharacter(g, weights, inverse=gi))
             except LimitDoesNotExist:
                 continue
             cochar_side.add(index.orbit_id(limit))

@@ -35,6 +35,7 @@ from .errors import (
 )
 from .exact import EchelonBasis, Matrix, Subspace, projective_vectors, right_kernel, spin
 from .flags import (
+    Cocharacter,
     Flag,
     block_diagonal,
     c_lambda,
@@ -105,20 +106,25 @@ class SsResult:
         The cocharacter's inverse basis change is checked unless it is
         central, when c_lambda does not use it; then the limits lie in the
         Levi subgroup and are invertible, so their module is built without
-        a determinant per generator."""
-        lam = self.cocharacter
+        a determinant per generator.  Never raises: a part of the wrong
+        type, field or size, or a basis change whose columns span no flag,
+        gives False."""
+        lam, cert = self.cocharacter, self.certificate
+        if not (isinstance(self.input, Representation) and isinstance(lam, Cocharacter)
+                and isinstance(lam.basis_change_inv, Matrix)
+                and isinstance(cert, SemisimpleCertificate) and cert.semisimple):
+            return False
         try:
             limits = c_lambda(self.input.generators, lam)
-        except LimitDoesNotExist:
-            return False
-        if not (limits == self.ss_generators and lam.flag() == self.flag
-                and self.certificate.semisimple):
+            if not (limits == self.ss_generators and lam.flag() == self.flag):
+                return False
+        except (LimitDoesNotExist, DimensionMismatch, InvalidInput):
             return False
         if not (lam.is_central or lam.basis_change_inv * lam.basis_change
                 == Matrix.identity(lam.field, lam.n)):
             return False
         limit_rep = Representation(self.ss_generators, name=self.input.name, validate=False)
-        return self.certificate.verify(limit_rep)
+        return cert.verify(limit_rep)
 
     def __repr__(self):
         return (f"SsResult(blocks={self.flag.block_sizes}, "
@@ -170,17 +176,19 @@ class ConjugacyCertificate:
         raises.  An invertible g conjugates a to b exactly when g a = b g,
         and the identity does exactly when a = b."""
         lhs, rhs, g = self.lhs, self.rhs, self.g
-        if (not isinstance(g, Matrix) or lhs.input.generators != rhs.input.generators
-                or len(lhs.ss_generators) != len(rhs.ss_generators)):
+        if not (all(isinstance(r, SsResult) and isinstance(r.input, Representation)
+                    for r in (lhs, rhs))
+                and lhs.input.generators == rhs.input.generators
+                and len(lhs.ss_generators) == len(rhs.ss_generators)):
             return False
         field, n = lhs.input.field, lhs.input.n
+        if not all(isinstance(m, Matrix) and m.field is field and m.nrows == m.ncols == n
+                   for m in (g, *lhs.ss_generators, *rhs.ss_generators)):
+            return False
         pairs = list(zip(lhs.ss_generators, rhs.ss_generators))
         if g == Matrix.identity(field, n):
-            return all(a == b and a.field is field and a.nrows == a.ncols == n for a, b in pairs)
-        try:
-            return g.det() != 0 and all(g * a == b * g for a, b in pairs)
-        except DimensionMismatch:
-            return False
+            return all(a == b for a, b in pairs)
+        return g.det() != 0 and all(g * a == b * g for a, b in pairs)
 
     def __repr__(self):
         return f"ConjugacyCertificate(g={self.g!r})"

@@ -7,19 +7,25 @@ A representation file is UTF-8 JSON with fields:
     generators  nonempty list of n-by-n arrays of entry strings
     name        optional label
 
-Entries are decimal integer strings over a prime field and "a" or "a/b"
-strings over the rationals.  No floats appear anywhere, on the way in or
-out.  `serialize_rep(parse_rep(text))` is byte-identical for files in
+Entries are decimal integer strings "a" over a prime field and "a" or
+"a/b" strings over the rationals, a with an optional minus sign; JSON
+integers read as their strings.  No floats appear anywhere, on the way in
+or out.  `serialize_rep(parse_rep(text))` is byte-identical for files in
 canonical form (entries reduced, keys sorted, two-space indent).
 """
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 from .errors import InvalidInput
 from .exact import Field, Matrix
 from .reps import Representation
+
+
+# "a" or "a/b" in ASCII digits; int() then rejects "a/b" over a prime field
+_ENTRY = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def canonical_json(payload) -> str:
@@ -37,8 +43,12 @@ def scalar_to_str(field: Field, x) -> str:
 
 
 def str_to_scalar(field: Field, s: str):
-    if not isinstance(s, str):
+    """An entry string or a JSON integer as a field element; a float, a
+    bool or a string off the file grammar raises InvalidInput."""
+    if type(s) is int:
         s = str(s)
+    if not (isinstance(s, str) and _ENTRY.fullmatch(s)):
+        raise InvalidInput(f"bad matrix entry {s!r}")
     try:
         if field.p is not None:
             return int(s, 10) % field.p
@@ -56,7 +66,7 @@ def _parse_field(obj) -> Field:
         raise InvalidInput("field must be an object with a 'kind'")
     kind = obj["kind"]
     if kind == "prime":
-        if "p" not in obj or not isinstance(obj["p"], int):
+        if type(obj.get("p")) is not int:
             raise InvalidInput("prime field needs an integer 'p'")
         return Field.prime(obj["p"])
     if kind == "rational":
@@ -82,7 +92,7 @@ def parse_rep(text: str) -> Representation:
         if key not in obj:
             raise InvalidInput(f"missing required key {key!r}")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise InvalidInput("n must be a positive integer")
     field = _parse_field(obj["field"])
     gens_obj = obj["generators"]

@@ -33,3 +33,12 @@ def test_no_unused_imports():
     assert SOURCES
     found = [entry for path in SOURCES for entry in unused_imports(path)]
     assert not found, "\n".join(found)
+
+
+def test_package_exports_exactly_what_it_imports():
+    import ssred
+    tree = ast.parse((ROOT / "src" / "ssred" / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert len(ssred.__all__) == len(set(ssred.__all__))
+    assert set(ssred.__all__) == imported | {"__version__"}

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 import sys
 
@@ -51,25 +53,52 @@ def test_group_orders_frozen():
     assert group_order(2, 4) == 20160
 
 
+@functools.cache
+def _enumerate_by_rows(field, n):
+    """Every invertible n x n matrix, built one independent row at a time
+    in lexicographic row order: the reference for `GroupTable.elements`."""
+    nonzero = [v for v in itertools.product(range(field.p), repeat=n) if any(v)]
+    prefixes = [[]]
+    for _ in range(n):
+        prefixes = [rows + [v] for rows in prefixes for v in nonzero
+                    if Subspace.from_vectors(field, n, rows + [v]).dim == len(rows) + 1]
+    return [Matrix(field, rows) for rows in prefixes]
+
+
+@functools.cache
+def _inverted_by_rows(field, n):
+    """The reference enumeration, each element with its `Matrix.inverse`."""
+    return [(g, g.inverse()) for g in _enumerate_by_rows(field, n)]
+
+
+GROUPS = [(F5, 1), (F2, 2), (F3, 2), (F5, 2), (F2, 3), (F3, 3)]
+
+
 def test_group_table_matches_formula():
-    for field, n in [(F2, 2), (F3, 2), (F2, 3), (F5, 2)]:
+    """The elements are the row-by-row enumeration in its order, as many as
+    the order formula says, and the conjugators are its members whose row 0
+    leads with 1, each with the inverse that `Matrix.inverse` finds."""
+    for field, n in GROUPS:
         table = get_table(field, n)
-        assert table.order == group_order(field.p, n)
-        assert Matrix.identity(field, n) in table.elements
-        for g, gi in zip(table.elements, table.inverses):
-            assert g * gi == Matrix.identity(field, n) == gi * g
-        assert len(set(table.elements)) == table.order
+        reference = _enumerate_by_rows(field, n)
+        assert table.order == group_order(field.p, n) == len(reference)
+        assert table.elements == reference
+        assert table.conjugators == tuple((g, gi) for g, gi in _inverted_by_rows(field, n)
+                                          if next(x for x in g.entries[0] if x) == 1)
+        identity = Matrix.identity(field, n)
+        for g, gi in table.conjugators:
+            assert g * gi == identity == gi * g
 
 
-@pytest.mark.parametrize("field, n", [(F3, 2), (F2, 3)])
-def test_group_table_inverses_built_on_first_use(field, n):
+def test_group_table_build_inverts_nothing(monkeypatch):
+    """Each inverse is read off the elimination that builds its element."""
     from ssred.oracle import GroupTable
-    table = GroupTable(field, n)
-    assert table._inverses is None
-    assert table.inverses == tuple(g.inverse() for g in table.elements)
-    assert table.inverses is table.inverses
-    assert table.conjugators == tuple((g, g.inverse()) for g in table.elements
-                                      if next(x for x in g.entries[0] if x) == 1)
+    calls = []
+    inverse = Matrix.inverse
+    monkeypatch.setattr(Matrix, "inverse", lambda m: calls.append(m) or inverse(m))
+    for field, n in GROUPS:
+        GroupTable(field, n)
+    assert calls == []
 
 
 def test_group_table_cap():
@@ -208,13 +237,11 @@ def test_scalar_class_orbit_matches_every_conjugate():
     cases += [(F3, 3, (_random_invertible(rng, F3, 3), _random_invertible(rng, F3, 3)))
               for _ in range(3)]
     for field, n, mats in cases:
-        table = get_table(field, n)
         every = frozenset(OrbitIndex.encode(g * m * gi for m in mats)
-                          for g, gi in zip(table.elements, table.inverses))
-        assert OrbitIndex(table).orbit_members(mats) == every
+                          for g, gi in _inverted_by_rows(field, n))
+        assert OrbitIndex(get_table(field, n)).orbit_members(mats) == every
     for field, n in [(F3, 2), (F2, 3), (F3, 3)]:
-        table = get_table(field, n)
-        assert len(table.conjugators) * (field.p - 1) == table.order
+        assert len(get_table(field, n).conjugators) * (field.p - 1) == group_order(field.p, n)
 
 
 def test_action_rows_match_every_conjugate_mod_p():
@@ -238,10 +265,9 @@ def test_action_rows_match_every_conjugate_mod_p():
         plain = [mat(field, [[top, 1], [0, top]]), _random_invertible(rng, field, 2)]
         cases.append((field, 2, generic_tuple(Representation(plain))))
     for field, n, mats in cases:
-        table = get_table(field, n)
         every = frozenset(OrbitIndex.encode(g * m * gi for m in mats)
-                          for g, gi in zip(table.elements, table.inverses))
-        assert OrbitIndex(table).orbit_members(mats) == every
+                          for g, gi in _inverted_by_rows(field, n))
+        assert OrbitIndex(get_table(field, n)).orbit_members(mats) == every
 
 
 def test_columns_pack_every_conjugator():
@@ -472,6 +498,36 @@ def test_centralizer_and_normalizer_frozen():
     for g in norm:
         gi = g.inverse()
         assert {g * h * gi for h in h_set} == set(h_set)
+
+
+def _normalizer_by_elements(h, h_set):
+    """Every g of the row-by-row enumeration with g H g^-1 = H, inverted by
+    `Matrix.inverse`: the reference for `normalizer_elements`."""
+    return [g for g, gi in _inverted_by_rows(h.field, h.n)
+            if all(g * x * gi in h_set for x in h.generators)]
+
+
+def test_normalizer_matches_every_element_reference(full_corpus):
+    """Walking one element per scalar class lists the same normalizer, in
+    the same order, as walking every element, on the subgroup above and
+    those whose normalizers the acceptance criteria 6 and 8 take."""
+    # criterion 8's non-semisimple corpus reps
+    cases = [rep(F3, [[0, -1], [1, 0]])]
+    cases += [h for h in full_corpus if not is_gcr_over_k(h).semisimple]
+    for h in cases:
+        h_set = subgroup_closure(h.field, h.generators)
+        assert normalizer_elements(h) == _normalizer_by_elements(h, h_set)
+    # criterion 6's subgroups, with its draws from the normalizer
+    rng = random.Random(20260804)
+    shapes = [(F2, 2), (F3, 2), (F2, 3)]
+    for pairs in range(100):
+        field, n = shapes[pairs % len(shapes)]
+        h = Representation([_random_invertible(rng, field, n)
+                            for _ in range(rng.randrange(1, 3))])
+        h_set = subgroup_closure(field, h.generators)
+        normalizer = normalizer_elements(h)
+        assert normalizer == _normalizer_by_elements(h, h_set)
+        rng.choice([g for g in normalizer if g not in h_set] or normalizer)
 
 
 def test_cocharacter_limits_match_flag_limits():

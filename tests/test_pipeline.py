@@ -288,8 +288,15 @@ I2, I3_F3 = Matrix.identity(F2, 2), Matrix.identity(F3, 3)
                                       _with_ss_generators(b, (I2,))),
     lambda a, b: ConjugacyCertificate(Matrix.identity(F2, 3), _with_ss_generators(a, (I3_F3,)),
                                       _with_ss_generators(b, (I3_F3,))),
+    # limits that are not matrices, with g = I and with another g
+    lambda a, b: ConjugacyCertificate(Matrix.identity(F2, 3), _with_ss_generators(a, ("x", "y")),
+                                      _with_ss_generators(b, ("x", "y"))),
+    lambda a, b: ConjugacyCertificate(mat(F2, [[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+                                      _with_ss_generators(a, ("x", "y")), b),
+    lambda a, b: ConjugacyCertificate(Matrix.identity(F2, 3), a, b.ss_generators),
 ], ids=["g_2x2", "g_3x2", "g_over_f3", "rhs_fewer_ss_generators", "rhs_of_another_input",
-        "ss_generators_2x2", "ss_generators_over_f3"])
+        "ss_generators_2x2", "ss_generators_over_f3", "ss_generators_not_matrices_g_identity",
+        "ss_generators_not_matrices", "rhs_not_a_result"])
 def test_conjugacy_certificate_verify_rejects_forgeries(forge):
     _, a, b = _results_gf2_n3()
     assert conjugacy_certificate(a, b).verify()
@@ -364,6 +371,40 @@ def test_ss_result_verify_rejects_a_cocharacter_with_a_wrong_inverse():
     assert forged_lam.flag() == result.flag
     assert cert.verify(Representation(limits, validate=False))
     assert forged.verify() is False
+
+
+def _with_certificate(result, certificate):
+    return SsResult(result.input, result.flag, result.cocharacter, result.ss_generators,
+                    certificate)
+
+
+def _singular_basis_change_result():
+    """A cocharacter whose basis change [[1, 1], [0, 0]] is singular, given
+    the identity as its inverse: the transvection has a limit along it,
+    but its columns span no flag."""
+    lam = Cocharacter(mat(F2, [[1, 1], [0, 0]]), (2, 1), inverse=Matrix.identity(F2, 2))
+    with pytest.raises(InvalidInput):
+        lam.flag()
+    limits = c_lambda(TRANSVECTION_F2.generators, lam)
+    return SsResult(TRANSVECTION_F2, Flag.trivial(F2, 2), lam, limits,
+                    is_semisimple(Representation(limits, validate=False)))
+
+
+@pytest.mark.parametrize("forge", [
+    _singular_basis_change_result,
+    lambda: SsResult(TRANSVECTION_F2, Flag.trivial(F2, 2), "lambda",
+                     TRANSVECTION_F2.generators, is_semisimple(TRANSVECTION_F2)),
+    lambda: _with_certificate(semisimplify(TRANSVECTION_F2), True),
+    # a Cocharacter takes a given inverse unchecked
+    lambda: SsResult(TRANSVECTION_F2, Flag.trivial(F2, 2),
+                     Cocharacter(Matrix.identity(F2, 2), (2, 1), inverse="inverse"),
+                     TRANSVECTION_F2.generators, is_semisimple(TRANSVECTION_F2)),
+], ids=["singular_basis_change", "cocharacter_not_a_cocharacter",
+        "certificate_not_a_certificate", "inverse_not_a_matrix"])
+def test_ss_result_verify_rejects_malformed_parts(forge):
+    """verify answers False, without raising, on parts of the wrong type
+    and on a cocharacter that has no flag."""
+    assert forge().verify() is False
 
 
 def _limit_blocks_irreducible(result):

@@ -79,6 +79,11 @@ def test_parse_normalizes_entries():
     assert rep.generators[0].entries == ((2, 2), (0, 1))
     rep = parse_rep(rep_text(1, {"kind": "rational"}, [[["4/6"]]]))
     assert scalar_to_str(QQ, rep.generators[0].entries[0][0]) == "2/3"
+    # JSON integers read as their decimal strings
+    rep = parse_rep(rep_text(2, {"kind": "prime", "p": 3}, [[[5, -1], [0, 1]]]))
+    assert rep.generators[0].entries == ((2, 2), (0, 1))
+    rep = parse_rep(rep_text(1, {"kind": "rational"}, [[[-4]]]))
+    assert rep.generators[0].entries == ((Fraction(-4),),)
 
 
 def test_parse_rejections():
@@ -92,6 +97,23 @@ def test_parse_rejections():
         rep_text(2, {"kind": "prime", "p": 2}, [[["1", "1"], ["1", "1"]]]),
         rep_text(1, {"kind": "rational"}, [[["1/0"]]]),
         rep_text(2, {"kind": "prime", "p": 4}, [[["1", "0"], ["0", "1"]]]),
+        # outside the entry grammar: floats, exponents, underscores, spaces,
+        # decimal points, a leading plus sign, non-ASCII digits, booleans
+        rep_text(1, {"kind": "rational"}, [[[1.5]]]),
+        rep_text(1, {"kind": "rational"}, [[[0.1]]]),
+        rep_text(1, {"kind": "prime", "p": 5}, [[[2.0]]]),
+        rep_text(1, {"kind": "rational"}, [[["1e3"]]]),
+        rep_text(1, {"kind": "rational"}, [[["1_0"]]]),
+        rep_text(1, {"kind": "prime", "p": 5}, [[["1_1"]]]),
+        rep_text(1, {"kind": "rational"}, [[[" 3"]]]),
+        rep_text(1, {"kind": "prime", "p": 5}, [[[" 3"]]]),
+        rep_text(1, {"kind": "rational"}, [[["1.5"]]]),
+        rep_text(1, {"kind": "prime", "p": 5}, [[["1/2"]]]),
+        rep_text(1, {"kind": "rational"}, [[["+3"]]]),
+        rep_text(1, {"kind": "prime", "p": 5}, [[["\u0663"]]]),
+        rep_text(1, {"kind": "prime", "p": 5}, [[[True]]]),
+        json.dumps({"n": True, "field": {"kind": "prime", "p": 5}, "generators": [[["1"]]]}),
+        json.dumps({"n": 1, "field": {"kind": "prime", "p": 5.0}, "generators": [[["1"]]]}),
     ]
     for text in bad:
         with pytest.raises(InvalidInput):
