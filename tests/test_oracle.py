@@ -101,6 +101,18 @@ def test_group_table_build_inverts_nothing(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("field, n", [(F3, 2), (F2, 3)])
+def test_group_table_inverses_built_on_first_use(field, n):
+    """A table stores one (g, g^-1) per scalar class, built with it; the
+    full element list is not stored but derived each time it is used."""
+    from ssred.oracle import GroupTable
+    table = GroupTable(field, n)
+    assert "elements" not in GroupTable.__slots__ and not hasattr(table, "__dict__")
+    assert table.elements == table.elements
+    assert table.conjugators == tuple((g, g.inverse()) for g in table.elements
+                                      if next(x for x in g.entries[0] if x) == 1)
+
+
 def test_group_table_cap():
     from ssred.oracle import GroupTable
     with pytest.raises(ResourceBoundExceeded):
