@@ -5,7 +5,9 @@ values kept in lowest terms; matrices are immutable tuples of row tuples.
 There is no floating point anywhere in the package.  `Field` is the one
 place that knows which kind of scalar it holds: `coerce` admits a scalar,
 `reduce` and `axpy` make rows of field elements, and every matrix and row
-operation below is written on those three.
+operation below is written on those three.  Field arithmetic lives here:
+other modules go through `linear_combination`, `Subspace.residual` and
+`Matrix`, save the back-substitution in `flags.flag_to_cocharacter`.
 
 The public surface is deliberately small: reduced row echelon form,
 kernels, linear solving, subspaces with canonical echelon bases, orbit

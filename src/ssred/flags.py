@@ -127,7 +127,9 @@ class Cocharacter:
     holds the centered, gcd-reduced weight vector used by length measures.
     A given `inverse` is taken as the inverse of `basis_change` unchecked,
     as `flag_to_cocharacter` reads it off the echelon rows; otherwise it is
-    computed, and a singular basis raises InvalidInput.
+    computed, and a singular basis raises InvalidInput.  A part that is not a
+    Matrix raises InvalidInput, an inverse of another field or size
+    DimensionMismatch.
     """
 
     __slots__ = ("field", "n", "basis_change", "basis_change_inv", "weights", "canonical")
@@ -136,6 +138,8 @@ class Cocharacter:
         weights = tuple(weights)
         if any(type(w) is not int for w in weights):
             raise InvalidInput(f"weights {weights!r} are not all ints")
+        if not (isinstance(basis_change, Matrix) and isinstance(inverse, (Matrix, type(None)))):
+            raise InvalidInput("the basis change and its inverse must be Matrix values")
         n = basis_change.nrows
         if basis_change.ncols != n or len(weights) != n:
             raise DimensionMismatch("adapted basis and weight vector sizes disagree")
@@ -144,6 +148,8 @@ class Cocharacter:
         inv = basis_change.inverse() if inverse is None else inverse
         if inv is None:
             raise InvalidInput("adapted basis matrix is singular")
+        if (inv.field, inv.nrows, inv.ncols) != (basis_change.field, n, n):
+            raise DimensionMismatch("the inverse does not match the basis change")
         self.field = basis_change.field
         self.n = n
         self.basis_change = basis_change

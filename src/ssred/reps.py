@@ -407,24 +407,14 @@ def quotient_mod_subspace(gens, w: Subspace) -> tuple[list[Matrix], list[int]]:
 
     Returns (matrices, list of the representing column indices).
     """
-    field = w.field
     pivots = set(w.pivots)
     free = [j for j in range(w.ambient_dim) if j not in pivots]
-    tails = [[row[f] for f in free] for row in w.basis.entries]
     out = []
     for g in gens:
-        ge = g.entries
-        heads = [[ge[pc][f] for f in free] for pc in w.pivots]
-        rows = []
-        # D[a][b] is entry free[a] of g e_f less its w-part
-        # sum_i g[pivot_i][f] w_i, for f = free[b]
-        for a, fa in enumerate(free):
-            row = [ge[fa][f] for f in free]
-            for tail, head in zip(tails, heads):
-                if tail[a]:
-                    row = field.axpy(row, tail[a], head)
-            rows.append(row)
-        out.append(Matrix(field, rows, ncols=len(free), validate=False))
+        # column b is g e_f, f = free[b], less its w-part, read at the free columns
+        images = [w.residual([row[f] for row in g.entries]) for f in free]
+        out.append(Matrix(w.field, [[v[fa] for v in images] for fa in free],
+                          ncols=len(free), validate=False))
     return out, free
 
 
@@ -641,10 +631,9 @@ def _complement_rows(gens, w: Subspace, free, restrictions, quotients):
     if x is None:
         return None
     m, n = len(free), w.ambient_dim
-    rows = [list(linear_combination(field, x[jj::m], w.basis.entries, n)) for jj in range(m)]
-    for row, f in zip(rows, free):
-        row[f] = field.add(row[f], field.one)
-    return rows
+    units = Matrix.identity(field, n).entries
+    return [linear_combination(field, (*x[jj::m], field.one), w.basis.entries + (units[f],), n)
+            for jj, f in enumerate(free)]
 
 
 def _invariant_complement(gens, w: Subspace) -> Subspace | None:

@@ -21,8 +21,10 @@ from ssred.oracle import get_table, invariant_subspaces
 from ssred.pipeline import semisimplify
 from ssred.reps import (
     Representation,
+    _complement_rows,
     _invariant_complement,
     quotient_mod_subspace,
+    restrict_to_subspace,
 )
 
 F2 = Field.prime(2)
@@ -202,6 +204,57 @@ def test_complement_matches_sylvester_on_block_inputs(field, n, kind):
             assert seed_count(gens, w) == n - k
         else:
             assert found is None or field is F2
+
+
+@pytest.mark.parametrize("field", [F2, F3, Field.prime(101), QQ], ids=repr)
+def test_block_form_of_restriction_quotient_and_couplings(field):
+    """With Q's columns W's basis rows and then the e_f at W's free columns,
+    Q^-1 g Q = [[A, B], [0, D]]: A is the restriction, D the quotient
+    action and B[i][b] = g[pivot_i][free[b]] the coupling the complement
+    solve takes.  W is the spin of a random vector of a reducible module,
+    and the complement rows, when there are any, span an invariant
+    complement of W."""
+    rng = random.Random(f"block form {field!r}")
+    seen = []
+    for _ in range(60):
+        n = rng.randrange(2, 6)
+        k = rng.randrange(1, n)
+        p = random_invertible(rng, field, n)
+        gens = []
+        for _ in range(rng.randrange(1, 3)):
+            b = random_entries(rng, field, k, n - k)
+            if rng.random() < 0.4:
+                b = [[0] * (n - k) for _ in range(k)]
+            block = two_blocks(field, random_invertible(rng, field, k), b,
+                               random_invertible(rng, field, n - k))
+            gens.append(p * block * p.inverse())
+        # a vector of the submodule p spans with its first k columns, or any vector
+        seeds = p.transpose().entries[:k] if rng.random() < 0.7 else Matrix.identity(field, n).entries
+        v = linear_combination(field, [rng.choice((0, 1, 2)) for _ in seeds], seeds, n)
+        w = spin(field, n, [v], gens)
+        if not 0 < w.dim < n:
+            continue
+        free = [j for j in range(n) if j not in w.pivots]
+        q = Matrix(field, list(w.basis.entries)
+                   + [[int(i == f) for i in range(n)] for f in free]).transpose()
+        restrictions = restrict_to_subspace(gens, w)
+        quotients, quotient_free = quotient_mod_subspace(gens, w)
+        assert quotient_free == free
+        m = n - w.dim
+        for g, a, d in zip(gens, restrictions, quotients):
+            h = (q.inverse() * g * q).entries
+            assert not any(x for row in h[w.dim:] for x in row[:w.dim])
+            assert a == Matrix(field, [row[:w.dim] for row in h[:w.dim]])
+            assert d == Matrix(field, [row[w.dim:] for row in h[w.dim:]], ncols=m)
+            assert [list(row[w.dim:]) for row in h[:w.dim]] == [
+                [g.entries[pc][f] for f in free] for pc in w.pivots]
+        rows = _complement_rows(gens, w, free, restrictions, quotients)
+        seen.append(rows is None)
+        if rows is not None:
+            c = Subspace.from_vectors(field, n, rows)
+            assert c.dim == m and c.intersection(w).dim == 0
+            assert c.is_invariant_under(gens)
+    assert len(seen) > 30 and set(seen) == {True, False}
 
 
 def upper_triangular_qq(rng):

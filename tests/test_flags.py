@@ -146,6 +146,19 @@ def test_cocharacter_rejects_non_int_weights(weights):
         Cocharacter(Matrix.identity(F3, 2), weights)
 
 
+@pytest.mark.parametrize("basis, inverse, error", [
+    ("basis", None, InvalidInput),
+    (Matrix.identity(F2, 2), "inverse", InvalidInput),
+    (Matrix.identity(F2, 2), Matrix.identity(F3, 2), DimensionMismatch),
+    (Matrix.identity(F2, 2), Matrix.identity(F2, 3), DimensionMismatch),
+    (Matrix.identity(F2, 2), Matrix(F2, [[1, 0]]), DimensionMismatch),
+], ids=["basis_not_a_matrix", "inverse_not_a_matrix", "inverse_other_field",
+        "inverse_other_size", "inverse_not_square"])
+def test_cocharacter_rejects_malformed_parts(basis, inverse, error):
+    with pytest.raises(error):
+        Cocharacter(basis, (2, 1), inverse=inverse)
+
+
 def has_limit(m, lam):
     """Whether c_lambda finds a limit, m lying in P_lambda."""
     try:
