@@ -25,10 +25,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+from array import array
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import repeat
 from math import isqrt
-from operator import add, mul, neg, sub
+from operator import add, mod, mul, neg, sub
 
 from .errors import DimensionMismatch, InvalidInput
 
@@ -672,17 +675,6 @@ def _monic(a: list, p: int) -> list:
     return [c * inv % p for c in a]
 
 
-def _pmul(a: list, b: list, p: int) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for k, d in enumerate(b, i):
-                out[k] += c * d
-    return [c % p for c in out]
-
-
 def _pdivmod(a: list, b: list, p: int) -> tuple[list, list]:
     """Quotient and remainder of a by a monic b."""
     r = list(a)
@@ -694,21 +686,6 @@ def _pdivmod(a: list, b: list, p: int) -> tuple[list, list]:
             for j in range(db):
                 r[k + j] -= c * b[j]
     return q, _trim([c % p for c in r[:db]])
-
-
-def _mulmod(a: list, b: list, f: list, p: int) -> list:
-    return _pdivmod(_pmul(a, b, p), f, p)[1]
-
-
-def _powmod(a: list, e: int, f: list, p: int) -> list:
-    """a^e mod f, squaring from the top bit down, so that every other
-    product is by a itself: a shift when a is x."""
-    out = [1]
-    for bit in bin(e)[2:]:
-        out = _mulmod(out, out, f, p)
-        if bit == "1":
-            out = _mulmod(out, a, f, p)
-    return out
 
 
 def _psub(a: list, b: list, p: int) -> list:
@@ -749,36 +726,122 @@ def _squarefree(f: list, p: int) -> list:
     return out
 
 
-def _frobenius_rows(f: list, p: int) -> list:
-    """Row i is x^(p*i) mod f, padded to deg f entries.  Since h^p =
-    h(x^p) over GF(p), h^p mod f is the sum of h_i times row i."""
-    n = len(f) - 1
-    xp = _powmod([0, 1], p, f, p)
-    rows, r = [], [1]
-    for _ in range(n):
-        rows.append(r + [0] * (n - len(r)))
-        r = _mulmod(r, xp, f, p)
-    return rows
+# slot width in bytes -> the array format of one machine word, and the
+# words per slot; a 16-byte slot is two words, the low one first
+_SLOT_WORDS = {1: ("B", 1), 2: ("H", 1), 4: ("I", 1), 8: ("Q", 1), 16: ("Q", 2)}
+# elements are packed little-endian; on a big-endian machine the bytes of
+# a packed int, read as an array of words, hold the words in reverse
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
-def _frobenius(h: list, rows: list, p: int) -> list:
-    """h^p mod f, for h of degree below deg f, from f's Frobenius rows."""
-    acc = [0] * len(rows)
-    for c, row in zip(h, rows):
-        if c:
-            acc = [x + c * y for x, y in zip(acc, row)]
-    return _trim([x % p for x in acc])
+class _Residues:
+    """GF(p)[x]/(f) for a monic f of degree d >= 1, on packed ints.
+
+    An element is the int sum_i c_i 2^(i*bits) of its coefficients c_i in
+    [0, p), i < d (Kronecker substitution), so a product of two elements
+    is one big-int multiply, whose slots do not carry into each other as
+    long as each stays below 2^bits.  A product's slot sums at most d
+    products of two coefficients; slots d and above are folded back by
+    adding their values, reduced mod p, times the packed rows x^(d+k)
+    mod f, at most d products more; and all slots are then reduced at
+    once through `array` (Dumas, Fousse & Salvy, Simultaneous modular
+    reduction and Kronecker substitution for small finite fields,
+    J. Symb. Comput. 46, 2011).  So a slot must hold 2d (p-1)^2, and its
+    width is the smallest of 1, 2, 4, 8 and 16 bytes that does.
+    """
+
+    __slots__ = ("p", "d", "bits", "fmt", "words", "nbytes", "low", "fold", "x")
+
+    def __init__(self, f: list, p: int):
+        d = len(f) - 1
+        width = next(w for w in _SLOT_WORDS if 2 * d * (p - 1) ** 2 < 256**w)
+        self.p, self.d, self.bits = p, d, 8 * width
+        self.fmt, self.words = _SLOT_WORDS[width]
+        self.nbytes = d * width
+        self.low = (1 << 8 * self.nbytes) - 1
+        # x^d = -(f_0 + ... + f_(d-1) x^(d-1)), and x^(d+k+1) is x^(d+k)
+        # shifted, its top coefficient c folded back as c x^d
+        fold = [self.pack([-c % p for c in f[:-1]])]
+        for _ in range(d - 1):
+            r = fold[-1] << self.bits
+            c = r >> 8 * self.nbytes
+            fold.append(self.pack(map(mod, self.slots((r & self.low) + c * fold[0]), repeat(p)))
+                        if c else r)
+        self.fold = fold
+        self.x = 1 << self.bits if d > 1 else fold[0]
+
+    def pack(self, coeffs) -> int:
+        """The element with these coefficients, each in [0, p), at most d."""
+        if self.words == 2:
+            coeffs = [w for c in coeffs for w in (c, 0)]
+        words = array(self.fmt, coeffs)
+        if _BIG_ENDIAN:
+            words.reverse()
+        return int.from_bytes(words.tobytes(), "little")
+
+    def slots(self, v: int):
+        """The d slot values of v < 2^(d*bits), lowest first."""
+        words = memoryview(v.to_bytes(self.nbytes, "little")).cast(self.fmt)
+        if _BIG_ENDIAN:
+            words = words[::-1]
+        if self.words == 2:
+            return [lo | hi << 64 for lo, hi in zip(words[::2], words[1::2])]
+        return words
+
+    def coeffs(self, v: int) -> list:
+        """A reduced element as a polynomial list."""
+        return _trim(list(self.slots(v)))
+
+    def reduce(self, v: int) -> int:
+        """The element of v, a polynomial of degree below 2d whose slots
+        hold at most d(p-1)^2 each."""
+        p = self.p
+        high = v >> 8 * self.nbytes
+        if high:
+            v = (v & self.low) + sum(map(mul, map(mod, self.slots(high), repeat(p)), self.fold))
+        return self.pack(map(mod, self.slots(v), repeat(p)))
+
+    def mul(self, a: int, b: int) -> int:
+        return self.reduce(a * b)
+
+    def pow(self, a: int, e: int) -> int:
+        """a^e, squaring from the top bit down.  When a is x, multiplying
+        by it is a shift of the square before its reduction, and x^k with
+        k < d is reduced as it stands."""
+        shift = a == self.x
+        out, k = 1, 0
+        for bit in bin(e)[2:]:
+            sq = out * out
+            if bit == "1":
+                sq = sq << self.bits if shift else self.reduce(sq) * a
+            k = 2 * k + (bit == "1")
+            out = sq if shift and k < self.d else self.reduce(sq)
+        return out
+
+    def frobenius_rows(self) -> list:
+        """Row i is x^(p*i), a shift while p*i < d.  Since h^p = h(x^p)
+        over GF(p), h^p is the sum of h_i times row i."""
+        p, d = self.p, self.d
+        rows = [1, self.pow(self.x, p)]
+        for i in range(2, d):
+            rows.append(1 << p * i * self.bits if p * i < d else self.mul(rows[-1], rows[1]))
+        return rows[:d]
+
+    def frobenius(self, h: int, rows: list) -> int:
+        """h^p, from the Frobenius rows."""
+        return self.reduce(sum(map(mul, self.slots(h), rows)))
 
 
-def _distinct_degree(f: list, rows: list, p: int) -> list:
+def _distinct_degree(f: list, ring: "_Residues", rows: list) -> list:
     """[(d, g)]: g is the product of the degree-d irreducible factors of
-    the monic squarefree f, whose Frobenius rows are given; g != 1.  The
-    degree-d factors are those of gcd(f, x^(p^d) - x) once the lower
-    degrees are divided out."""
-    out, h, d = [], [0, 1], 1
+    the monic squarefree f, the modulus of `ring`, whose Frobenius rows
+    are given; g != 1.  The degree-d factors are those of
+    gcd(f, x^(p^d) - x) once the lower degrees are divided out."""
+    p = ring.p
+    out, h, d = [], ring.x, 1
     while len(f) - 1 >= 2 * d:
-        h = _frobenius(h, rows, p)
-        g = _pgcd(f, _psub(h, [0, 1], p), p)
+        h = ring.frobenius(h, rows)
+        g = _pgcd(f, _psub(ring.coeffs(h), [0, 1], p), p)
         if len(g) > 1:
             out.append((d, g))
             f = _pdivmod(f, g, p)[0]
@@ -788,10 +851,11 @@ def _distinct_degree(f: list, rows: list, p: int) -> list:
     return out
 
 
-def _equal_degree(f: list, d: int, rows: list, p: int, rng) -> list:
+def _equal_degree(f: list, d: int, ring: "_Residues", rows: list, rng) -> list:
     """The irreducible factors of f, a product of distinct monic
-    irreducibles of degree d, by Cantor-Zassenhaus.  `rows` are the
-    Frobenius rows of a multiple of f.
+    irreducibles of degree d, by Cantor-Zassenhaus.  `ring` is GF(p)[x]
+    modulo a multiple of f, with its Frobenius rows; everything is
+    computed there, since a gcd with f sees only the residue mod f.
 
     For random a mod f, each factor sees a in GF(p^d).  For odd p,
     b = a * a^p * ... * a^(p^(d-1)) is the norm of a in GF(p), and
@@ -799,22 +863,25 @@ def _equal_degree(f: list, d: int, rows: list, p: int, rng) -> list:
     the trace a + a^2 + ... + a^(2^(d-1)) lies in GF(2) and vanishes at
     about half.  The gcd with f then splits it.
     """
+    p = ring.p
     n = len(f) - 1
     if n == d:
         return [f]
     while True:
-        a = _trim([rng.randrange(p) for _ in range(n)])
+        a = ring.pack([rng.randrange(p) for _ in range(n)])
         s = t = a
         for _ in range(d - 1):
-            t = _pdivmod(_frobenius(t, rows, p), f, p)[1]
+            t = ring.frobenius(t, rows)
             # over GF(2), s - t is s + t
-            s = _psub(s, t, p) if p == 2 else _mulmod(s, t, f, p)
-        if p != 2:
-            s = _psub(_powmod(s, (p - 1) // 2, f, p), [1], p)
+            s = ring.reduce(s + t) if p == 2 else ring.mul(s, t)
+        if p == 2:
+            s = ring.coeffs(s)
+        else:
+            s = _psub(ring.coeffs(ring.pow(s, (p - 1) // 2)), [1], p)
         g = _pgcd(f, s, p)
         if 1 < len(g) < len(f):
-            return (_equal_degree(g, d, rows, p, rng)
-                    + _equal_degree(_pdivmod(f, g, p)[0], d, rows, p, rng))
+            return (_equal_degree(g, d, ring, rows, rng)
+                    + _equal_degree(_pdivmod(f, g, p)[0], d, ring, rows, rng))
 
 
 def factor_mod_p(coeffs, p: int) -> list[tuple[tuple, int]]:
@@ -824,10 +891,10 @@ def factor_mod_p(coeffs, p: int) -> list[tuple[tuple, int]]:
     degree then coefficients; [] for zero and for constants.  Squarefree
     decomposition, then distinct-degree factorization with one Frobenius
     matrix per squarefree part, then Cantor-Zassenhaus (Math. Comp. 36,
-    1981).  The random choices come from one generator seeded the same
-    way on every call, created at the first part that needs splitting and
-    shared by the later ones; the factorization is unique, so they change
-    only the time taken.
+    1981), both in the packed ring modulo that part.  The random choices
+    come from one generator seeded the same way on every call, created at
+    the first part that needs splitting and shared by the later ones; the
+    factorization is unique, so they change only the time taken.
     """
     f = _trim([int(c) % p for c in coeffs])
     if len(f) < 2:
@@ -838,11 +905,12 @@ def factor_mod_p(coeffs, p: int) -> list[tuple[tuple, int]]:
         if len(g) == 2:
             out.append((tuple(g), e))
             continue
-        rows = _frobenius_rows(g, p)
-        for d, h in _distinct_degree(g, rows, p):
+        ring = _Residues(g, p)
+        rows = ring.frobenius_rows()
+        for d, h in _distinct_degree(g, ring, rows):
             if rng is None and len(h) - 1 > d:
                 rng = random.Random(0)
-            out.extend((tuple(u), e) for u in _equal_degree(h, d, rows, p, rng))
+            out.extend((tuple(u), e) for u in _equal_degree(h, d, ring, rows, rng))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out
 
@@ -855,7 +923,7 @@ def is_irreducible_mod_p(coeffs, p: int) -> bool:
     Rabin's test (SIAM J. Comput. 9, 1980): f is irreducible exactly when
     x^(p^d) = x mod f and gcd(x^(p^(d/q)) - x, f) = 1 for each prime q
     dividing d.  The powers x^(p^i) mod f come one Frobenius step at a
-    time from f's Frobenius rows, so no factor is ever split off.
+    time in the packed ring modulo f, so no factor is ever split off.
     """
     f = [c % p for c in coeffs]
     d = len(f) - 1
@@ -863,14 +931,15 @@ def is_irreducible_mod_p(coeffs, p: int) -> bool:
         return False
     if d == 1:
         return True
-    rows = _frobenius_rows(f, p)
+    ring = _Residues(f, p)
+    rows = ring.frobenius_rows()
     coprime_at = {d // q for q in range(2, d + 1) if d % q == 0 and _is_prime(q)}
-    h = [0, 1]
+    h = ring.x
     for i in range(1, d + 1):
-        h = _frobenius(h, rows, p)
-        if i in coprime_at and _pgcd(f, _psub(h, [0, 1], p), p) != [1]:
+        h = ring.frobenius(h, rows)
+        if i in coprime_at and _pgcd(f, _psub(ring.coeffs(h), [0, 1], p), p) != [1]:
             return False
-    return h == [0, 1]
+    return h == ring.x
 
 
 def sylvester_rows(a: Matrix, d: Matrix) -> list[tuple]:

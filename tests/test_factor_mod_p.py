@@ -127,7 +127,7 @@ def _rabin_cases(rng, p):
             + [poly_mul(f, g, p) for f, g in pairs])
 
 
-@pytest.mark.parametrize("p", (2, 3, 101, 65521))
+@pytest.mark.parametrize("p", (2, 3, 101, 65521, 2**31 - 1))
 def test_rabin_agrees_with_factor_mod_p(p):
     """A monic f is irreducible exactly when factor_mod_p returns f alone;
     a polynomial that is not monic is rejected even when irreducible."""
