@@ -481,6 +481,35 @@ class Subspace:
             raise DimensionMismatch("vector length does not match the ambient dimension")
         return _residual(self.field, self.basis.entries, self.pivots, v)
 
+    @property
+    def free_columns(self) -> list[int]:
+        """The columns without a pivot, ascending."""
+        pivots = set(self.pivots)
+        return [j for j in range(self.ambient_dim) if j not in pivots]
+
+    def coset_coordinates(self, vectors) -> list[list]:
+        """The coordinates of v + W in k^n / W, W this subspace, in the
+        basis of the standard vectors at the free columns, one list per
+        vector v: the residual of v read at the free columns, which are
+        the only entries computed."""
+        field = self.field
+        free = self.free_columns
+        # a basis row that vanishes at the free columns changes none of them
+        tails = []
+        for row, pc in zip(self.basis.entries, self.pivots):
+            tail = [row[j] for j in free]
+            if any(tail):
+                tails.append((tail, pc))
+        out = []
+        for v in vectors:
+            r = [v[j] for j in free]
+            for tail, pc in tails:
+                c = v[pc]
+                if c:
+                    r = field.axpy(r, c, tail)
+            out.append(r)
+        return out
+
     def contains_vector(self, v) -> bool:
         field = self.field
         return not any(self.residual(tuple(field.coerce(x) for x in v)))

@@ -407,15 +407,13 @@ def quotient_mod_subspace(gens, w: Subspace) -> tuple[list[Matrix], list[int]]:
 
     Returns (matrices, list of the representing column indices).
     """
-    pivots = set(w.pivots)
-    free = [j for j in range(w.ambient_dim) if j not in pivots]
-    out = []
-    for g in gens:
-        # column b is g e_f, f = free[b], less its w-part, read at the free columns
-        images = [w.residual([row[f] for row in g.entries]) for f in free]
-        out.append(Matrix(w.field, [[v[fa] for v in images] for fa in free],
-                          ncols=len(free), validate=False))
-    return out, free
+    free = w.free_columns
+    m = len(free)
+    # column b of a generator's matrix is the coset of g e_f, f = free[b]
+    g_columns = [tuple(zip(*g.entries)) for g in gens]
+    columns = w.coset_coordinates(cols[f] for cols in g_columns for f in free)
+    return [Matrix(w.field, list(zip(*columns[i * m:(i + 1) * m])), ncols=m, validate=False)
+            for i in range(len(gens))], free
 
 
 def _image(rows, s: Subspace) -> Subspace:

@@ -238,6 +238,19 @@ def test_subspace_pivots_and_residual_randomized():
         assert (not any(res)) == w.contains_vector(v)
 
 
+def test_coset_coordinates_are_the_residual_at_the_free_columns():
+    rng = random.Random(44)
+    for _ in range(100):
+        field = rng.choice([F2, F3, QQ, Field.prime(101)])
+        n = rng.randrange(1, 7)
+        vecs = [tuple(rng.randrange(5) for _ in range(n)) for _ in range(rng.randrange(0, n + 1))]
+        w = Subspace.from_vectors(field, n, vecs)
+        free = w.free_columns
+        assert sorted(free + list(w.pivots)) == list(range(n))
+        vectors = [tuple(field.coerce(rng.randrange(-5, 5)) for _ in range(n)) for _ in range(3)]
+        assert w.coset_coordinates(vectors) == [[w.residual(v)[j] for j in free] for v in vectors]
+
+
 def test_sylvester_rows_match_definition():
     rng = random.Random(47)
     for _ in range(40):
