@@ -234,14 +234,6 @@ class Matrix:
             raise DimensionMismatch("vector length does not match matrix width")
         return tuple(self.field.reduce([sum(map(mul, row, v)) for row in self.entries]))
 
-    def trace(self):
-        if self.nrows != self.ncols:
-            raise DimensionMismatch("trace of a non-square matrix")
-        t = self.field.zero
-        for i in range(self.nrows):
-            t = self.field.add(t, self.entries[i][i])
-        return t
-
     def is_zero(self) -> bool:
         zero = self.field.zero
         return all(x == zero for row in self.entries for x in row)

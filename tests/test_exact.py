@@ -429,7 +429,8 @@ def test_charpoly_trace_det_coefficients():
     for _ in range(60):
         m = random_matrix(rng, F3, 3)
         coeffs = charpoly(m)
-        assert coeffs[2] == F3.neg(m.trace())
+        trace = sum(m.entries[i][i] for i in range(3)) % 3
+        assert coeffs[2] == F3.neg(trace)
         assert coeffs[0] == F3.neg(m.det())
 
 
