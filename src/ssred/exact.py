@@ -6,14 +6,16 @@ There is no floating point anywhere in the package.  `Field` is the one
 place that knows which kind of scalar it holds: `coerce` admits a scalar,
 `reduce` and `axpy` make rows of field elements, and every matrix and row
 operation below is written on those three.  Field arithmetic lives here:
-other modules go through `linear_combination`, `Subspace.residual` and
-`Matrix`, save the back-substitution in `flags.flag_to_cocharacter`.
+other modules go through `linear_combination`, `Subspace.residual`,
+`Subspace.coset_coordinates` and `Matrix`, save the back-substitution
+in `flags.flag_to_cocharacter`.
 
 The public surface is deliberately small: reduced row echelon form,
 kernels, linear solving, subspaces with canonical echelon bases, orbit
 closure of vectors under a set of operators ("spinning"), characteristic
 polynomials, factorization of polynomials over GF(p) and Rabin's
-irreducibility test, and one solver of A_i X - X D_i = -B_i,
+irreducibility test, which share one packed-integer kernel for
+GF(p)[x]/(f) (`_Residues`), and one solver of A_i X - X D_i = -B_i,
 `solve_sylvester`, behind invariant complements (B the coupling block)
 and module isomorphisms (`solve_conjugating`, B = 0).  One Gauss-Jordan
 routine, `EchelonBasis.add`, does the elimination behind all the linear
