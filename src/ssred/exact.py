@@ -764,20 +764,21 @@ class _Residues:
     [0, p), i < d (Kronecker substitution), so a product of two elements
     is one big-int multiply, whose slots do not carry into each other as
     long as each stays below 2^bits.  A product's slot sums at most d
-    products of two coefficients; slots d and above are folded back by
-    adding their values, reduced mod p, times the packed rows x^(d+k)
-    mod f, at most d products more; and all slots are then reduced at
-    once through `array` (Dumas, Fousse & Salvy, Simultaneous modular
-    reduction and Kronecker substitution for small finite fields,
-    J. Symb. Comput. 46, 2011).  So a slot must hold 2d (p-1)^2, and its
-    width is the smallest of 1, 2, 4, 8 and 16 bytes that does.
+    products of two coefficients, so it holds at most d (p-1)^2; slots d
+    and above are folded back by adding their values times the packed
+    rows x^(d+k) mod f, which adds at most d of them times p - 1; and all
+    slots are then reduced at once through `array` (Dumas, Fousse &
+    Salvy, Simultaneous modular reduction and Kronecker substitution for
+    small finite fields, J. Symb. Comput. 46, 2011).  So a slot must hold
+    d (p-1)^2 (1 + d (p-1)), and its width is the smallest of 1, 2, 4, 8
+    and 16 bytes that does.
     """
 
     __slots__ = ("p", "d", "bits", "fmt", "words", "nbytes", "low", "fold", "x")
 
     def __init__(self, f: list, p: int):
         d = len(f) - 1
-        width = next(w for w in _SLOT_WORDS if 2 * d * (p - 1) ** 2 < 256**w)
+        width = next(w for w in _SLOT_WORDS if d * (p - 1) ** 2 * (1 + d * (p - 1)) < 256**w)
         self.p, self.d, self.bits = p, d, 8 * width
         self.fmt, self.words = _SLOT_WORDS[width]
         self.nbytes = d * width
@@ -800,7 +801,7 @@ class _Residues:
         words = array(self.fmt, coeffs)
         if _BIG_ENDIAN:
             words.reverse()
-        return int.from_bytes(words.tobytes(), "little")
+        return int.from_bytes(words, "little")
 
     def slots(self, v: int):
         """The d slot values of v < 2^(d*bits), lowest first."""
@@ -821,7 +822,7 @@ class _Residues:
         p = self.p
         high = v >> 8 * self.nbytes
         if high:
-            v = (v & self.low) + sum(map(mul, map(mod, self.slots(high), repeat(p)), self.fold))
+            v = (v & self.low) + sum(map(mul, self.slots(high), self.fold))
         return self.pack(map(mod, self.slots(v), repeat(p)))
 
     def mul(self, a: int, b: int) -> int:

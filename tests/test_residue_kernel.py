@@ -6,7 +6,7 @@ the remainder by f, and powers by squaring.  Products, x^p, x^((p-1)/2)
 and a^((p-1)/2) mod f, the Frobenius rows and the Frobenius map are
 compared over random moduli of degree 1 to 16, for small primes, for
 primes whose slots need 4 and 8 bytes, and for 2^31 - 1, the largest
-prime a Field admits, whose slots need 16 bytes from degree 3 on.
+prime a Field admits, whose slots need 16 bytes.
 Elements with every coefficient p - 1 fill a product's slots to the
 bound of its first half.
 """
@@ -60,10 +60,10 @@ def _elements(rng, p, d):
 def test_slot_width_is_the_smallest_that_holds_the_bound(p):
     for d in DEGREES:
         ring = _Residues([1] * (d + 1), p)
-        bound = 2 * d * (p - 1) ** 2
+        bound = d * (p - 1) ** 2 * (1 + d * (p - 1))
         assert bound < 2**ring.bits
         assert ring.bits == 8 or bound >= 2 ** (ring.bits // 2)
-    assert _Residues([1] * 4, 2**31 - 1).bits == 128
+    assert _Residues([1, 1], 2**31 - 1).bits == 128
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -103,12 +103,11 @@ def test_frobenius_rows_and_map_match_the_list_reference(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_reduction_at_its_input_bound(p):
     """Every one of the 2d slots at the largest value a product's slot
-    can take, d (p-1)^2, made congruent to p - 1 so that the folded rows
-    are added p - 1 times each."""
+    can take, d (p-1)^2, with f = 1 + x + ... + x^d, whose first folded
+    row x^d mod f has every coefficient p - 1."""
     for d in DEGREES:
         f = [1] * (d + 1)
         ring = _Residues(f, p)
-        top = d * (p - 1) ** 2
-        m = top - (top + 1) % p
+        m = d * (p - 1) ** 2
         v = sum(m << i * ring.bits for i in range(2 * d))
         assert ring.coeffs(ring.reduce(v)) == _pdivmod([m % p] * (2 * d), f, p)[1]
