@@ -772,9 +772,13 @@ class _Residues:
     small finite fields, J. Symb. Comput. 46, 2011).  So a slot must hold
     d (p-1)^2 (1 + d (p-1)), and its width is the smallest of 1, 2, 4, 8
     and 16 bytes that does.
+
+    `rows` are the Frobenius rows: row i is x^(p*i), a shift while
+    p*i < d.  Since h^p = h(x^p) over GF(p), h^p is the sum of h_i times
+    row i.
     """
 
-    __slots__ = ("p", "d", "bits", "fmt", "words", "nbytes", "low", "fold", "x")
+    __slots__ = ("p", "d", "bits", "fmt", "words", "nbytes", "low", "fold", "x", "rows")
 
     def __init__(self, f: list, p: int):
         d = len(f) - 1
@@ -793,6 +797,10 @@ class _Residues:
                         if c else r)
         self.fold = fold
         self.x = 1 << self.bits if d > 1 else fold[0]
+        rows = [1, self.pow(self.x, p)]
+        for i in range(2, d):
+            rows.append(1 << p * i * self.bits if p * i < d else self.mul(rows[-1], rows[1]))
+        self.rows = rows[:d]
 
     def pack(self, coeffs) -> int:
         """The element with these coefficients, each in [0, p), at most d."""
@@ -842,29 +850,20 @@ class _Residues:
             out = sq if shift and k < self.d else self.reduce(sq)
         return out
 
-    def frobenius_rows(self) -> list:
-        """Row i is x^(p*i), a shift while p*i < d.  Since h^p = h(x^p)
-        over GF(p), h^p is the sum of h_i times row i."""
-        p, d = self.p, self.d
-        rows = [1, self.pow(self.x, p)]
-        for i in range(2, d):
-            rows.append(1 << p * i * self.bits if p * i < d else self.mul(rows[-1], rows[1]))
-        return rows[:d]
-
-    def frobenius(self, h: int, rows: list) -> int:
+    def frobenius(self, h: int) -> int:
         """h^p, from the Frobenius rows."""
-        return self.reduce(sum(map(mul, self.slots(h), rows)))
+        return self.reduce(sum(map(mul, self.slots(h), self.rows)))
 
 
-def _distinct_degree(f: list, ring: "_Residues", rows: list) -> list:
+def _distinct_degree(f: list, ring: "_Residues") -> list:
     """[(d, g)]: g is the product of the degree-d irreducible factors of
-    the monic squarefree f, the modulus of `ring`, whose Frobenius rows
-    are given; g != 1.  The degree-d factors are those of
-    gcd(f, x^(p^d) - x) once the lower degrees are divided out."""
+    the monic squarefree f, the modulus of `ring`; g != 1.  The degree-d
+    factors are those of gcd(f, x^(p^d) - x) once the lower degrees are
+    divided out."""
     p = ring.p
     out, h, d = [], ring.x, 1
     while len(f) - 1 >= 2 * d:
-        h = ring.frobenius(h, rows)
+        h = ring.frobenius(h)
         g = _pgcd(f, _psub(ring.coeffs(h), [0, 1], p), p)
         if len(g) > 1:
             out.append((d, g))
@@ -875,11 +874,11 @@ def _distinct_degree(f: list, ring: "_Residues", rows: list) -> list:
     return out
 
 
-def _equal_degree(f: list, d: int, ring: "_Residues", rows: list, rng) -> list:
+def _equal_degree(f: list, d: int, ring: "_Residues", rng) -> list:
     """The irreducible factors of f, a product of distinct monic
     irreducibles of degree d, by Cantor-Zassenhaus.  `ring` is GF(p)[x]
-    modulo a multiple of f, with its Frobenius rows; everything is
-    computed there, since a gcd with f sees only the residue mod f.
+    modulo a multiple of f; everything is computed there, since a gcd
+    with f sees only the residue mod f.
 
     For random a mod f, each factor sees a in GF(p^d).  For odd p,
     b = a * a^p * ... * a^(p^(d-1)) is the norm of a in GF(p), and
@@ -895,7 +894,7 @@ def _equal_degree(f: list, d: int, ring: "_Residues", rows: list, rng) -> list:
         a = ring.pack([rng.randrange(p) for _ in range(n)])
         s = t = a
         for _ in range(d - 1):
-            t = ring.frobenius(t, rows)
+            t = ring.frobenius(t)
             # over GF(2), s - t is s + t
             s = ring.reduce(s + t) if p == 2 else ring.mul(s, t)
         if p == 2:
@@ -904,8 +903,8 @@ def _equal_degree(f: list, d: int, ring: "_Residues", rows: list, rng) -> list:
             s = _psub(ring.coeffs(ring.pow(s, (p - 1) // 2)), [1], p)
         g = _pgcd(f, s, p)
         if 1 < len(g) < len(f):
-            return (_equal_degree(g, d, ring, rows, rng)
-                    + _equal_degree(_pdivmod(f, g, p)[0], d, ring, rows, rng))
+            return (_equal_degree(g, d, ring, rng)
+                    + _equal_degree(_pdivmod(f, g, p)[0], d, ring, rng))
 
 
 def factor_mod_p(coeffs, p: int) -> list[tuple[tuple, int]]:
@@ -930,11 +929,10 @@ def factor_mod_p(coeffs, p: int) -> list[tuple[tuple, int]]:
             out.append((tuple(g), e))
             continue
         ring = _Residues(g, p)
-        rows = ring.frobenius_rows()
-        for d, h in _distinct_degree(g, ring, rows):
+        for d, h in _distinct_degree(g, ring):
             if rng is None and len(h) - 1 > d:
                 rng = random.Random(0)
-            out.extend((tuple(u), e) for u in _equal_degree(h, d, ring, rows, rng))
+            out.extend((tuple(u), e) for u in _equal_degree(h, d, ring, rng))
     out.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return out
 
@@ -956,11 +954,10 @@ def is_irreducible_mod_p(coeffs, p: int) -> bool:
     if d == 1:
         return True
     ring = _Residues(f, p)
-    rows = ring.frobenius_rows()
     coprime_at = {d // q for q in range(2, d + 1) if d % q == 0 and _is_prime(q)}
     h = ring.x
     for i in range(1, d + 1):
-        h = ring.frobenius(h, rows)
+        h = ring.frobenius(h)
         if i in coprime_at and _pgcd(f, _psub(ring.coeffs(h), [0, 1], p), p) != [1]:
             return False
     return h == ring.x
