@@ -6,9 +6,9 @@ the remainder by f, and powers by squaring.  Products, x^p, x^((p-1)/2)
 and a^((p-1)/2) mod f, the Frobenius rows and the Frobenius map are
 compared over random moduli of degree 1 to 16, for small primes, for
 primes whose slots need 4 and 8 bytes, and for 2^31 - 1, the largest
-prime a Field admits, whose slots need 16 bytes.
-Elements with every coefficient p - 1 fill a product's slots to the
-bound of its first half.
+prime a Field admits, whose slots need 16 bytes.  Elements with every
+coefficient p - 1 take a product's middle slot to its bound d (p-1)^2,
+and one test reduces a value with every slot at that bound.
 """
 
 import random
