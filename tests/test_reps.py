@@ -54,6 +54,9 @@ DIAG_PM1_F3 = rep(F3, [[1, 0], [0, -1]])
 # A cyclic permutation and a transvection: irreducible over F2.
 CYCLE_TRANSVECTION_F2 = rep(F2, [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
                             [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+# Q8 acting on the quaternions by left multiplication by i and j.
+Q8_ON_H = rep(QQ, [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+              [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
 
 
 def random_rep(rng, field, n, count=None):
@@ -546,28 +549,92 @@ def _reference_discovery(r, order):
     return best
 
 
-def test_bounded_discovery_matches_closure_reference():
-    rng = random.Random(53)
+def _conjugate(rng, r):
+    """A random conjugate: standard vectors then often spin full."""
+    g = _random_invertible(rng, r.field, r.n)
+    gi = g.inverse()
+    return Representation([g * m * gi for m in r.generators])
+
+
+def _discovery_inputs(rng):
+    """Reducible inputs, about a third of them conjugated, then inputs of
+    dimension 4 to 6: irreducible two-generator ones, and conjugates of
+    reducible ones, whose first seed spins full before a later one spins
+    a proper submodule or none does."""
     for field in (F2, F3, Field.prime(101), QQ):
         for _ in range(12):
             r = _reducible_rep(rng, field)
-            if rng.random() < 0.3:
-                # a random conjugate: standard vectors then often spin full
-                g = _random_invertible(rng, field, r.n)
-                gi = g.inverse()
-                r = Representation([g * m * gi for m in r.generators])
+            yield _conjugate(rng, r) if rng.random() < 0.3 else r
+    for field, n in ((F2, 6), (Field.prime(101), 5), (Field.prime(65521), 4), (QQ, 4)):
+        for _ in range(2):
+            yield random_rep(rng, field, n, count=2)
+        for _ in range(3):
+            r = _reducible_rep(rng, field)
+            while r.n < 4:
+                r = _reducible_rep(rng, field)
+            yield _conjugate(rng, r)
+
+
+def _outcome(search, *args):
+    """What search(*args) returns, a witness as (kind, word, factor), or
+    UndecidedIrreducibility when it gives up."""
+    try:
+        found = search(*args)
+    except UndecidedIrreducibility:
+        return UndecidedIrreducibility
+    if isinstance(found, IrreducibleWitness):
+        return found.kind, found.word, found.factor
+    return found
+
+
+def test_bounded_discovery_matches_closure_reference(monkeypatch):
+    """Discovery returns what spinning every permuted standard vector to
+    closure and then searching returns, and leaves the rng in the same
+    state, also when its early search is thrown away.  The inputs are
+    run three times: with the search as it is, with no deterministic
+    words, so that every search draws from the rng, and with no words at
+    all, so that every search past the line cap gives up.  Each run must
+    reach the listed outcomes of an early search: returned, or discarded
+    for a later proper spin."""
+    import ssred.reps as reps_module
+    searches = []
+    real_search = reps_module.find_submodule
+
+    def recording_search(r, rng=None):
+        try:
+            found = real_search(r, rng=rng)
+        except UndecidedIrreducibility:
+            searches.append("error")
+            raise
+        searches.append("witness" if isinstance(found, IrreducibleWitness) else "submodule")
+        return found
+
+    monkeypatch.setattr(reps_module, "find_submodule", recording_search)
+    kept_or_discarded = {"witness returned", "submodule returned", "submodule discarded"}
+    runs = [(reps_module.deterministic_words, reps_module.NORTON_TRIALS, kept_or_discarded),
+            (lambda count: iter(()), reps_module.NORTON_TRIALS, kept_or_discarded),
+            (lambda count: iter(()), 0, kept_or_discarded | {"error returned", "error discarded"})]
+    for words, trials, paths_seen in runs:
+        monkeypatch.setattr(reps_module, "deterministic_words", words)
+        monkeypatch.setattr(reps_module, "NORTON_TRIALS", trials)
+        paths = set()
+        rng = random.Random(53)
+        for r in _discovery_inputs(rng):
             orders = [list(range(r.n))]
             for _ in range(2):
                 orders.append(rng.sample(range(r.n), r.n))
             for order in orders:
-                ref = _reference_discovery(r, order)
-                if ref is None:
-                    ref = find_submodule(r, rng=random.Random(0))
-                found = _discover_submodule(r, order, random.Random(0))
-                if isinstance(ref, IrreducibleWitness):
-                    ref, found = (ref.kind, ref.word, ref.factor), (
-                        found.kind, found.word, found.factor)
+                ref_rng, disc_rng = random.Random(0), random.Random(0)
+                spun = _reference_discovery(r, order)
+                ref = spun if spun is not None else _outcome(real_search, r, ref_rng)
+                searches.clear()
+                found = _outcome(_discover_submodule, r, order, disc_rng)
                 assert found == ref
+                assert disc_rng.getstate() == ref_rng.getstate()
+                assert len(searches) <= 1
+                if searches and r.n >= reps_module.EARLY_SEARCH_MIN_DIM:
+                    paths.add(f"{searches[0]} {'discarded' if spun is not None else 'returned'}")
+        assert paths >= paths_seen
 
 
 def _nonss_rep(rng, field, n):
@@ -606,12 +673,66 @@ def test_spins_stop_once_the_answer_is_known(monkeypatch, p, n, kind, call, pare
     assert len(calls) <= parent_count // 2
 
 
+@pytest.mark.parametrize("p, n, call, counts", [
+    (65521, 6, is_semisimple, [1, 3, 3]),
+    (65521, 6, composition_series, [1, 3, 3]),
+    (2, 8, is_semisimple, [3, 5, 5]),
+    (2, 8, composition_series, [3, 5, 5]),
+], ids=["gf65521-n6-is_semisimple", "gf65521-n6-composition_series",
+        "gf2-n8-is_semisimple", "gf2-n8-composition_series"])
+def test_an_irreducible_module_is_decided_after_one_spin(monkeypatch, p, n, call, counts):
+    """Regression pin on discovery: on an irreducible module the search
+    runs after the first standard vector spins full, so the other n - 1
+    spin nothing; the rest are the witness's Norton spins.  Spinning
+    every standard vector first made [6, 8, 8] calls at GF(65521), n = 6,
+    and [10, 12, 12] at GF(2), n = 8."""
+    import ssred.reps as reps_module
+    spins = []
+    real_spin = reps_module.spin
+
+    def counting_spin(*args, **kwargs):
+        spins.append(None)
+        return real_spin(*args, **kwargs)
+
+    monkeypatch.setattr(reps_module, "spin", counting_spin)
+    made = []
+    for seed in range(3):
+        r = random_rep(random.Random(seed), Field.prime(p), n, count=2)
+        spins.clear()
+        result = call(r) if call is is_semisimple else call(r, seed=1)
+        made.append(len(spins))
+        cert = result if call is is_semisimple else result.certificate
+        assert cert.semisimple and len(cert.summands) == 1
+    assert made == counts
+
+
+def test_an_undecided_module_is_searched_once(monkeypatch):
+    """Q8 on H (see test_q8_on_h_irreducible_over_qq) spins full from
+    every standard vector, so the early search's UndecidedIrreducibility
+    is kept and raised after the last spin without a second search."""
+    import ssred.reps as reps_module
+    searches = []
+    real_search = reps_module.find_submodule
+
+    def counting_search(r, rng=None):
+        searches.append(r)
+        return real_search(r, rng=rng)
+
+    monkeypatch.setattr(reps_module, "find_submodule", counting_search)
+    with pytest.raises(UndecidedIrreducibility):
+        composition_series(Q8_ON_H, seed=1)
+    assert len(searches) == 1
+
+
 def test_non_split_complement_stops_at_the_first_inconsistent_row(monkeypatch):
     """Regression pin on the standard-basis complement solve: the rows of
     [[A, B], [0, C]] over GF(101), n = 8, W the first four coordinates,
     go into the elimination as they are built, and the solve stops at the
-    first row that reduces to 0 = c.  Building every relation's rows
-    first made 76 `Field.reduce` calls on this input."""
+    first row that reduces to 0 = c.  The quotient's spin has 5 relations
+    of k = 4 rows each; the fifth row, the first of the second relation,
+    is inconsistent, so the solve reads two relations and eliminates five
+    rows.  Building every relation's rows first reads all five."""
+    import ssred.exact as exact_module
     field, n, k = Field.prime(101), 8, 4
     rng = random.Random(0)
     gens = [_two_blocks(field, _random_invertible(rng, field, k),
@@ -619,16 +740,36 @@ def test_non_split_complement_stops_at_the_first_inconsistent_row(monkeypatch):
                                        for _ in range(k)]),
                         _random_invertible(rng, field, n - k)) for _ in range(2)]
     w = Subspace.from_vectors(field, n, [[int(i == j) for j in range(n)] for i in range(k)])
-    calls = []
-    real_reduce = Field.reduce
+    bases, rows_in, relations_read = [], [], []
 
-    def counting_reduce(self, xs):
-        calls.append(None)
-        return real_reduce(self, xs)
+    class CountingBasis(exact_module.EchelonBasis):
+        __slots__ = ()
 
-    monkeypatch.setattr(Field, "reduce", counting_reduce)
+        def __init__(self, *args):
+            super().__init__(*args)
+            bases.append(self)
+
+        def add(self, vec):
+            rows_in.append(self)
+            return super().add(vec)
+
+    real_standard_basis = exact_module._quotient_standard_basis
+
+    def counting_standard_basis(field, quotients):
+        origins, basis, relations, inverse = real_standard_basis(field, quotients)
+
+        def read():
+            for relation in relations:
+                relations_read.append(relation)
+                yield relation
+        return origins, basis, read(), inverse
+
+    monkeypatch.setattr(exact_module, "EchelonBasis", CountingBasis)
+    monkeypatch.setattr(exact_module, "_quotient_standard_basis", counting_standard_basis)
     assert _invariant_complement(gens, w) is None
-    assert len(calls) <= 49
+    # the solve returns right after its elimination, the last basis built
+    assert sum(basis is bases[-1] for basis in rows_in) == 5
+    assert len(relations_read) <= 2
 
 
 def test_composition_series_seed_variation():
@@ -918,8 +1059,5 @@ def test_q8_on_h_irreducible_over_qq():
     k) is irreducible over QQ: its enveloping algebra is a division
     algebra, so every f(a) is zero or invertible and every charpoly is a
     square, and no candidate element is conclusive."""
-    left_i = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
-    left_j = [[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]
-    q8 = Representation([mat(QQ, left_i), mat(QQ, left_j)])
-    found = find_submodule(q8)
-    assert isinstance(found, IrreducibleWitness) and found.verify(q8)
+    found = find_submodule(Q8_ON_H)
+    assert isinstance(found, IrreducibleWitness) and found.verify(Q8_ON_H)
