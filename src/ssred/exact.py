@@ -18,9 +18,11 @@ irreducibility test, which share one packed-integer kernel for
 GF(p)[x]/(f) (`_Residues`), and one solver of A_i X - X D_i = -B_i,
 `solve_sylvester`, behind invariant complements (B the coupling block)
 and module isomorphisms (`solve_conjugating`, B = 0).  One Gauss-Jordan
-routine, `EchelonBasis.add`, does the elimination behind all the linear
-algebra; `Matrix.det` keeps its own, so that it stays an independent
-reference for `charpoly`.
+routine, `EchelonBasis.add`, does the elimination behind the linear
+algebra, save two: `spin` keeps a semi-echelon basis in the order it
+finds its rows and hands only a proper result's rows to `EchelonBasis`
+for the canonical basis, and `Matrix.det` keeps its own elimination, so
+that it stays an independent reference for `charpoly`.
 """
 
 from __future__ import annotations
@@ -172,8 +174,8 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        one, zero = field.one, field.zero
-        return cls(field, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)),
+        one, zero = (field.one,), (field.zero,)
+        return cls(field, tuple([zero * i + one + zero * (n - 1 - i) for i in range(n)]),
                    ncols=n, validate=False)
 
     @classmethod
@@ -357,24 +359,27 @@ def linear_combination(field: Field, coeffs, rows, n: int) -> tuple:
 def _residual(field: Field, rows, pivots, vec) -> list:
     """vec minus its combination of reduced echelon rows.
 
-    The coefficients of that combination are vec's entries at the pivot
-    columns, so the residual vanishes there and is zero exactly when vec
-    lies in the span of the rows.
+    A reduced echelon row vanishes at the other rows' pivot columns, so
+    the coefficients of that combination are vec's own entries there; the
+    residual vanishes at the pivots and is zero exactly when vec lies in
+    the span of the rows.  It is reduced once, and only when a row was
+    subtracted.
     """
-    v = list(vec)
+    v = vec
     for row, pc in zip(rows, pivots):
-        c = v[pc]
+        c = vec[pc]
         if c:
-            v = field.axpy(v, c, row)
-    return v
+            v = [x - c * y for x, y in zip(v, row)]
+    return list(vec) if v is vec else field.reduce(v)
 
 
 class EchelonBasis:
     """Accumulates vectors and keeps a reduced echelon basis of their span.
 
     `add` is the module's one Gauss-Jordan elimination: `rref` (and so
-    `right_kernel` and `Matrix.inverse`), `solve_linear`, `Subspace`,
-    `spin` and the enveloping algebra all feed it their vectors.
+    `right_kernel` and `Matrix.inverse`), `solve_linear`, `Subspace`, a
+    proper `spin` result and the enveloping algebra all feed it their
+    vectors.
     """
 
     __slots__ = ("field", "width", "rows", "pivots")
@@ -570,31 +575,59 @@ class Subspace:
 def spin(field: Field, n: int, seeds, operators, limit: int | None = None) -> Subspace | None:
     """Smallest operator-invariant subspace containing the seed vectors.
 
+    The span is kept as a semi-echelon basis (Parker's MeatAxe): rows in
+    the order they were found, each zero at the lead columns of the rows
+    before it and kept with its lead column and the inverse of its lead
+    entry.  An image is formed unreduced from the operator's rows, each
+    earlier row is eliminated with one multiplication for its coefficient,
+    and the residual is reduced once; the rows themselves are spun.
+
     The span only grows while it spins, so the loop stops as soon as it
-    is all of k^n, whatever is still queued.  With a limit, returns None
-    once the span reaches `limit` dimensions, that is exactly when the
-    invariant subspace has at least `limit` of them; a partly spun span
-    is never returned.
+    is all of k^n, whatever is still queued, and returns `Subspace.full`.
+    With a limit, returns None once the span reaches `limit` dimensions,
+    that is exactly when the invariant subspace has at least `limit` of
+    them; a partly spun span is never returned.  Only a proper result's
+    rows go through `EchelonBasis` for its canonical basis.
     """
-    acc = EchelonBasis(field, n)
-    work = []
-    for v in seeds:
-        vv = tuple(field.coerce(x) for x in v)
-        if acc.add(vv):
-            work.append(vv)
+    seeds = [tuple(map(field.coerce, v)) for v in seeds]
+    if any(len(v) != n for v in seeds):
+        raise DimensionMismatch("seed length does not match the dimension")
+    if any(op.nrows != n or op.ncols != n for op in operators):
+        raise DimensionMismatch("operator size does not match the dimension")
+    fmul, inv, reduce = field.mul, field.inv, field.reduce
+    rows = []  # (row, lead column, inverse of the lead entry)
     stop = n if limit is None else min(n, limit)
+
+    def grows(v) -> bool:
+        for row, lead, li in rows:
+            c = fmul(v[lead], li)
+            if c:
+                v = [x - c * y for x, y in zip(v, row)]
+        v = reduce(v)
+        for lead, x in enumerate(v):
+            if x:
+                rows.append((v, lead, inv(x)))
+                return True
+        return False
+
+    for v in seeds:
+        if len(rows) == stop:
+            break
+        grows(v)
     i = 0
-    while acc.dim < stop and i < len(work):
-        v = work[i]
+    while len(rows) < stop and i < len(rows):
+        v = rows[i][0]
         i += 1
         for op in operators:
-            w = op.apply(v)
-            if acc.add(w):
-                work.append(w)
-                if acc.dim == stop:
-                    break
-    if limit is not None and acc.dim >= limit:
+            if grows([sum(map(mul, r, v)) for r in op.entries]) and len(rows) == stop:
+                break
+    if limit is not None and len(rows) >= limit:
         return None
+    if len(rows) == n:
+        return Subspace.full(field, n)
+    acc = EchelonBasis(field, n)
+    for row, _lead, _li in rows:
+        acc.add(row)
     return acc.subspace()
 
 

@@ -396,7 +396,10 @@ def find_submodule(rep: Representation, rng: random.Random | None = None):
 
 def restrict_to_subspace(gens, w: Subspace) -> list[Matrix]:
     """Matrices of the generator actions on an invariant subspace, in the
-    coordinates of its echelon basis."""
+    coordinates of its echelon basis.  The full space's echelon basis is
+    the identity, so its restrictions are the generators."""
+    if w.dim == w.ambient_dim:
+        return list(gens)
     field = w.field
     out = []
     for g in gens:
@@ -656,14 +659,18 @@ def _complement_rows(gens, w: Subspace, free, restrictions, quotients):
     [[A, B], [0, D]] with B[i][f] = g[pivot_i][f].  Every complement is
     such a span for exactly one k x m matrix X, m = n - k, invariant
     exactly when A X - X D = -B for every generator (`solve_sylvester`).
+    When every B is zero, X = 0 is the solution `solve_sylvester` would
+    return, so the rows are the e_f themselves and nothing is solved.
     """
     field = w.field
+    m, n = len(free), w.ambient_dim
+    units = Matrix.identity(field, n).entries
     couplings = [[[g.entries[pc][f] for f in free] for pc in w.pivots] for g in gens]
+    if not any(any(row) for b in couplings for row in b):
+        return [units[f] for f in free]
     x, _kernel = solve_sylvester(restrictions, quotients, couplings)
     if x is None:
         return None
-    m, n = len(free), w.ambient_dim
-    units = Matrix.identity(field, n).entries
     return [linear_combination(field, (*x[jj::m], field.one), w.basis.entries + (units[f],), n)
             for jj, f in enumerate(free)]
 

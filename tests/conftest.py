@@ -24,10 +24,11 @@ def random_invertible(rng, field, n):
             return m
 
 
-def spin_closure(field, n, seed, ops):
-    """The invariant span of seed, recomputed from scratch until it stops
-    growing: a reference for `spin` that has no early exit."""
-    w = Subspace.from_vectors(field, n, [seed])
+def spin_closure(field, n, seeds, ops):
+    """The invariant span of the seed vectors, recomputed from scratch
+    until it stops growing: a reference for `spin` that has no early
+    exit."""
+    w = Subspace.from_vectors(field, n, seeds)
     while True:
         rows = w.basis.entries
         grown = Subspace.from_vectors(field, n, rows + tuple(m.apply(r) for m in ops for r in rows))

@@ -14,6 +14,7 @@ from ssred.exact import (
     linear_combination,
     right_kernel,
     solve_linear,
+    solve_sylvester,
     spin,
     sylvester_rows,
 )
@@ -21,8 +22,10 @@ from ssred.oracle import get_table, invariant_subspaces
 from ssred.pipeline import semisimplify
 from ssred.reps import (
     Representation,
+    SemisimpleCertificate,
     _complement_rows,
     _invariant_complement,
+    is_semisimple,
     quotient_mod_subspace,
     restrict_to_subspace,
 )
@@ -255,6 +258,124 @@ def test_block_form_of_restriction_quotient_and_couplings(field):
             assert c.dim == m and c.intersection(w).dim == 0
             assert c.is_invariant_under(gens)
     assert len(seen) > 30 and set(seen) == {True, False}
+
+
+def complement_inputs(gens, w):
+    """The arguments `_complement_rows` takes for w."""
+    quotients, free = quotient_mod_subspace(gens, w)
+    return gens, w, free, restrict_to_subspace(gens, w), quotients
+
+
+def solver_rows(gens, w, free, restrictions, quotients):
+    """The reference: the complement rows of the X that `solve_sylvester`
+    returns, whatever the couplings."""
+    field, n, m = w.field, w.ambient_dim, len(free)
+    couplings = [[[g.entries[pc][f] for f in free] for pc in w.pivots] for g in gens]
+    x, _kernel = solve_sylvester(restrictions, quotients, couplings)
+    if x is None:
+        return None
+    units = Matrix.identity(field, n).entries
+    return [linear_combination(field, (*x[jj::m], field.one), w.basis.entries + (units[f],), n)
+            for jj, f in enumerate(free)]
+
+
+def permuted_blocks(rng, field, coupled):
+    """Generators [[A, B], [0, D]] conjugated by a random permutation, and
+    W, the span of the standard vectors the first block goes to.  Every
+    coupling is zero, or, when coupled, one entry of one generator's B."""
+    n = rng.randrange(2, 7)
+    k = rng.randrange(1, n)
+    perm = rng.sample(range(n), n)
+    p = Matrix(field, [[int(perm[j] == i) for j in range(n)] for i in range(n)])
+    count = rng.randrange(1, 4)
+    hit = rng.randrange(count)
+    gens = []
+    for i in range(count):
+        b = [[0] * (n - k) for _ in range(k)]
+        if coupled and i == hit:
+            b[rng.randrange(k)][rng.randrange(n - k)] = rng.choice((1, 2, -1))
+        block = two_blocks(field, random_invertible(rng, field, k), b,
+                           random_invertible(rng, field, n - k))
+        gens.append(p * block * p.transpose())
+    units = Matrix.identity(field, n).entries
+    return gens, Subspace.from_vectors(field, n, [units[perm[i]] for i in range(k)])
+
+
+@pytest.mark.parametrize("field", [F2, Field.prime(101), QQ], ids=repr)
+def test_zero_couplings_need_no_solve(monkeypatch, field):
+    """With every coupling B zero, X = 0 solves A X - X D = -B and is the
+    solution the solver returns, so `_complement_rows` returns the
+    standard vectors at W's free columns and calls no solver; with one
+    nonzero coupling entry it returns the solver's rows."""
+    import ssred.reps as reps_module
+    real = reps_module.solve_sylvester
+
+    def refuse(*args):
+        raise AssertionError("solve_sylvester called with every coupling zero")
+
+    rng = random.Random(f"zero couplings {field!r}")
+    kinds = []
+    for _ in range(60):
+        coupled = rng.random() < 0.5
+        args = complement_inputs(*permuted_blocks(rng, field, coupled))
+        expected = solver_rows(*args)
+        monkeypatch.setattr(reps_module, "solve_sylvester", real if coupled else refuse)
+        rows = _complement_rows(*args)
+        assert rows == expected
+        if not coupled:
+            units = Matrix.identity(field, args[1].ambient_dim).entries
+            assert rows == [units[f] for f in args[2]]
+        kinds.append("zero" if not coupled else "none" if rows is None else "solved")
+    assert set(kinds) == {"zero", "none", "solved"}
+
+
+def test_zero_couplings_of_a_benchmark_pass_need_no_solve(monkeypatch):
+    """One seed-1 pass of the `oracle-small` benchmark workload makes 403
+    complement solves, 32 of them at n <= 3 with every coupling zero: on
+    each of those `_complement_rows` returns what the solver's X gives."""
+    import ssred.reps as reps_module
+    from test_output_digest import records
+
+    real = reps_module._complement_rows
+    calls = []
+
+    def recording(gens, w, free, restrictions, quotients):
+        rows = real(gens, w, free, restrictions, quotients)
+        couplings = [g.entries[pc][f] for g in gens for pc in w.pivots for f in free]
+        if not any(couplings):
+            assert rows == solver_rows(gens, w, free, restrictions, quotients)
+        calls.append((not any(couplings), w.ambient_dim))
+        return rows
+
+    monkeypatch.setattr(reps_module, "_complement_rows", recording)
+    records("oracle-small")
+    zero = [n for uncoupled, n in calls if uncoupled]
+    assert len(calls) == 403 and len(zero) == 32 and max(zero) <= 3
+
+
+@pytest.mark.parametrize("field", [F2, Field.prime(101), QQ], ids=repr)
+def test_restriction_to_the_full_space_is_the_generators(field):
+    """The full space's echelon basis is the identity, so restriction to
+    it returns the generators; a certificate summand of full dimension
+    whose basis is not the identity is still rejected."""
+    rng = random.Random(f"full restriction {field!r}")
+    checked = 0
+    for _ in range(6):
+        n = rng.randrange(2, 6)
+        rep = Representation([random_invertible(rng, field, n) for _ in range(2)])
+        full = Subspace.full(field, n)
+        assert restrict_to_subspace(rep.generators, full) == list(rep.generators)
+        cert = is_semisimple(rep)
+        if not (cert.semisimple and len(cert.summands) == 1):
+            continue
+        checked += 1
+        assert cert.summands[0] == full and cert.verify(rep)
+        # the same span, its pivots at 0..n-1, but row 0 is e_0 + e_1
+        rows = [list(row) for row in full.basis.entries]
+        rows[0][1] = field.one
+        sheared = Subspace(Matrix(field, rows), range(n))
+        assert not SemisimpleCertificate(True, [sheared], cert.witnesses).verify(rep)
+    assert checked >= 3
 
 
 def upper_triangular_qq(rng):

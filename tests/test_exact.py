@@ -308,27 +308,75 @@ def test_spin_result_is_invariant_randomized():
             assert spin(field, n, [row], ops).dim <= w.dim
 
 
+SPIN_FIELDS = [Field.prime(p) for p in (2, 3, 101, 65521, 2**31 - 1)] + [QQ]
+
+
+def _spin_scalar(rng, field):
+    """Mostly 0, 1 or 2, so that spans stay small, and otherwise any
+    element: over QQ a fraction with a denominator."""
+    if rng.random() < 0.6:
+        return rng.randrange(3)
+    if field.p is None:
+        return Fraction(rng.randint(-9, 9), rng.randint(2, 7))
+    return rng.randrange(field.p)
+
+
+def _spin_seeds(rng, field, n, start):
+    """One to three seeds, zero before column start; a later one may be
+    zero or a combination of the ones before it."""
+    def draw():
+        return (0,) * start + tuple(_spin_scalar(rng, field) for _ in range(n - start))
+
+    seeds = [draw()]
+    for _ in range(rng.randrange(3)):
+        kind = rng.random()
+        if kind < 0.25:
+            seeds.append((0,) * n)
+        elif kind < 0.5:
+            coeffs = [field.coerce(_spin_scalar(rng, field)) for _ in seeds]
+            seeds.append(linear_combination(field, coeffs,
+                                            [tuple(map(field.coerce, v)) for v in seeds], n))
+        else:
+            seeds.append(draw())
+    return seeds
+
+
 def test_spin_matches_closure_and_respects_limit_randomized():
+    """spin against the closure reference over every field the kernel
+    serves: the same basis rows and pivots, `Subspace.full` when the
+    span is everything, and None exactly at every limit the invariant
+    span reaches."""
     rng = random.Random(37)
-    for _ in range(150):
-        field = rng.choice([F2, F3, QQ])
-        n = rng.randrange(1, 6)
-        ops = [Matrix(field, [[rng.randrange(3) for _ in range(n)] for _ in range(n)])
-               for _ in range(rng.randrange(1, 3))]
-        if rng.random() < 0.5:
-            # a block triangular action has proper invariant spans
-            k = rng.randrange(1, n + 1)
-            ops = [Matrix(field, [[x if i >= k or j < k else 0 for j, x in enumerate(row)]
-                                  for i, row in enumerate(m.entries)]) for m in ops]
-        seed = tuple(rng.randrange(3) for _ in range(n))
-        ref = spin_closure(field, n, seed, ops)
-        assert spin(field, n, [seed], ops) == ref
-        for limit in range(n + 2):
-            w = spin(field, n, [seed], ops, limit=limit)
-            if ref.dim >= limit:
-                assert w is None
-            else:
-                assert w == ref and w.is_invariant_under(ops)
+    outcomes = {field: set() for field in SPIN_FIELDS}
+    for field in SPIN_FIELDS:
+        for _ in range(60):
+            n = rng.randrange(1, 7)
+            ops = [Matrix(field, [[_spin_scalar(rng, field) for _ in range(n)] for _ in range(n)])
+                   for _ in range(rng.randrange(1, 3))]
+            start = 0
+            if rng.random() < 0.5:
+                # [[A, 0], [C, D]] keeps the span of the last n - k
+                # coordinates, where seeds are often drawn
+                k = rng.randrange(1, n + 1)
+                ops = [Matrix(field, [[x if i >= k or j < k else 0 for j, x in enumerate(row)]
+                                      for i, row in enumerate(m.entries)]) for m in ops]
+                start = rng.choice((0, k))
+            seeds = _spin_seeds(rng, field, n, start)
+            ref = spin_closure(field, n, seeds, ops)
+            w = spin(field, n, seeds, ops)
+            assert w.basis.entries == ref.basis.entries and w.pivots == ref.pivots
+            if ref.dim == n:
+                assert w == Subspace.full(field, n)
+            outcomes[field].add("full" if ref.dim == n else "zero" if ref.dim == 0 else "proper")
+            for limit in range(n + 2):
+                w = spin(field, n, seeds, ops, limit=limit)
+                if ref.dim >= limit:
+                    assert w is None
+                else:
+                    assert w.basis.entries == ref.basis.entries and w.pivots == ref.pivots
+                    assert w.is_invariant_under(ops)
+    for field, seen in outcomes.items():
+        assert seen == {"full", "proper", "zero"}, field
 
 
 def test_wrong_length_vectors_rejected():
@@ -355,6 +403,11 @@ def test_wrong_length_vectors_rejected():
         spin(f5, 1, [(1,), (1, 0)], gens)
     with pytest.raises(DimensionMismatch):
         spin(f5, 2, [(1,)], [mat(f5, [[1, 0], [0, 1]])], limit=1)
+    # an operator is checked before any image is formed
+    with pytest.raises(DimensionMismatch):
+        spin(f5, 1, [(1,)], [mat(f5, [[1, 0], [0, 1]])])
+    with pytest.raises(DimensionMismatch):
+        spin(f5, 2, [(1, 0)], [mat(f5, [[1, 0]])])
 
 
 def test_membership_and_combinations_reject_wrong_length():
