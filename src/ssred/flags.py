@@ -214,7 +214,10 @@ def flag_to_cocharacter(f: Flag) -> Cocharacter:
     c of a vector v in the adapted basis come out in order,
     c_l = v[pivot_l] - sum_(k<l) row_k[pivot_l] c_k, and this recursion
     gives the inverse basis change row by row, without elimination.
+    An f that is not a Flag raises InvalidInput.
     """
+    if not isinstance(f, Flag):
+        raise InvalidInput(f"expected a Flag, got {type(f).__name__}")
     field = f.field
     n = f.ambient_dim
     r = len(f.steps)
@@ -249,9 +252,14 @@ def c_lambda(m, lam: Cocharacter):
     w_i < w_j vanishes; otherwise LimitDoesNotExist is raised.  Restricted
     to P_lambda this is a group homomorphism onto L_lambda.  A central
     lambda has P_lambda = L_lambda = GL_n, and the limit is m itself.
+    Any other m or a lam that is not a Cocharacter raises InvalidInput.
     """
+    if not isinstance(lam, Cocharacter):
+        raise InvalidInput(f"expected a Cocharacter, got {type(lam).__name__}")
     if isinstance(m, (tuple, list)):
         return tuple(c_lambda(x, lam) for x in m)
+    if not isinstance(m, Matrix):
+        raise InvalidInput(f"expected a Matrix, got {type(m).__name__}")
     if m.field is not lam.field or m.nrows != lam.n or m.ncols != lam.n:
         raise DimensionMismatch("matrix does not match the cocharacter's space")
     if lam.is_central:

@@ -269,7 +269,10 @@ def _as_tuple(x) -> tuple:
 
 
 def generic_tuple(rep: Representation) -> tuple:
-    """Generators followed by their inverses: the tuple fed to the oracle."""
+    """Generators followed by their inverses: the tuple fed to the oracle.
+    A rep that is not a Representation raises InvalidInput."""
+    if not isinstance(rep, Representation):
+        raise InvalidInput(f"expected a Representation, got {type(rep).__name__}")
     _require_finite(rep.field)
     return rep.generators + rep.inverses
 

@@ -201,8 +201,11 @@ def conjugacy_certificate(a: SsResult, b: SsResult) -> ConjugacyCertificate:
     a's certificate is paired with the first unused summand of b's that
     carries an isomorphic module X_i, and g = Q diag(X_i) P^-1 with the
     paired summand bases as the columns of P and Q.  The limits are
-    conjugate by theorem, so a summand without a partner is a bug.
+    conjugate by theorem, so a summand without a partner is a bug.  An
+    argument that is not an SsResult raises InvalidInput.
     """
+    if not (isinstance(a, SsResult) and isinstance(b, SsResult)):
+        raise InvalidInput("a conjugacy certificate relates two SsResults")
     if a.input.generators != b.input.generators:
         raise InvalidInput("the two results come from different inputs")
     if not (a.certificate.semisimple and b.certificate.semisimple):
@@ -287,9 +290,12 @@ def clifford_joint_ss(m: Representation, h: Representation, seed: int = 0) -> Cl
     verified by enumeration; over the rationals the necessary condition
     that conjugation by m's generators stabilizes h's enveloping algebra
     is checked, and normality is otherwise the caller's responsibility.
-    Both limits are verified semisimple, which the theory guarantees.
+    Both limits are verified semisimple, which the theory guarantees.  A
+    seed that is not an int raises InvalidInput before any closure is built.
     """
     require_representations(m, h)
+    if type(seed) is not int:
+        raise InvalidInput(f"seed {seed!r} is not an int")
     if m.field is not h.field or m.n != h.n:
         raise DimensionMismatch("group and subgroup live in different spaces")
     if m.field.p is not None:

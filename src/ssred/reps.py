@@ -29,7 +29,6 @@ from .errors import (
     GeneratorCountMismatch,
     InternalInvariantViolation,
     InvalidInput,
-    SsredError,
     UndecidedIrreducibility,
 )
 from .exact import (
@@ -54,10 +53,10 @@ NORTON_TRIALS = 200
 NORTON_WORD_LENGTH = 8
 # _discover_submodule runs the submodule search after the first full spin
 # only from this dimension on: on the oracle-small benchmark inputs
-# (Python 3.11, 2-vCPU Xeon) a discovery spin at n <= 3 took 10-13 us and
-# a search that found a submodule 107-138 us, and searching at every n
-# added 95 such searches to a seed-1 pass and took discovery from 47.5 to
-# 64.2 ms per pass
+# (Python 3.11, 2-vCPU Xeon) a discovery spin at n <= 3 took 6-14 us and
+# a search that found a submodule 92-119 us, and searching at every n
+# added 95 such searches to a seed-1 pass and took discovery from 41-44
+# to 52-57 ms per pass
 EARLY_SEARCH_MIN_DIM = 4
 
 
@@ -467,43 +466,33 @@ def _discover_submodule(rep: Representation, order, rng):
     A span only grows while it spins, so each spin stops, and loses, once
     it reaches the dimension of the best one so far (n before any).
 
-    From n = EARLY_SEARCH_MIN_DIM on, the search runs as soon as the first
-    vector spins full, and a witness it returns ends the discovery: on an
-    irreducible module every vector spins full, and discovery draws
-    nothing from the rng, so the search after the loop would get the same
-    rng state and give the same witness.  A submodule or an error of that
-    early search is kept, with the rng state after it, and the rng is set
-    back: a later proper spin still wins, and only when every vector spins
-    full is the kept outcome returned, with the rng where the search left
-    it.  The search never runs twice.
+    From n = EARLY_SEARCH_MIN_DIM on, a first vector that spins full runs
+    the search at once, and its witness or submodule is returned: any
+    submodule serves, as every composition series gives the same
+    k-semisimplification up to conjugacy.  Only when the search gives up
+    are the other vectors spun, with the rng set back, and its error
+    stands if they all spin full.
     """
     field = rep.field
     n = rep.n
-    best = kept = None
+    best = undecided = None
     for idx in order:
         e = tuple(field.one if t == idx else field.zero for t in range(n))
         w = spin(field, n, [e], rep.generators, limit=n if best is None else best.dim)
         if w is not None:
             best = w
-        elif best is None and kept is None and n >= EARLY_SEARCH_MIN_DIM:
+        elif best is None and undecided is None and n >= EARLY_SEARCH_MIN_DIM:
             before = rng.getstate()
             try:
-                found = find_submodule(rep, rng=rng)
-            except SsredError as exc:
-                found = exc
-            if isinstance(found, IrreducibleWitness):
-                return found
-            kept = found, rng.getstate()
-            rng.setstate(before)
+                return find_submodule(rep, rng=rng)
+            except UndecidedIrreducibility as exc:
+                undecided = exc
+                rng.setstate(before)
     if best is not None:
         return best
-    if kept is None:
-        return find_submodule(rep, rng=rng)
-    found, after = kept
-    rng.setstate(after)
-    if isinstance(found, SsredError):
-        raise found
-    return found
+    if undecided is not None:
+        raise undecided
+    return find_submodule(rep, rng=rng)
 
 
 def _split(rep: Representation, rng, shuffled: bool, series: bool = True, decide: bool = True):
@@ -617,8 +606,11 @@ class SemisimpleCertificate:
         return self.semisimple
 
     def verify(self, rep: Representation) -> bool:
-        """Whether the certificate holds for rep; never raises for a
-        subspace that is not invariant."""
+        """Whether the certificate holds for rep, False for a rep that is
+        not a Representation; never raises for a subspace that is not
+        invariant."""
+        if not isinstance(rep, Representation):
+            return False
         field, n, gens = rep.field, rep.n, rep.generators
         if not self.semisimple:
             o = self.obstruction
@@ -732,7 +724,9 @@ class IsoClassMultiset:
 
 def iso_class_multiset(series: CompositionSeries) -> IsoClassMultiset:
     """Group the series factors by module isomorphism (first occurrence
-    is the class representative)."""
+    is the class representative); anything else raises InvalidInput."""
+    if not isinstance(series, CompositionSeries):
+        raise InvalidInput(f"expected a CompositionSeries, got {type(series).__name__}")
     classes: list[list] = []
     for fac in series.factors:
         for entry in classes:

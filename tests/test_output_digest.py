@@ -1,5 +1,5 @@
-"""Same outputs, pinned: one seed-1 pass of each benchmark workload, every
-public output serialized canonically and hashed.
+"""Same outputs, pinned: one seed-1 and one seed-7 pass of each benchmark
+workload, every public output serialized canonically and hashed.
 
 The batches and their call sequences come from `bench/workloads.py`,
 imported read-only.  Every public call of the pass is recorded with its
@@ -16,7 +16,7 @@ purpose updates them and says which records changed.  When a digest
 differs, find the first record that changed with, from the root of
 each checkout,
 
-    PYTHONPATH=src python tests/test_output_digest.py dump gfp-ss new.json
+    PYTHONPATH=src python tests/test_output_digest.py dump gfp-ss new.json [SEED]
     (the same in a checkout of the parent, into old.json)
     PYTHONPATH=src python tests/test_output_digest.py diff old.json new.json
 """
@@ -35,10 +35,18 @@ from ssred.exact import Field
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 SEED = 1
+# seed 7 gives a second, shuffled batch of recursions
 DIGESTS = {
-    "gfp-ss": "c687e7e9a19e29635812beaa7fb5f10b41807f378cf115dae0cdf8130ec5faa8",
-    "oracle-small": "75a36a8e02387817268b13adc6f9eef7b9526edc78ee1f4c519f9ab5d6979148",
-    "qq-ss": "ad3f56d6e3a5d5549dd735937bd0f4f5e24e3daacf918a2013c5237d7bc14a40",
+    1: {
+        "gfp-ss": "c687e7e9a19e29635812beaa7fb5f10b41807f378cf115dae0cdf8130ec5faa8",
+        "oracle-small": "75a36a8e02387817268b13adc6f9eef7b9526edc78ee1f4c519f9ab5d6979148",
+        "qq-ss": "ad3f56d6e3a5d5549dd735937bd0f4f5e24e3daacf918a2013c5237d7bc14a40",
+    },
+    7: {
+        "gfp-ss": "a7e70ee99aacc6c24fc8b48fcacb8f7f07e616f02878ca4c8fa0fe031ef1dddb",
+        "oracle-small": "0965d36e9804c36694cc6d9d509373e4c41890ad2a42821f7754d05e8ac1ee1d",
+        "qq-ss": "a81f4a28373dbe90d537b731f125922bc8496b454c10f506240b5f5609a10956",
+    },
 }
 
 
@@ -137,12 +145,14 @@ def first_difference(old, new) -> str | None:
     return None
 
 
-@pytest.mark.parametrize("workload", sorted(DIGESTS))
-def test_outputs_match_the_pinned_digest(workload):
-    recs = records(workload)
+@pytest.mark.parametrize("workload, seed", [
+    pytest.param(w, seed, id=w if seed == SEED else f"{w}-seed{seed}")
+    for seed, pinned in DIGESTS.items() for w in sorted(pinned)])
+def test_outputs_match_the_pinned_digest(workload, seed):
+    recs = records(workload, seed)
     assert recs[-1] == {"errors": {}, "wrong": 0}
-    assert digest(recs) == DIGESTS[workload], (
-        f"the outputs of a seed-1 {workload} pass changed; see this file's "
+    assert digest(recs) == DIGESTS[seed][workload], (
+        f"the outputs of a seed-{seed} {workload} pass changed; see this file's "
         "docstring for the first record that differs")
 
 
@@ -167,10 +177,12 @@ def test_canonical_form_sorts_sets_and_reads_slots():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["dump"] and len(sys.argv) == 4:
-        Path(sys.argv[3]).write_text(json.dumps(records(sys.argv[2])), encoding="utf-8")
+    if sys.argv[1:2] == ["dump"] and len(sys.argv) in (4, 5):
+        seed = int(sys.argv[4]) if len(sys.argv) == 5 else SEED
+        Path(sys.argv[3]).write_text(json.dumps(records(sys.argv[2], seed)), encoding="utf-8")
     elif sys.argv[1:2] == ["diff"] and len(sys.argv) == 4:
         old, new = (json.loads(Path(a).read_text(encoding="utf-8")) for a in sys.argv[2:])
         print(first_difference(old, new) or "same records")
     else:
-        sys.exit("usage: test_output_digest.py dump WORKLOAD OUT.json | diff OLD.json NEW.json")
+        sys.exit("usage: test_output_digest.py dump WORKLOAD OUT.json [SEED]"
+                 " | diff OLD.json NEW.json")

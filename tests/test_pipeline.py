@@ -25,7 +25,9 @@ from ssred.flags import (
 )
 from ssred.oracle import (
     cocharacter_limits_match_flag_limits,
+    generic_tuple,
     get_table,
+    oracle_gcr,
     oracle_irreducible,
     subgroup_closure,
 )
@@ -712,6 +714,41 @@ _NOT_A_REP = [TRANSVECTION_F2.generators, list(TRANSVECTION_F2.generators), None
 def test_wrong_argument_types_raise_invalid_input(call, arg):
     with pytest.raises(InvalidInput):
         call(arg)
+
+
+_SS_TRANSVECTION = semisimplify(TRANSVECTION_F2)
+_WRONG_TYPE_CALLS = {
+    "conjugacy_lhs": lambda x: conjugacy_certificate(x, _SS_TRANSVECTION),
+    "conjugacy_rhs": lambda x: conjugacy_certificate(_SS_TRANSVECTION, x),
+    "c_lambda_matrix": lambda x: c_lambda(x, _SS_TRANSVECTION.cocharacter),
+    "c_lambda_cocharacter": lambda x: c_lambda(TRANSVECTION_F2.generators[0], x),
+    "c_lambda_empty_tuple": lambda x: c_lambda((), x),
+    "flag_to_cocharacter": flag_to_cocharacter,
+    "iso_class_multiset": iso_class_multiset,
+    "oracle_gcr": oracle_gcr,
+    "generic_tuple": generic_tuple,
+    "clifford_seed": lambda x: clifford_joint_ss(TRANSVECTION_F2, TRANSVECTION_F2, seed=x),
+    "certificate_verify": _SS_TRANSVECTION.certificate.verify,
+    "obstruction_verify": is_semisimple(TRANSVECTION_F2).verify,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRONG_TYPE_CALLS))
+@pytest.mark.parametrize("arg", [None, 1.5, "x"], ids=repr)
+def test_exported_entry_points_refuse_wrong_types(monkeypatch, name, arg):
+    """A wrong-type argument raises InvalidInput, never an AttributeError,
+    and a certificate's verify() returns False for it; a seed is checked
+    before any subgroup closure is built."""
+    def no_closure(*args):
+        raise AssertionError("a subgroup closure was built")
+
+    monkeypatch.setattr("ssred.pipeline.subgroup_closure", no_closure)
+    call = _WRONG_TYPE_CALLS[name]
+    if name.endswith("verify"):
+        assert call(arg) is False
+    else:
+        with pytest.raises(InvalidInput):
+            call(arg)
 
 
 @pytest.mark.parametrize("height", [2.0, "4", True])

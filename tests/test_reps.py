@@ -17,6 +17,7 @@ from ssred.flags import Flag, flag_to_cocharacter
 from ssred.oracle import generic_tuple
 from ssred.pipeline import SsResult
 from ssred.reps import (
+    EARLY_SEARCH_MIN_DIM,
     IrreducibleWitness,
     Representation,
     SemisimpleCertificate,
@@ -587,15 +588,37 @@ def _outcome(search, *args):
     return found
 
 
+def _reference_outcome(search, r, order, rng):
+    """The discovery rule spelled out with closure spins: from n =
+    EARLY_SEARCH_MIN_DIM on, a first vector that spins full gets the
+    search's outcome, and only an UndecidedIrreducibility, with the rng
+    set back, falls to the spins; otherwise the first strictly smallest
+    proper spin, then the search."""
+    field, n = r.field, r.n
+    e = tuple(field.one if t == order[0] else field.zero for t in range(n))
+    early = n >= EARLY_SEARCH_MIN_DIM and spin_closure(field, n, [e], r.generators).dim == n
+    if early:
+        before = rng.getstate()
+        found = _outcome(search, r, rng)
+        if found is not UndecidedIrreducibility:
+            return found
+        rng.setstate(before)
+    spun = _reference_discovery(r, order)
+    if spun is not None:
+        return spun
+    return UndecidedIrreducibility if early else _outcome(search, r, rng)
+
+
 def test_bounded_discovery_matches_closure_reference(monkeypatch):
-    """Discovery returns what spinning every permuted standard vector to
-    closure and then searching returns, and leaves the rng in the same
-    state, also when its early search is thrown away.  The inputs are
-    run three times: with the search as it is, with no deterministic
-    words, so that every search draws from the rng, and with no words at
-    all, so that every search past the line cap gives up.  Each run must
-    reach the listed outcomes of an early search: returned, or discarded
-    for a later proper spin."""
+    """Discovery returns what `_reference_outcome` returns and leaves the
+    rng in the same state.  The inputs are run four times: with the
+    search as it is, with no deterministic words, so that every search
+    draws from the rng, with no words at all, so that every search past
+    the line cap gives up, and with three random words and a Norton test
+    that never concludes, so that such a search draws from the rng before
+    it gives up.  Each run must reach the listed outcomes of an early
+    search: returned, or, for an error, discarded for a later proper
+    spin."""
     import ssred.reps as reps_module
     searches = []
     real_search = reps_module.find_submodule
@@ -610,13 +633,17 @@ def test_bounded_discovery_matches_closure_reference(monkeypatch):
         return found
 
     monkeypatch.setattr(reps_module, "find_submodule", recording_search)
-    kept_or_discarded = {"witness returned", "submodule returned", "submodule discarded"}
-    runs = [(reps_module.deterministic_words, reps_module.NORTON_TRIALS, kept_or_discarded),
-            (lambda count: iter(()), reps_module.NORTON_TRIALS, kept_or_discarded),
-            (lambda count: iter(()), 0, kept_or_discarded | {"error returned", "error discarded"})]
-    for words, trials, paths_seen in runs:
+    returned = {"witness returned", "submodule returned"}
+    errors = {"error returned", "error discarded"}
+    no_words, norton = (lambda count: iter(())), reps_module._norton
+    runs = [(reps_module.deterministic_words, reps_module.NORTON_TRIALS, norton, returned),
+            (no_words, reps_module.NORTON_TRIALS, norton, returned),
+            (no_words, 0, norton, returned | errors),
+            (no_words, 3, lambda *args: None, errors)]
+    for words, trials, test, paths_seen in runs:
         monkeypatch.setattr(reps_module, "deterministic_words", words)
         monkeypatch.setattr(reps_module, "NORTON_TRIALS", trials)
+        monkeypatch.setattr(reps_module, "_norton", test)
         paths = set()
         rng = random.Random(53)
         for r in _discovery_inputs(rng):
@@ -625,16 +652,53 @@ def test_bounded_discovery_matches_closure_reference(monkeypatch):
                 orders.append(rng.sample(range(r.n), r.n))
             for order in orders:
                 ref_rng, disc_rng = random.Random(0), random.Random(0)
-                spun = _reference_discovery(r, order)
-                ref = spun if spun is not None else _outcome(real_search, r, ref_rng)
+                ref = _reference_outcome(real_search, r, order, ref_rng)
                 searches.clear()
                 found = _outcome(_discover_submodule, r, order, disc_rng)
                 assert found == ref
                 assert disc_rng.getstate() == ref_rng.getstate()
                 assert len(searches) <= 1
-                if searches and r.n >= reps_module.EARLY_SEARCH_MIN_DIM:
-                    paths.add(f"{searches[0]} {'discarded' if spun is not None else 'returned'}")
+                if searches and r.n >= EARLY_SEARCH_MIN_DIM:
+                    spun = searches[0] == "error" and found is not UndecidedIrreducibility
+                    paths.add(f"{searches[0]} {'discarded' if spun else 'returned'}")
         assert paths >= paths_seen
+
+
+def test_discovery_stops_at_the_early_search(monkeypatch):
+    """Work pin: on a conjugated reducible module of dimension 5 whose
+    first standard vector spins full, discovery spins that one vector,
+    runs the search once and returns the search's submodule, with no spin
+    of the other vectors."""
+    import ssred.reps as reps_module
+    field, n = Field.prime(101), 5
+    rng = random.Random(3)
+    a, b = _random_invertible(rng, field, 2), _random_invertible(rng, field, 3)
+    r = _conjugate(rng, Representation([_diag(field, a, b), _diag(field, a * a, b.inverse())]))
+    e = tuple(field.one if t == 0 else field.zero for t in range(n))
+    assert r.n == n >= EARLY_SEARCH_MIN_DIM
+    assert spin_closure(field, n, [e], r.generators).dim == n
+    expected = find_submodule(r, rng=random.Random(0))
+    assert isinstance(expected, Subspace)
+    calls, searching = [], []
+    real_spin, real_search = reps_module.spin, reps_module.find_submodule
+
+    def counting_spin(*args, **kwargs):
+        if not searching:
+            calls.append("spin")
+        return real_spin(*args, **kwargs)
+
+    def counting_search(r, rng=None):
+        calls.append("search")
+        searching.append(None)
+        try:
+            return real_search(r, rng=rng)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(reps_module, "spin", counting_spin)
+    monkeypatch.setattr(reps_module, "find_submodule", counting_search)
+    assert _discover_submodule(r, list(range(n)), random.Random(0)) == expected
+    assert calls == ["spin", "search"]
 
 
 def _nonss_rep(rng, field, n):
