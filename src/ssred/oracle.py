@@ -12,12 +12,16 @@ That id set is an orbit invariant, so an OrbitIndex walks each orbit's
 flags once and memoizes the set on the index, never at module level.
 Orbits are enumerated by conjugating with one element per scalar class
 of GL_n, since g and cg conjugate alike for every scalar c.
-Conjugation m -> g m g^-1 is linear in the entries of m, so the group
-table packs the coefficients of that linear map for all conjugators into
-one int per (output entry, input entry) pair, a fixed-width slot per
-conjugator.  An entry of every conjugate at once is then one integer
-multiply-add over the entries of m, read back slot by slot modulo p,
-without building matrices.
+The table of those conjugators is built slot-parallel, many small
+residues per machine operation (Dumas, Fousse and Salvy, J. Symb.
+Comput. 46, 2011): one vector per matrix entry, holding that entry of
+every candidate matrix, so one determinant and one adjugate expansion
+serve all elements at once.  Conjugation m -> g m g^-1 is linear in the
+entries of m, so the table packs the coefficients of that linear map for
+all conjugators into one int per (output entry, input entry) pair, a
+fixed-width slot per conjugator.  An entry of every conjugate at once is
+then one integer multiply-add over the entries of m, read back slot by
+slot modulo p, without building matrices.
 
 All enumerations are capped; exceeding a cap raises ResourceBoundExceeded,
 or SearchSpaceExceeded for the flag enumeration, rather than grinding on.
@@ -30,7 +34,7 @@ import math
 import os
 import sys
 from array import array
-from operator import mod, mul
+from operator import add, mod, mul, sub
 
 from .errors import (
     GROUP_ELEMENTS_CAP,
@@ -40,7 +44,7 @@ from .errors import (
     LimitDoesNotExist,
     ResourceBoundExceeded,
 )
-from .exact import EchelonBasis, Field, Matrix, Subspace, all_vectors, projective_vectors
+from .exact import Field, Matrix, Subspace, all_vectors, projective_vectors
 from .flags import Cocharacter, Flag, c_lambda, chain_flags, flag_to_cocharacter
 from .reps import Representation
 
@@ -62,13 +66,14 @@ def _require_finite(field: Field) -> None:
 class GroupTable:
     """Exhaustive listing of GL_n(F_q), one scalar class at a time.
 
-    `conjugators` pairs each element whose first nonzero entry in row 0
-    is 1 with its inverse, in lexicographic row order: one representative
-    per scalar class, which is all that conjugation needs and all that is
-    stored.  Row i of a representative g enters a width-2n echelon basis
-    as (row | e_i); the elimination that proves the rows independent
-    reduces (g | I) to (I | g^-1), so each inverse is read off the rows.
-    `elements`, every c g in lexicographic row order, is derived on use.
+    The table holds the `count` elements g whose first nonzero entry in
+    row 0 is 1, one per scalar class, which is all that conjugation needs,
+    with their inverses, in lexicographic row order.  They are built as
+    entry vectors (see _representative_entries): every determinant and
+    every inverse at once, with no per-element loop and no Matrix.
+    `conjugators`, the (g, g^-1) pairs as matrices, is built from the
+    vectors on first use; `elements`, every c g in lexicographic row
+    order, is derived on each use.
 
     `columns[i * n + j][a * n + b]` packs the coefficient of m[a][b] in
     entry (i, j) of g m g^-1, which is g[i][a] * g^-1[b][j] mod p, for
@@ -77,13 +82,16 @@ class GroupTable:
     `slot_bytes` is the smallest of 1, 2, 4 and 8 that holds
     n^2 (p-1)^2, the largest value an entry of a conjugate can take before
     its reduction mod p, so a sum of n^2 columns times entries of m never
-    carries from one slot into the next.
+    carries from one slot into the next.  It also picks the vector kernel
+    of _SlotVectors: a one-byte table has p^2 <= 256.
     """
 
-    __slots__ = ("field", "n", "conjugators", "slot_bytes", "columns")
+    __slots__ = ("field", "n", "count", "slot_bytes", "columns", "_vectors", "_conjugators")
 
     def __init__(self, field: Field, n: int):
         _require_finite(field)
+        if n < 1:
+            raise DimensionMismatch(f"GL_{n} has no table: n must be at least 1")
         p = field.p
         order = group_order(p, n)
         if order > GROUP_ELEMENTS_CAP:
@@ -91,55 +99,139 @@ class GroupTable:
                 f"|GL_{n}(F_{p})| = {order} exceeds the table cap {GROUP_ELEMENTS_CAP}")
         self.field = field
         self.n = n
-        self.conjugators = _representatives(field, n)
-        if len(self.conjugators) * (p - 1) != order:
+        self.slot_bytes = next(w for w in _SLOT_FORMATS if n * n * (p - 1) ** 2 < 256**w)
+        vec = _SlotVectors(p, self.slot_bytes == 1)
+        g, gi = self._vectors = _representative_entries(vec, field, n)
+        self._conjugators = None
+        self.count = len(g[0])
+        if self.count * (p - 1) != order:
             raise ResourceBoundExceeded(
                 "group enumeration does not match the order formula")
-        self.slot_bytes = next(w for w in _SLOT_FORMATS if n * n * (p - 1) ** 2 < 256**w)
         fmt = _SLOT_FORMATS[self.slot_bytes]
-        # entry k of the t-th conjugator g (or g^-1) is flat[t * n^2 + k]
-        g_flat = [x for g, _ in self.conjugators for row in g.entries for x in row]
-        gi_flat = [x for _, gi in self.conjugators for row in gi.entries for x in row]
-        columns = []
-        for i in range(n):
-            for j in range(n):
-                columns.append(tuple(
-                    int.from_bytes(array(fmt, list(map(
-                        mod, map(mul, g_flat[i * n + a::n * n], gi_flat[b * n + j::n * n]),
-                        itertools.repeat(p)))).tobytes(), sys.byteorder)
-                    for a in range(n) for b in range(n)))
-        self.columns = tuple(columns)
+        self.columns = tuple(
+            tuple(int.from_bytes(array(fmt, vec.combine(mul, g[i * n + a], gi[b * n + j])),
+                                 sys.byteorder)
+                  for a in range(n) for b in range(n))
+            for i in range(n) for j in range(n))
 
     @property
     def order(self) -> int:
-        return len(self.conjugators) * (self.field.p - 1)
+        return self.count * (self.field.p - 1)
+
+    @property
+    def conjugators(self) -> tuple:
+        """(g, g^-1) for every representative g, in lexicographic row order."""
+        if self._conjugators is None:
+            field, n = self.field, self.n
+
+            def matrices(vectors):
+                return [Matrix(field, [flat[r:r + n] for r in range(0, n * n, n)],
+                               ncols=n, validate=False) for flat in zip(*vectors)]
+
+            self._conjugators = tuple(zip(*map(matrices, self._vectors)))
+        return self._conjugators
 
     @property
     def elements(self) -> list:
         return _scalar_multiples(self.field, [g for g, _ in self.conjugators])
 
 
-def _representatives(field: Field, n: int) -> tuple:
-    """(g, g^-1) for every g whose row 0 leads with 1, in lexicographic
-    row order.  A row v is independent of the i rows before it exactly when
-    (v | e_i) adds a pivot left of column n to their basis."""
-    nonzero = [v for v in all_vectors(field, n) if any(v)]
-    lines = sorted(projective_vectors(field, n))
-    units = Matrix.identity(field, n).entries
-    prefixes = [((), EchelonBasis(field, 2 * n))]
-    for i in range(n):
-        grown = []
-        for rows, basis in prefixes:
-            for v in lines if i == 0 else nonzero:
-                child = EchelonBasis(field, 2 * n)
-                child.rows, child.pivots = basis.rows[:], basis.pivots[:]
-                child.add(v + units[i])
-                if child.pivots[-1] < n:
-                    grown.append((rows + (v,), child))
-        prefixes = grown
-    return tuple((Matrix(field, rows, validate=False),
-                  Matrix(field, [r[n:] for r in basis.rows], validate=False))
-                 for rows, basis in prefixes)
+@functools.cache
+def _byte_tables(p: int) -> dict:
+    """Translate tables mod p, for p * p <= 256: add, sub and mul map byte
+    a * p + b to op(a, b) mod p, "inverse" maps each nonzero residue to its
+    inverse and "reduce" maps each byte to its residue."""
+    pad = bytes(256 - p * p)
+    tables = {op: bytes(op(*divmod(x, p)) % p for x in range(p * p)) + pad
+              for op in (add, sub, mul)}
+    tables["inverse"] = bytes(pow(x, -1, p) if x else 0 for x in range(p)) + bytes(256 - p)
+    tables["reduce"] = bytes(x % p for x in range(256))
+    return tables
+
+
+class _SlotVectors:
+    """Arithmetic mod p on vectors of residues, one position per candidate
+    matrix, each operation acting on every position at once.
+
+    For p * p <= 256 a vector is a bytes string, and op(a, b) mod p is one
+    int multiply-add, which packs a * p + b into one byte per position,
+    read back through a 256-entry translate table.  Otherwise a vector is
+    a list and each operation is a C-level map.
+    """
+
+    __slots__ = ("p", "seq", "_tables")
+
+    def __init__(self, p: int, one_byte: bool):
+        self.p = p
+        self.seq = bytes if one_byte else list
+        self._tables = _byte_tables(p) if one_byte else None
+
+    def combine(self, op, a, b):
+        """op(a, b) mod p at every position, for op one of add, sub, mul."""
+        if self._tables is None:
+            return list(map(mod, map(op, a, b), itertools.repeat(self.p)))
+        packed = int.from_bytes(a, "little") * self.p + int.from_bytes(b, "little")
+        return packed.to_bytes(len(a), "little").translate(self._tables[op])
+
+    def inverse(self, a):
+        """The inverse mod p at every position; no position may be 0."""
+        if self._tables is None:
+            return list(map(pow, a, itertools.repeat(-1), itertools.repeat(self.p)))
+        return a.translate(self._tables["inverse"])
+
+
+def _representative_entries(vec: _SlotVectors, field: Field, n: int) -> tuple:
+    """Entry vectors of every g whose row 0 leads with 1, and of g^-1, in
+    lexicographic row order of g: vector i * n + j holds entry (i, j).
+
+    The candidates take row 0 from `sorted(projective_vectors)` and the
+    later rows from the nonzero vectors, the last row fastest, so entry
+    (i, j) of each choice for row i repeats once per choice of the rows
+    after it.  A Laplace expansion gives every determinant at once, the
+    invertible candidates are kept, and entry (j, i) of every inverse is
+    the signed (i, j) minor times the inverted determinant."""
+    nonzero = [v for v in all_vectors(field, n) if any(v)] if n > 1 else []
+    choices = [sorted(projective_vectors(field, n))] + [nonzero] * (n - 1)
+    total = math.prod(map(len, choices))
+    entries = []
+    for i, rows in enumerate(choices):
+        inner = math.prod(map(len, choices[i + 1:]))
+        for j in range(n):
+            run = itertools.chain.from_iterable(
+                map(itertools.repeat, [v[j] for v in rows], itertools.repeat(inner)))
+            entries.append(vec.seq(run) * (total // (inner * len(rows))))
+    full = tuple(range(n))
+    det = _minor(vec, entries, n, full, full, {})
+    entries = [vec.seq(itertools.compress(e, det)) for e in entries]
+    det_inverse = vec.inverse(vec.seq(itertools.compress(det, det)))
+    # (-1)^(i + j) / det, the factor of the (i, j) minor in entry (j, i)
+    factors = (det_inverse, vec.combine(sub, vec.seq((0,)) * len(det_inverse), det_inverse))
+    others = [full[:k] + full[k + 1:] for k in range(n)]
+    memo = {}
+    inverse = [vec.combine(mul, _minor(vec, entries, n, others[i], others[j], memo),
+                           factors[(i + j) % 2])
+               for j in range(n) for i in range(n)]
+    return entries, inverse
+
+
+def _minor(vec: _SlotVectors, entries: list, n: int, rows: tuple, cols: tuple,
+           memo: dict):
+    """The minor on the given increasing rows and columns of every matrix
+    whose entry vectors are given, at once: a Laplace expansion along the
+    first row, with the smaller minors memoized in `memo`."""
+    if not rows:
+        return vec.seq((1,)) * len(entries[0])
+    if len(rows) == 1:
+        return entries[rows[0] * n + cols[0]]
+    key = rows, cols
+    if key not in memo:
+        acc = None
+        for k, c in enumerate(cols):
+            term = vec.combine(mul, entries[rows[0] * n + c],
+                               _minor(vec, entries, n, rows[1:], cols[:k] + cols[k + 1:], memo))
+            acc = term if acc is None else vec.combine(sub if k % 2 else add, acc, term)
+        memo[key] = acc
+    return memo[key]
 
 
 def _scalar_multiples(field: Field, reps) -> list:
@@ -199,8 +291,9 @@ class OrbitIndex:
     Members are found for every scalar class at once: entry r of the
     conjugates of a matrix with flat entries v is sum_s v[s] * columns[r][s]
     over the table's packed columns, unpacked slot by slot in
-    `sys.byteorder` and reduced modulo p.  Matrices of another field or
-    size raise DimensionMismatch.
+    `sys.byteorder` and reduced modulo p: in a one-byte table by one
+    `bytes.translate` for all slots, otherwise one `mod` per slot.
+    Matrices of another field or size raise DimensionMismatch.
     """
 
     __slots__ = ("table", "_cache", "_max_entries", "_limits")
@@ -228,14 +321,16 @@ class OrbitIndex:
         self._check(mats)
         table = self.table
         p = table.field.p
-        size = len(table.conjugators) * table.slot_bytes
+        size = table.count * table.slot_bytes
         fmt = _SLOT_FORMATS[table.slot_bytes]
+        reduce = _byte_tables(p)["reduce"] if table.slot_bytes == 1 else None
         parts = []
         for v in (self.encode((m,)) for m in mats):
             for entry_columns in table.columns:
                 packed = sum(x * c for x, c in zip(v, entry_columns) if x)
-                slots = memoryview(packed.to_bytes(size, sys.byteorder)).cast(fmt)
-                parts.append(map(mod, slots, itertools.repeat(p)))
+                raw = packed.to_bytes(size, sys.byteorder)
+                parts.append(raw.translate(reduce) if reduce else
+                             map(mod, memoryview(raw).cast(fmt), itertools.repeat(p)))
         # the empty tuple is its own one-member orbit
         return frozenset(zip(*parts)) if parts else frozenset({()})
 
@@ -261,9 +356,16 @@ def get_index(field: Field, n: int) -> OrbitIndex:
 
 
 def _as_tuple(x) -> tuple:
-    mats = tuple(x.generators) if isinstance(x, Representation) else tuple(x)
+    """A Representation's generators or an iterable's matrices; anything
+    else, or an element that is not a Matrix, raises InvalidInput."""
+    try:
+        mats = x.generators if isinstance(x, Representation) else tuple(x)
+    except TypeError:
+        raise InvalidInput(f"expected matrices, got {type(x).__name__}") from None
     if not mats:
         raise InvalidInput("need at least one matrix")
+    if not all(isinstance(m, Matrix) for m in mats):
+        raise InvalidInput("every element of the tuple must be a Matrix")
     _require_finite(mats[0].field)
     return mats
 

@@ -266,6 +266,10 @@ class IrreducibleWitness:
         self.factor = tuple(factor) if factor is not None else None
 
     def verify(self, rep: Representation) -> bool:
+        """Whether the witness proves rep irreducible, False for a rep that
+        is not a Representation."""
+        if not isinstance(rep, Representation):
+            return False
         field = rep.field
         n = rep.n
         if self.kind == "dimension":

@@ -34,6 +34,7 @@ F3 = Field.prime(3)
 F5 = Field.prime(5)
 F7 = Field.prime(7)
 F11 = Field.prime(11)
+F17 = Field.prime(17)
 
 
 def mat(field, rows):
@@ -71,7 +72,9 @@ def _inverted_by_rows(field, n):
     return [(g, g.inverse()) for g in _enumerate_by_rows(field, n)]
 
 
-GROUPS = [(F5, 1), (F2, 2), (F3, 2), (F5, 2), (F2, 3), (F3, 3)]
+# GL2(F7) is a one-byte table; GL2(F11) and GL1(F17) have two-byte slots,
+# so their entry vectors are lists
+GROUPS = [(F5, 1), (F2, 2), (F3, 2), (F5, 2), (F2, 3), (F3, 3), (F7, 2), (F11, 2), (F17, 1)]
 
 
 def test_group_table_matches_formula():
@@ -90,21 +93,59 @@ def test_group_table_matches_formula():
             assert g * gi == identity == gi * g
 
 
+def test_group_table_builds_gl4_f2():
+    """GL4(F2), whose row-by-row reference takes seconds: as many
+    conjugators as the order formula says, in strictly increasing row
+    order, each leading row 0 with 1; on a seeded sample, g g^-1 = I and
+    the packed columns hold g[i][a] * g^-1[b][j] mod p in slot t."""
+    table = get_table(F2, 4)
+    assert table.order == group_order(2, 4) == 20160
+    assert table.slot_bytes == 1
+    rows = [g.entries for g, _ in table.conjugators]
+    assert len(rows) == table.count == 20160
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert all(next(x for x in r[0] if x) == 1 for r in rows)
+    identity = Matrix.identity(F2, 4)
+    rng = random.Random(97)
+    for t in rng.sample(range(table.count), 200):
+        g, gi = table.conjugators[t]
+        assert g * gi == identity == gi * g
+        i, j, a, b = (rng.randrange(4) for _ in range(4))
+        slot = table.columns[i * 4 + j][a * 4 + b].to_bytes(table.count, sys.byteorder)[t]
+        assert slot == g.entries[i][a] * gi.entries[b][j] % 2
+
+
+# every shape above, and GL3(F5), the largest one-byte table of n = 3
+BUILT_SHAPES = GROUPS + [(F2, 4), (F5, 3)]
+
+
 def test_group_table_build_inverts_nothing(monkeypatch):
-    """Each inverse is read off the elimination that builds its element."""
+    """A table is built from entry vectors: every determinant and every
+    inverse entry comes out of one Laplace expansion over all candidates,
+    so the build constructs no Matrix and calls neither Matrix.inverse nor
+    EchelonBasis.add.  `conjugators` is built on first use, once."""
+    from ssred import exact
     from ssred.oracle import GroupTable
-    calls = []
-    inverse = Matrix.inverse
+    calls, made = [], []
+    init, inverse, add = Matrix.__init__, Matrix.inverse, exact.EchelonBasis.add
+    monkeypatch.setattr(Matrix, "__init__", lambda m, *a, **k: made.append(1) or init(m, *a, **k))
     monkeypatch.setattr(Matrix, "inverse", lambda m: calls.append(m) or inverse(m))
-    for field, n in GROUPS:
-        GroupTable(field, n)
+    monkeypatch.setattr(exact.EchelonBasis, "add", lambda b, v: calls.append(v) or add(b, v))
+    for field, n in BUILT_SHAPES:
+        table = GroupTable(field, n)
+        assert made == [] and calls == []
+        if n < 3:
+            pairs = table.conjugators
+            assert table.conjugators is pairs and len(made) == 2 * table.count
+            made.clear()
     assert calls == []
 
 
 @pytest.mark.parametrize("field, n", [(F3, 2), (F2, 3)])
 def test_group_table_inverses_built_on_first_use(field, n):
-    """A table stores one (g, g^-1) per scalar class, built with it; the
-    full element list is not stored but derived each time it is used."""
+    """A table stores its entry vectors and builds the (g, g^-1) pairs from
+    them on first use; the full element list is not stored but derived each
+    time it is used, and every inverse is the one `Matrix.inverse` finds."""
     from ssred.oracle import GroupTable
     table = GroupTable(field, n)
     assert "elements" not in GroupTable.__slots__ and not hasattr(table, "__dict__")
@@ -117,6 +158,14 @@ def test_group_table_cap():
     from ssred.oracle import GroupTable
     with pytest.raises(ResourceBoundExceeded):
         GroupTable(F3, 4)  # |GL_4(F_3)| is about 24 million
+
+
+def test_group_table_needs_a_positive_size():
+    from ssred.oracle import GroupTable
+    with pytest.raises(DimensionMismatch):
+        GroupTable(F2, 0)
+    with pytest.raises(DimensionMismatch):
+        oracle_gcr(Representation([Matrix(F2, [], ncols=0)]))
 
 
 def test_all_subspaces_frozen_counts():
@@ -256,10 +305,32 @@ def test_scalar_class_orbit_matches_every_conjugate():
         assert len(get_table(field, n).conjugators) * (field.p - 1) == group_order(field.p, n)
 
 
+def _orbit_by_generators(mats, gens):
+    """Encodings of every simultaneous conjugate of the tuple: its closure
+    under conjugation by generators of the group, by Matrix products."""
+    pairs = [(g, g.inverse()) for g in gens]
+    seen = {OrbitIndex.encode(mats)}
+    frontier = [mats]
+    while frontier:
+        grown = []
+        for t in frontier:
+            for g, gi in pairs:
+                c = tuple(g * m * gi for m in t)
+                if OrbitIndex.encode(c) not in seen:
+                    seen.add(OrbitIndex.encode(c))
+                    grown.append(c)
+        frontier = grown
+    return frozenset(seen)
+
+
 def test_action_rows_match_every_conjugate_mod_p():
     """The flat kernel agrees with Matrix conjugation where entry products
     exceed p, for n = 1, for the empty tuple, and with two-byte slots:
-    GL2(F11) has n^2 (p-1)^2 = 400, GL2(F7) 144, which still fits one byte."""
+    GL2(F11) has n^2 (p-1)^2 = 400, GL2(F7) 144, which still fits one byte.
+    At n = 3 a GL3(F5) tuple whose entries are all 4 or 3 takes one-byte
+    slot sums up to 144 through the translate reduction; its reference is
+    the closure under the transvections I + E_ab and diag(2, 1, 1), which
+    generate GL3(F5), as conjugating by all of GL3(F5) would take minutes."""
     rng = random.Random(83)
     cases = [(F5, 1, (g,)) for g in get_table(F5, 1).elements]
     cases.append((F5, 1, tuple(get_table(F5, 1).elements)))
@@ -280,6 +351,14 @@ def test_action_rows_match_every_conjugate_mod_p():
         every = frozenset(OrbitIndex.encode(g * m * gi for m in mats)
                           for g, gi in _inverted_by_rows(field, n))
         assert OrbitIndex(get_table(field, n)).orbit_members(mats) == every
+    fours = mat(F5, [[4] * 3] * 3)
+    mats = (fours, fours + fours + Matrix.identity(F5, 3))
+    gens = [mat(F5, [[int(i == j or (i, j) == (a, b)) for j in range(3)] for i in range(3)])
+            for a in range(3) for b in range(3) if a != b]
+    gens.append(mat(F5, [[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    members = OrbitIndex(get_table(F5, 3)).orbit_members(mats)
+    assert members == _orbit_by_generators(mats, gens)
+    assert len(members) == 31 * 25  # a line and a complementary plane
 
 
 def test_columns_pack_every_conjugator():
@@ -288,7 +367,7 @@ def test_columns_pack_every_conjugator():
     is g_t[i][a] * g_t^-1[b][j] mod p for the t-th conjugator."""
     rng = random.Random(89)
     for field, n, width in [(F2, 3, 1), (F3, 2, 1), (F3, 3, 1), (F5, 1, 1),
-                            (F7, 2, 1), (F11, 2, 2)]:
+                            (F7, 2, 1), (F11, 2, 2), (F17, 1, 2)]:
         table = get_table(field, n)
         bound = n * n * (field.p - 1) ** 2
         assert table.slot_bytes == width
@@ -304,6 +383,23 @@ def test_columns_pack_every_conjugator():
             packed = table.columns[i * n + j][a * n + b].to_bytes(count * width, sys.byteorder)
             slot = int.from_bytes(packed[t * width:(t + 1) * width], sys.byteorder)
             assert slot == g.entries[i][a] * gi.entries[b][j] % field.p
+
+
+@pytest.mark.parametrize("call", [
+    accessible_closed_orbits,
+    is_cochar_closed,
+    preserved_flags,
+    invariant_subspaces,
+    lambda x: oracle.limit_tuple(x, Flag([Subspace.full(F2, 2)])),
+], ids=["accessible_closed_orbits", "is_cochar_closed", "preserved_flags",
+        "invariant_subspaces", "limit_tuple"])
+@pytest.mark.parametrize("arg", [None, 1.5, "x", [None], [1.5], (Matrix.identity(F2, 2), "x")],
+                         ids=repr)
+def test_tuple_entry_points_refuse_wrong_types(call, arg):
+    """A non-iterable argument, or an element that is not a Matrix, raises
+    InvalidInput, never an AttributeError or a TypeError."""
+    with pytest.raises(InvalidInput):
+        call(arg)
 
 
 def test_orbit_index_rejects_other_field_or_size():

@@ -24,6 +24,7 @@ from ssred.flags import (
     splits_adapted,
 )
 from ssred.oracle import (
+    accessible_closed_orbits,
     cocharacter_limits_match_flag_limits,
     generic_tuple,
     get_table,
@@ -726,10 +727,12 @@ _WRONG_TYPE_CALLS = {
     "flag_to_cocharacter": flag_to_cocharacter,
     "iso_class_multiset": iso_class_multiset,
     "oracle_gcr": oracle_gcr,
+    "accessible_closed_orbits": accessible_closed_orbits,
     "generic_tuple": generic_tuple,
     "clifford_seed": lambda x: clifford_joint_ss(TRANSVECTION_F2, TRANSVECTION_F2, seed=x),
     "certificate_verify": _SS_TRANSVECTION.certificate.verify,
     "obstruction_verify": is_semisimple(TRANSVECTION_F2).verify,
+    "witness_verify": IrreducibleWitness("dimension").verify,
 }
 
 
