@@ -75,10 +75,11 @@ class Field:
         if p in cls._instances:
             return cls._instances[p]
         if p is not None:
+            # the cap first: trial division up to sqrt(p) never ends on a large prime
+            if p >= _PRIME_CAP:
+                raise InvalidInput(f"a field order of {p.bit_length()} bits exceeds the 2^31 cap")
             if not _is_prime(p):
                 raise InvalidInput(f"field order {p!r} is not prime")
-            if p >= _PRIME_CAP:
-                raise InvalidInput(f"prime {p} exceeds the 2^31 cap")
         obj = super().__new__(cls)
         obj.p = p
         cls._instances[p] = obj

@@ -63,6 +63,32 @@ def _require_finite(field: Field) -> None:
         raise InvalidInput("the brute-force oracle only works over finite fields")
 
 
+def _require_group(field, n) -> None:
+    """Refuse a field that is not a finite Field or an n that is not an int."""
+    if not isinstance(field, Field) or type(n) is not int:
+        raise InvalidInput(f"GL_n needs a Field and an int n, got {field!r} and {n!r}")
+    _require_finite(field)
+
+
+def _cached_per_group(build):
+    """Cache build(field, n) per group, checking the arguments first, so a
+    wrong or unhashable one raises InvalidInput."""
+    cached = functools.cache(build)
+
+    @functools.wraps(build)
+    def get(field, n):
+        _require_group(field, n)
+        return cached(field, n)
+    return get
+
+
+def _require_rep(rep) -> None:
+    """Refuse a rep that is not a Representation over a finite field."""
+    if not isinstance(rep, Representation):
+        raise InvalidInput(f"expected a Representation, got {type(rep).__name__}")
+    _require_finite(rep.field)
+
+
 class GroupTable:
     """Exhaustive listing of GL_n(F_q), one scalar class at a time.
 
@@ -89,7 +115,7 @@ class GroupTable:
     __slots__ = ("field", "n", "count", "slot_bytes", "columns", "_vectors", "_conjugators")
 
     def __init__(self, field: Field, n: int):
-        _require_finite(field)
+        _require_group(field, n)
         if n < 1:
             raise DimensionMismatch(f"GL_{n} has no table: n must be at least 1")
         p = field.p
@@ -240,15 +266,14 @@ def _scalar_multiples(field: Field, reps) -> list:
                   key=lambda m: m.entries)
 
 
-@functools.cache
+@_cached_per_group
 def get_table(field: Field, n: int) -> GroupTable:
     return GroupTable(field, n)
 
 
-@functools.cache
+@_cached_per_group
 def all_subspaces(field: Field, n: int) -> tuple:
     """Every subspace of F_q^n, zero and full included, via RREF shapes."""
-    _require_finite(field)
     if field.p**n > SPACE_VECTORS_CAP:
         raise ResourceBoundExceeded(
             f"subspace lattice of F_{field.p}^{n} exceeds the cap {SPACE_VECTORS_CAP}")
@@ -293,12 +318,17 @@ class OrbitIndex:
     over the table's packed columns, unpacked slot by slot in
     `sys.byteorder` and reduced modulo p: in a one-byte table by one
     `bytes.translate` for all slots, otherwise one `mod` per slot.
-    Matrices of another field or size raise DimensionMismatch.
+    An argument that is not an iterable of matrices raises InvalidInput,
+    matrices of another field or size DimensionMismatch.
     """
 
     __slots__ = ("table", "_cache", "_max_entries", "_limits")
 
     def __init__(self, table: GroupTable, max_entries: int | None = None):
+        if not isinstance(table, GroupTable):
+            raise InvalidInput(f"expected a GroupTable, got {type(table).__name__}")
+        if max_entries is not None and type(max_entries) is not int:
+            raise InvalidInput(f"max_entries {max_entries!r} is not an int")
         self.table = table
         self._cache = {}
         self._max_entries = _cache_entry_limit() if max_entries is None else max_entries
@@ -308,17 +338,24 @@ class OrbitIndex:
     def encode(mats) -> tuple:
         return tuple(x for m in mats for row in m.entries for x in row)
 
-    def _check(self, mats) -> None:
+    def _check(self, mats) -> tuple:
+        """The matrices as a tuple, each of the index's field and size."""
+        try:
+            mats = tuple(mats)
+        except TypeError:
+            raise InvalidInput(f"expected matrices, got {type(mats).__name__}") from None
         field, n = self.table.field, self.table.n
         for m in mats:
+            if not isinstance(m, Matrix):
+                raise InvalidInput(f"expected a Matrix, got {type(m).__name__}")
             if m.field is not field or m.nrows != n or m.ncols != n:
                 raise DimensionMismatch(
                     f"{m.nrows}x{m.ncols} matrix over {m.field!r} given to the "
                     f"orbit index of GL_{n}({field!r})")
+        return mats
 
     def orbit_members(self, mats) -> frozenset:
-        mats = tuple(mats)
-        self._check(mats)
+        mats = self._check(mats)
         table = self.table
         p = table.field.p
         size = table.count * table.slot_bytes
@@ -335,8 +372,7 @@ class OrbitIndex:
         return frozenset(zip(*parts)) if parts else frozenset({()})
 
     def orbit_id(self, mats) -> tuple:
-        mats = tuple(mats)
-        self._check(mats)
+        mats = self._check(mats)
         key = self.encode(mats)
         hit = self._cache.get(key)
         if hit is not None:
@@ -350,7 +386,7 @@ class OrbitIndex:
         return oid
 
 
-@functools.cache
+@_cached_per_group
 def get_index(field: Field, n: int) -> OrbitIndex:
     return OrbitIndex(get_table(field, n))
 
@@ -373,9 +409,7 @@ def _as_tuple(x) -> tuple:
 def generic_tuple(rep: Representation) -> tuple:
     """Generators followed by their inverses: the tuple fed to the oracle.
     A rep that is not a Representation raises InvalidInput."""
-    if not isinstance(rep, Representation):
-        raise InvalidInput(f"expected a Representation, got {type(rep).__name__}")
-    _require_finite(rep.field)
+    _require_rep(rep)
     return rep.generators + rep.inverses
 
 
@@ -394,12 +428,21 @@ def limit_tuple(x, flag: Flag) -> tuple:
     return c_lambda(_as_tuple(x), lam)
 
 
+def _index_for(mats: tuple, index) -> OrbitIndex:
+    """The given index, or for None the shared one of the tuple's group;
+    anything else raises InvalidInput."""
+    if index is None:
+        return get_index(mats[0].field, mats[0].nrows)
+    if not isinstance(index, OrbitIndex):
+        raise InvalidInput(f"expected an OrbitIndex, got {type(index).__name__}")
+    return index
+
+
 def _flag_limit_ids(mats: tuple, index: OrbitIndex | None) -> tuple:
     """The tuple's orbit id and the ids of its flag limits, walked once per
     orbit and memoized on the index (by default the shared one), as
     conjugating the tuple moves its flags and their limits along."""
-    if index is None:
-        index = get_index(mats[0].field, mats[0].nrows)
+    index = _index_for(mats, index)
     home = index.orbit_id(mats)
     ids = index._limits.get(home)
     if ids is None:
@@ -434,16 +477,24 @@ def accessible_closed_orbits(x, index: OrbitIndex | None = None) -> frozenset:
     """Orbit ids of closed orbits reachable by one flag degeneration.
 
     The theory predicts this set is always a singleton: the orbit of the
-    semisimplification.  It is read off the memoized flag limit ids; each
-    limit orbit's closedness is decided on the tuple its id encodes.
+    semisimplification.  It is read off the memoized flag limit ids.  A
+    limit id is the smallest member encoding, so it keys its own orbit's
+    memo entry, and the orbit is closed exactly when that entry is {id};
+    only an orbit with no entry yet is decided on the tuple its id encodes.
     """
     mats = _as_tuple(x)
+    index = _index_for(mats, index)
     field, n = mats[0].field, mats[0].nrows
-    return frozenset(
-        oid for oid in _flag_limit_ids(mats, index)[1]
-        if is_cochar_closed([Matrix(field, [oid[r:r + n] for r in range(i, i + n * n, n)],
-                                    ncols=n, validate=False)
-                             for i in range(0, len(oid), n * n)], index))
+
+    def closed(oid):
+        ids = index._limits.get(oid)
+        if ids is not None:
+            return ids == {oid}
+        return is_cochar_closed([Matrix(field, [oid[r:r + n] for r in range(i, i + n * n, n)],
+                                        ncols=n, validate=False)
+                                 for i in range(0, len(oid), n * n)], index)
+
+    return frozenset(filter(closed, _flag_limit_ids(mats, index)[1]))
 
 
 def invariant_subspaces(x) -> list:
@@ -484,8 +535,9 @@ def subgroup_closure(field: Field, mats) -> frozenset:
 
 
 def normalizer_elements(rep: Representation) -> list:
-    """All g in GL_n(F_q) with g H g^-1 = H, by exhaustion."""
-    _require_finite(rep.field)
+    """All g in GL_n(F_q) with g H g^-1 = H, by exhaustion.  A rep that is
+    not a Representation raises InvalidInput."""
+    _require_rep(rep)
     table = get_table(rep.field, rep.n)
     h_set = subgroup_closure(rep.field, rep.generators)
     # scalars are central, so the normalizer is a union of scalar classes
@@ -500,10 +552,11 @@ def cocharacter_limits_match_flag_limits(rep: Representation,
     Enumerates all cocharacters with adapted basis in GL_n(F_q) and
     weights bounded by `height`, takes the limits that exist, and compares
     the resulting orbit id set with the one produced by flag degenerations
-    alone.  Only sensible for very small fields and dimensions.  A height
-    that is not an int raises InvalidInput.
+    alone.  Only sensible for very small fields and dimensions.  A rep
+    that is not a Representation or a height that is not an int raises
+    InvalidInput.
     """
-    _require_finite(rep.field)
+    _require_rep(rep)
     if type(height) is not int:
         raise InvalidInput(f"height {height!r} is not an int")
     if height < 1:

@@ -81,11 +81,17 @@ def _field_payload(field: Field) -> dict:
 
 
 def parse_rep(text: str) -> Representation:
-    """Parse a representation file body into a validated Representation."""
+    """Parse a representation file body into a validated Representation.
+    A text that is not a str, JSON nested too deeply to read or an integer
+    past Python's digit limit raises InvalidInput."""
+    if not isinstance(text, str):
+        raise InvalidInput(f"expected the file body as a str, got {type(text).__name__}")
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
         raise InvalidInput(f"not valid JSON: {exc}")
+    except RecursionError:
+        raise InvalidInput("JSON nested too deeply to read") from None
     if not isinstance(obj, dict):
         raise InvalidInput("top level must be a JSON object")
     for key in ("n", "field", "generators"):

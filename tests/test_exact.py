@@ -52,6 +52,10 @@ def test_field_interning_and_validation():
         Field.prime(4)
     with pytest.raises(InvalidInput):
         Field.prime(2**31 + 11)
+    with pytest.raises(InvalidInput):
+        Field.prime(2**127 - 1)  # prime, and refused before any trial division
+    with pytest.raises(InvalidInput):
+        Field.prime(10**5000)  # past the digits an int may print
 
 
 @pytest.mark.parametrize("bad", [7.0, Fraction(7), "7", True], ids=repr)

@@ -243,30 +243,48 @@ def test_preserved_flags_are_every_flag_filtered(random_corpus_gl3_f2):
 
 def test_oracle_gcr_then_accessible_orbits_walk_each_orbit_once(monkeypatch):
     """After oracle_gcr, accessible_closed_orbits on the same tuple reads
-    the memoized flag limits: no orbit's flags are walked twice."""
+    the memoized flag limits: no orbit's flags are walked twice, and only a
+    limit orbit with no memo entry is decided through is_cochar_closed, so
+    asking again decides nothing."""
     rng = random.Random(2114)
     reps = [Representation([g]) for g in get_table(F3, 2).elements]
     reps += [Representation([_triangularizable(rng, F2, 3)]) for _ in range(12)]
     walked = []
+    decided = []
     real_flags = oracle.preserved_flags
+    real_closed = oracle.is_cochar_closed
     index = None
 
     def recording_flags(x):
         walked.append(index.orbit_id(x))
         return real_flags(x)
 
+    def recording_closed(x, idx=None):
+        decided.append(idx.orbit_id(x))
+        return real_closed(x, idx)
+
     monkeypatch.setattr(oracle, "preserved_flags", recording_flags)
+    monkeypatch.setattr(oracle, "is_cochar_closed", recording_closed)
     verdicts = set()
     for r in reps:
         index = OrbitIndex(get_table(r.field, r.n))
-        home = index.orbit_id(generic_tuple(r))
+        mats = generic_tuple(r)
+        home = index.orbit_id(mats)
         walked.clear()
         verdicts.add(oracle.oracle_gcr(r, index))
         assert walked[0] == home
-        orbits = oracle.accessible_closed_orbits(generic_tuple(r), index)
+        # the fresh index memoizes the home orbit alone
+        unknown = {index.orbit_id(oracle.limit_tuple(mats, f)) for f in real_flags(mats)}
+        unknown.discard(home)
+        decided.clear()
+        orbits = oracle.accessible_closed_orbits(mats, index)
+        assert sorted(decided) == sorted(unknown)
         assert walked.count(home) == 1
         assert len(walked) == len(set(walked))
         assert len(orbits) == 1
+        decided.clear()
+        assert oracle.accessible_closed_orbits(mats, index) == orbits
+        assert decided == []
     assert verdicts == {True, False}
 
 
@@ -391,18 +409,30 @@ def test_columns_pack_every_conjugator():
     preserved_flags,
     invariant_subspaces,
     lambda x: oracle.limit_tuple(x, Flag([Subspace.full(F2, 2)])),
+    lambda x: get_index(F2, 2).orbit_id(x),
+    lambda x: get_index(F2, 2).orbit_members(x),
+    OrbitIndex,
+    lambda x: get_table(F2, x),
+    normalizer_elements,
+    cocharacter_limits_match_flag_limits,
 ], ids=["accessible_closed_orbits", "is_cochar_closed", "preserved_flags",
-        "invariant_subspaces", "limit_tuple"])
+        "invariant_subspaces", "limit_tuple", "orbit_id", "orbit_members", "OrbitIndex",
+        "get_table", "normalizer_elements", "cocharacter_limits_match_flag_limits"])
 @pytest.mark.parametrize("arg", [None, 1.5, "x", [None], [1.5], (Matrix.identity(F2, 2), "x")],
                          ids=repr)
 def test_tuple_entry_points_refuse_wrong_types(call, arg):
-    """A non-iterable argument, or an element that is not a Matrix, raises
-    InvalidInput, never an AttributeError or a TypeError."""
+    """A non-iterable argument, an element that is not a Matrix, a table
+    that is not a GroupTable, an n that is not an int or a rep that is not
+    a Representation raises InvalidInput, never an AttributeError or a
+    TypeError."""
     with pytest.raises(InvalidInput):
         call(arg)
 
 
 def test_orbit_index_rejects_other_field_or_size():
+    """Matrices of another field or size raise DimensionMismatch, given to
+    the index or decided on it; a max_entries that is not an int, or an
+    index argument that is not an OrbitIndex, raises InvalidInput."""
     wrong = [(mat(F3, [[1, 0, 0], [0, 2, 0], [0, 0, 1]]),),
              (mat(F2, [[1, 1], [0, 1]]),),
              (Matrix.identity(F2, 3), mat(F2, [[0, 1], [1, 0]]))]
@@ -411,6 +441,19 @@ def test_orbit_index_rejects_other_field_or_size():
             OrbitIndex(get_table(F2, 3)).orbit_members(mats)
         with pytest.raises(DimensionMismatch):
             OrbitIndex(get_table(F2, 3)).orbit_id(mats)
+        for call in (is_cochar_closed, accessible_closed_orbits):
+            with pytest.raises(DimensionMismatch):
+                call(mats, OrbitIndex(get_table(F2, 3)))
+    for max_entries in ["1", 1.0]:
+        with pytest.raises(InvalidInput):
+            OrbitIndex(get_table(F2, 3), max_entries)
+    mats = (mat(F2, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),)
+    for index in ["x", 3, get_table(F2, 3), get_index]:
+        with pytest.raises(InvalidInput):
+            oracle_gcr(Representation(list(mats)), index)
+        for call in (is_cochar_closed, accessible_closed_orbits):
+            with pytest.raises(InvalidInput):
+                call(mats, index)
 
 
 def test_memoized_verdicts_do_not_depend_on_call_order(random_corpus_gl3_f2, monkeypatch):

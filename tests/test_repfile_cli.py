@@ -114,6 +114,14 @@ def test_parse_rejections():
         rep_text(1, {"kind": "prime", "p": 5}, [[[True]]]),
         json.dumps({"n": True, "field": {"kind": "prime", "p": 5}, "generators": [[["1"]]]}),
         json.dumps({"n": 1, "field": {"kind": "prime", "p": 5.0}, "generators": [[["1"]]]}),
+        # a prime past the 2^31 cap, an int past Python's 4300-digit limit,
+        # nesting past what json.loads can recurse into, and bodies that
+        # are not text
+        json.dumps({"n": 1, "field": {"kind": "prime", "p": 2**127 - 1}, "generators": [[["1"]]]}),
+        '{"n": 1, "field": {"kind": "prime", "p": ' + "1" * 5000 + '}, "generators": [[["1"]]]}',
+        "[" * 100000,
+        5,
+        None,
     ]
     for text in bad:
         with pytest.raises(InvalidInput):
@@ -280,6 +288,13 @@ def test_cli_invalid_file(tmp_path, capsys):
     code = main(["check", "--input", str(tmp_path / "absent.json")])
     capsys.readouterr()
     assert code == 2
+
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000, encoding="utf-8")
+    code = main(["check", "--input", str(deep)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InvalidInput"
 
 
 def test_console_entry_point(tmp_path):
