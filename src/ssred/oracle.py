@@ -23,9 +23,14 @@ fixed-width slot per conjugator.  An entry of every conjugate at once is
 then one integer multiply-add over the entries of m, read back slot by
 slot modulo p, without building matrices.
 
+The members come out as packed keys, one bytes string per member with its
+entries as big-endian words, read with one stride slice each from the
+joined per-entry residue strings; no tuple is built per member.
+
 All enumerations are capped; exceeding a cap raises ResourceBoundExceeded,
 or SearchSpaceExceeded for the flag enumeration, rather than grinding on.
-The orbit cache honours the SSRED_MAX_MEMORY_MB environment variable.
+The orbit cache honours the SSRED_MAX_MEMORY_MB environment variable,
+counting _BYTES_PER_CACHE_ENTRY bytes per cached member key.
 """
 
 import functools
@@ -51,6 +56,21 @@ from .reps import Representation
 _BYTES_PER_CACHE_ENTRY = 200
 # slot width in bytes -> the array/memoryview format of one unsigned slot
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _key_width(p: int) -> int:
+    """The narrowest of 1, 2 and 4 bytes that holds p - 1."""
+    return next(w for w in (1, 2, 4) if p <= 256**w)
+
+
+def _big_endian(width: int, data) -> array:
+    """Unsigned words of `width` bytes, swapped on a little-endian host:
+    built from ints, their bytes are big-endian; built from big-endian
+    bytes, the words are the ints."""
+    words = array(_SLOT_FORMATS[width], data)
+    if sys.byteorder == "little":
+        words.byteswap()
+    return words
 
 
 def group_order(q: int, n: int) -> int:
@@ -307,22 +327,27 @@ def _cache_entry_limit() -> int:
 class OrbitIndex:
     """Orbits of generator tuples under simultaneous conjugation.
 
-    An orbit id is the minimum of the flat integer encodings of the
-    orbit's members, so ids are stable across runs and processes.  Every
-    member encoding seen is cached; the cache size is bounded by the
-    SSRED_MAX_MEMORY_MB budget.  The orbit ids of the flag limits of each
-    decided orbit are memoized by orbit id on this index, one entry per
-    cached orbit, so the same budget bounds them.
+    A member key (`encode`) is the bytes of a tuple's entries as unsigned
+    big-endian words of the narrowest of 1, 2 and 4 bytes that holds p - 1,
+    so keys sort as the entry tuples do; a table with n >= 2 has p <= 37
+    under GROUP_ELEMENTS_CAP, so one byte.  An orbit id is the entry tuple
+    of the orbit's smallest member key, so ids are stable across runs and
+    processes.  Every member key seen is cached; the cache size is bounded
+    by the SSRED_MAX_MEMORY_MB budget.  The orbit ids of the flag limits of
+    each decided orbit are memoized by orbit id on this index, one entry
+    per cached orbit, so the same budget bounds them.
     Members are found for every scalar class at once: entry r of the
     conjugates of a matrix with flat entries v is sum_s v[s] * columns[r][s]
     over the table's packed columns, unpacked slot by slot in
     `sys.byteorder` and reduced modulo p: in a one-byte table by one
-    `bytes.translate` for all slots, otherwise one `mod` per slot.
+    `bytes.translate` for all slots, otherwise one `mod` per slot.  That
+    gives one residue string per entry and key byte, and conjugator t's
+    key is byte t of each, one slice of stride `count` of their join.
     An argument that is not an iterable of matrices raises InvalidInput,
     matrices of another field or size DimensionMismatch.
     """
 
-    __slots__ = ("table", "_cache", "_max_entries", "_limits")
+    __slots__ = ("table", "_width", "_cache", "_max_entries", "_limits")
 
     def __init__(self, table: GroupTable, max_entries: int | None = None):
         if not isinstance(table, GroupTable):
@@ -330,21 +355,27 @@ class OrbitIndex:
         if max_entries is not None and type(max_entries) is not int:
             raise InvalidInput(f"max_entries {max_entries!r} is not an int")
         self.table = table
+        self._width = _key_width(table.field.p)
         self._cache = {}
         self._max_entries = _cache_entry_limit() if max_entries is None else max_entries
         self._limits = {}
 
     @staticmethod
-    def encode(mats) -> tuple:
-        return tuple(x for m in mats for row in m.entries for x in row)
+    def encode(mats) -> bytes:
+        """The member key of matrices over one prime field."""
+        mats = tuple(mats)
+        flat = [x for m in mats for row in m.entries for x in row]
+        return _big_endian(_key_width(mats[0].field.p), flat).tobytes() if mats else b""
 
-    def _check(self, mats) -> tuple:
-        """The matrices as a tuple, each of the index's field and size."""
+    def _key(self, mats) -> tuple:
+        """The matrices as a tuple, each of the index's field and size, and
+        their member key, built in the same pass."""
         try:
             mats = tuple(mats)
         except TypeError:
             raise InvalidInput(f"expected matrices, got {type(mats).__name__}") from None
         field, n = self.table.field, self.table.n
+        flat = []
         for m in mats:
             if not isinstance(m, Matrix):
                 raise InvalidInput(f"expected a Matrix, got {type(m).__name__}")
@@ -352,33 +383,37 @@ class OrbitIndex:
                 raise DimensionMismatch(
                     f"{m.nrows}x{m.ncols} matrix over {m.field!r} given to the "
                     f"orbit index of GL_{n}({field!r})")
-        return mats
+            for row in m.entries:
+                flat += row
+        width = self._width
+        return mats, bytes(flat) if width == 1 else _big_endian(width, flat).tobytes()
 
     def orbit_members(self, mats) -> frozenset:
-        mats = self._check(mats)
-        table = self.table
-        p = table.field.p
-        size = table.count * table.slot_bytes
+        mats = self._key(mats)[0]
+        table, width = self.table, self._width
+        p, count = table.field.p, table.count
+        size = count * table.slot_bytes
         fmt = _SLOT_FORMATS[table.slot_bytes]
         reduce = _byte_tables(p)["reduce"] if table.slot_bytes == 1 else None
         parts = []
-        for v in (self.encode((m,)) for m in mats):
+        for v in ([x for row in m.entries for x in row] for m in mats):
             for entry_columns in table.columns:
                 packed = sum(x * c for x, c in zip(v, entry_columns) if x)
                 raw = packed.to_bytes(size, sys.byteorder)
-                parts.append(raw.translate(reduce) if reduce else
-                             map(mod, memoryview(raw).cast(fmt), itertools.repeat(p)))
-        # the empty tuple is its own one-member orbit
-        return frozenset(zip(*parts)) if parts else frozenset({()})
+                words = raw.translate(reduce) if reduce else _big_endian(
+                    width, map(mod, memoryview(raw).cast(fmt), itertools.repeat(p))).tobytes()
+                parts += (words[b::width] for b in range(width))
+        # the empty tuple's only key is b""
+        joined = b"".join(parts)
+        return frozenset(joined[t::count] for t in range(count))
 
     def orbit_id(self, mats) -> tuple:
-        mats = self._check(mats)
-        key = self.encode(mats)
+        mats, key = self._key(mats)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         members = self.orbit_members(mats)
-        oid = min(members)
+        oid = tuple(_big_endian(self._width, min(members)))
         if len(self._cache) + len(members) > self._max_entries:
             raise ResourceBoundExceeded(
                 "orbit cache would exceed the SSRED_MAX_MEMORY_MB budget")
@@ -478,9 +513,9 @@ def accessible_closed_orbits(x, index: OrbitIndex | None = None) -> frozenset:
 
     The theory predicts this set is always a singleton: the orbit of the
     semisimplification.  It is read off the memoized flag limit ids.  A
-    limit id is the smallest member encoding, so it keys its own orbit's
-    memo entry, and the orbit is closed exactly when that entry is {id};
-    only an orbit with no entry yet is decided on the tuple its id encodes.
+    limit id is the entries of the smallest member key, so it keys its own
+    orbit's memo entry, and the orbit is closed exactly when that entry is
+    {id}; only an orbit with no entry yet is decided on the tuple of its id.
     """
     mats = _as_tuple(x)
     index = _index_for(mats, index)

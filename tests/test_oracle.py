@@ -2,6 +2,7 @@ import functools
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -401,6 +402,61 @@ def test_columns_pack_every_conjugator():
             packed = table.columns[i * n + j][a * n + b].to_bytes(count * width, sys.byteorder)
             slot = int.from_bytes(packed[t * width:(t + 1) * width], sys.byteorder)
             assert slot == g.entries[i][a] * gi.entries[b][j] % field.p
+
+
+def test_wide_member_keys():
+    """Over GL1(F257) and GL1(F65521) entries reach 256 and more, so member
+    keys take two-byte words, and over GL1(F65537) four-byte ones: the
+    members are the keys of the conjugates, the orbit id decodes to the
+    entry tuple, oracle_gcr agrees with is_gcr_over_k where the subspace
+    lattice is within its cap, and keys sort like the entry tuples."""
+    rng = random.Random(101)
+    for p, width in [(257, 2), (65521, 2), (65537, 4)]:
+        field = Field.prime(p)
+        mats = (mat(field, [[p - 1]]), mat(field, [[256]]), mat(field, [[rng.randrange(1, p)]]))
+        index = OrbitIndex(get_table(field, 1))
+        # every element of GL1(F257); 300 of the larger groups, to keep it quick
+        scalars = range(1, p) if p < 2**14 else rng.sample(range(1, p), 300)
+        every = frozenset(OrbitIndex.encode(mat(field, [[c]]) * m * mat(field, [[pow(c, -1, p)]])
+                                            for m in mats) for c in scalars)
+        assert index.orbit_members(mats) == every
+        assert len(OrbitIndex.encode(mats)) == 3 * width
+        assert index.orbit_id(mats) == (p - 1, 256, mats[2].entries[0][0])
+        r = Representation(list(mats))
+        assert is_gcr_over_k(r).semisimple
+        if p < 2**14:
+            assert oracle_gcr(r, index)
+        else:  # F_p^1 has more vectors than SPACE_VECTORS_CAP, so no subspace lattice
+            with pytest.raises(ResourceBoundExceeded):
+                oracle_gcr(r, index)
+        tuples = [tuple(rng.choice([0, 1, 255, 256, p - 1, rng.randrange(p)]) for _ in range(3))
+                  for _ in range(200)]
+        keys = {t: OrbitIndex.encode(mat(field, [[x]]) for x in t) for t in tuples}
+        assert sorted(tuples) == sorted(tuples, key=keys.get)
+
+
+def test_cache_entries_fit_the_memory_estimate():
+    """One orbit put into a fresh index grows traced memory by at most
+    _BYTES_PER_CACHE_ENTRY per cached member, the figure the
+    SSRED_MAX_MEMORY_MB budget counts with: for the GL3(F3) pair of the
+    oracle-small benchmark and for a generic pair in GL4(F2)."""
+    rng = random.Random(103)
+    companion = mat(F3, [[0, 0, 1], [1, 0, 1], [0, 1, 0]])
+    transvection = mat(F3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    cases = [(F3, 3, generic_tuple(Representation([companion, transvection]))),
+             (F2, 4, generic_tuple(Representation(
+                 [_random_invertible(rng, F2, 4), _random_invertible(rng, F2, 4)])))]
+    for field, n, mats in cases:
+        index = OrbitIndex(get_table(field, n))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index.orbit_id(mats)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(index._cache) > 1000
+        assert grown / len(index._cache) <= oracle._BYTES_PER_CACHE_ENTRY
 
 
 @pytest.mark.parametrize("call", [
