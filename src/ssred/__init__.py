@@ -7,7 +7,6 @@ from .errors import (
     InternalInvariantViolation,
     InvalidInput,
     LimitDoesNotExist,
-    NotBlockDiagonal,
     NotNormal,
     PreconditionNotDestabilizable,
     ResourceBoundExceeded,
@@ -21,13 +20,11 @@ from .oracle import accessible_closed_orbits, generic_tuple, oracle_gcr
 from .pipeline import (
     CliffordResult,
     ConjugacyCertificate,
-    LeviDescentReport,
     OptimalFlagReport,
     SsResult,
     clifford_joint_ss,
     conjugacy_certificate,
     is_gcr_over_k,
-    levi_descent,
     optimal_flag,
     semisimplify,
 )
@@ -38,7 +35,6 @@ from .reps import (
     SemisimpleCertificate,
     composition_series,
     is_semisimple,
-    iso_class_multiset,
     module_iso,
 )
 
@@ -56,10 +52,8 @@ __all__ = [
     "GeneratorCountMismatch",
     "InternalInvariantViolation",
     "InvalidInput",
-    "LeviDescentReport",
     "LimitDoesNotExist",
     "Matrix",
-    "NotBlockDiagonal",
     "NotNormal",
     "OptimalFlagReport",
     "PreconditionNotDestabilizable",
@@ -80,8 +74,6 @@ __all__ = [
     "generic_tuple",
     "is_gcr_over_k",
     "is_semisimple",
-    "iso_class_multiset",
-    "levi_descent",
     "load_rep",
     "module_iso",
     "optimal_flag",

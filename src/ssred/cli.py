@@ -20,7 +20,6 @@ from .errors import (
     InternalInvariantViolation,
     InvalidInput,
     LimitDoesNotExist,
-    NotBlockDiagonal,
     NotNormal,
     PreconditionNotDestabilizable,
     ResourceBoundExceeded,
@@ -52,7 +51,6 @@ _INPUT_ERRORS = (
     DimensionMismatch,
     GeneratorCountMismatch,
     LimitDoesNotExist,
-    NotBlockDiagonal,
     NotNormal,
     AlgebraNotStable,
     PreconditionNotDestabilizable,

@@ -7,7 +7,9 @@ README "Bounds" lists which error each cap raises where.
 
 # elements of a group table GL_n(F_q) or of a subgroup closure
 GROUP_ELEMENTS_CAP = 2**21
-# q^n bound for enumerating the vectors, lines or subspaces of F_q^n
+# q^n bound for enumerating the vectors or lines of F_q^n, and the bound
+# on the number of subspaces in the oracle's subspace lattice of F_q^n,
+# counted before any is built
 SPACE_VECTORS_CAP = 2**14
 # invariant subspaces in the optimal-flag search, and flags listed by
 # flags.chain_flags there and in the oracle
@@ -36,10 +38,6 @@ class GeneratorCountMismatch(SsredError):
 
 class LimitDoesNotExist(SsredError):
     """The cocharacter limit of a matrix outside the flag stabilizer."""
-
-
-class NotBlockDiagonal(SsredError):
-    """Generators are not block diagonal for the stated block sizes."""
 
 
 class NotNormal(SsredError):

@@ -46,11 +46,10 @@ from .errors import (
     SPACE_VECTORS_CAP,
     DimensionMismatch,
     InvalidInput,
-    LimitDoesNotExist,
     ResourceBoundExceeded,
 )
 from .exact import Field, Matrix, Subspace, all_vectors, projective_vectors
-from .flags import Cocharacter, Flag, c_lambda, chain_flags, flag_to_cocharacter
+from .flags import Flag, c_lambda, chain_flags, flag_to_cocharacter
 from .reps import Representation
 
 _BYTES_PER_CACHE_ENTRY = 200
@@ -291,13 +290,28 @@ def get_table(field: Field, n: int) -> GroupTable:
     return GroupTable(field, n)
 
 
+def _require_listable_lattice(q: int, n: int) -> None:
+    """Raise ResourceBoundExceeded once F_q^n has more than SPACE_VECTORS_CAP
+    subspaces, adding up the Gaussian binomials [n, d]_q one d at a time,
+    so a large n is refused at its first terms."""
+    total = term = 1
+    for d in range(1, n + 1):
+        # [n, d]_q = [n, d - 1]_q (q^(n-d+1) - 1) / (q^d - 1)
+        term = term * (q**(n - d + 1) - 1) // (q**d - 1)
+        total += term
+        if total > SPACE_VECTORS_CAP:
+            raise ResourceBoundExceeded(
+                f"subspace lattice of F_{q}^{n} has more than {SPACE_VECTORS_CAP} members")
+
+
 @_cached_per_group
 def all_subspaces(field: Field, n: int) -> tuple:
-    """Every subspace of F_q^n, zero and full included, via RREF shapes."""
-    if field.p**n > SPACE_VECTORS_CAP:
-        raise ResourceBoundExceeded(
-            f"subspace lattice of F_{field.p}^{n} exceeds the cap {SPACE_VECTORS_CAP}")
-    scalars = list(range(field.p))
+    """Every subspace of F_q^n, zero and full included, via RREF shapes.
+    They are counted first, and more than SPACE_VECTORS_CAP of them raise
+    ResourceBoundExceeded before any is built."""
+    _require_listable_lattice(field.p, n)
+    # F_q^1 has no free entries, and any q is allowed there
+    scalars = tuple(range(field.p)) if n > 1 else ()
     out = [Subspace.zero(field, n)]
     for d in range(1, n + 1):
         for pivots in itertools.combinations(range(n), d):
@@ -359,13 +373,6 @@ class OrbitIndex:
         self._cache = {}
         self._max_entries = _cache_entry_limit() if max_entries is None else max_entries
         self._limits = {}
-
-    @staticmethod
-    def encode(mats) -> bytes:
-        """The member key of matrices over one prime field."""
-        mats = tuple(mats)
-        flat = [x for m in mats for row in m.entries for x in row]
-        return _big_endian(_key_width(mats[0].field.p), flat).tobytes() if mats else b""
 
     def _key(self, mats) -> tuple:
         """The matrices as a tuple, each of the index's field and size, and
@@ -539,11 +546,6 @@ def invariant_subspaces(x) -> list:
     return [s for s in all_subspaces(mats[0].field, mats[0].nrows) if s.is_invariant_under(mats)]
 
 
-def oracle_irreducible(rep: Representation) -> bool:
-    """Irreducibility by exhausting the subspace lattice."""
-    return all(s.dim in (0, rep.n) for s in invariant_subspaces(rep))
-
-
 def subgroup_closure(field: Field, mats) -> frozenset:
     """The subgroup generated by invertible matrices, as a frozen set.
 
@@ -567,45 +569,3 @@ def subgroup_closure(field: Field, mats) -> frozenset:
                             f"subgroup closure exceeds the cap {GROUP_ELEMENTS_CAP}")
         frontier = nxt
     return frozenset(seen)
-
-
-def normalizer_elements(rep: Representation) -> list:
-    """All g in GL_n(F_q) with g H g^-1 = H, by exhaustion.  A rep that is
-    not a Representation raises InvalidInput."""
-    _require_rep(rep)
-    table = get_table(rep.field, rep.n)
-    h_set = subgroup_closure(rep.field, rep.generators)
-    # scalars are central, so the normalizer is a union of scalar classes
-    return _scalar_multiples(rep.field, [
-        g for g, gi in table.conjugators if all(g * h * gi in h_set for h in rep.generators)])
-
-
-def cocharacter_limits_match_flag_limits(rep: Representation,
-                                         height: int = 3) -> bool:
-    """Runtime check that flags see every cocharacter limit.
-
-    Enumerates all cocharacters with adapted basis in GL_n(F_q) and
-    weights bounded by `height`, takes the limits that exist, and compares
-    the resulting orbit id set with the one produced by flag degenerations
-    alone.  Only sensible for very small fields and dimensions.  A rep
-    that is not a Representation or a height that is not an int raises
-    InvalidInput.
-    """
-    _require_rep(rep)
-    if type(height) is not int:
-        raise InvalidInput(f"height {height!r} is not an int")
-    if height < 1:
-        raise InvalidInput("height must be at least 1")
-    index = get_index(rep.field, rep.n)
-    flag_side = _flag_limit_ids(rep.generators, index)[1]
-    cochar_side = set()
-    # every non-increasing weight vector with entries in [-height, height]
-    for weights in itertools.combinations_with_replacement(range(height, -height - 1, -1), rep.n):
-        # c g and g give the same cocharacter
-        for g, gi in index.table.conjugators:
-            try:
-                limit = c_lambda(rep.generators, Cocharacter(g, weights, inverse=gi))
-            except LimitDoesNotExist:
-                continue
-            cochar_side.add(index.orbit_id(limit))
-    return cochar_side == flag_side

@@ -5,10 +5,9 @@ takes the limit of the generators under conjugation by lambda(a) as
 a -> 0; the result generates a completely reducible group, certified by
 the series itself (the limit's blocks are the composition factors), and
 any two such limits are conjugate over the ground field (witnessed by an
-explicit matrix).  The module also covers Levi descent for
-block-diagonal inputs, joint semisimplification of a normal subgroup
-along the ambient group's flag, and a search for the optimal
-destabilizing flag under an exact Kempf-style length measure.
+explicit matrix).  The module also covers joint semisimplification of
+a normal subgroup along the ambient group's flag, and a search for the
+optimal destabilizing flag under an exact Kempf-style length measure.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .errors import (
     InternalInvariantViolation,
     InvalidInput,
     LimitDoesNotExist,
-    NotBlockDiagonal,
     NotNormal,
     PreconditionNotDestabilizable,
     SearchSpaceExceeded,
@@ -230,43 +228,6 @@ def conjugacy_certificate(a: SsResult, b: SsResult) -> ConjugacyCertificate:
         blocks.append(x)
     p, q = (Matrix(field, cols, ncols=n, validate=False).transpose() for cols in (src, dst))
     return ConjugacyCertificate(q * block_diagonal(field, blocks) * p.inverse(), a, b)
-
-
-class LeviDescentReport:
-    """Complete reducibility of a block-diagonal group, globally and
-    blockwise; the two answers agree by Levi descent/ascent."""
-
-    __slots__ = ("full_gcr", "block_gcr", "agrees", "full_certificate",
-                 "block_certificates")
-
-    def __init__(self, full_certificate, block_certificates):
-        self.full_certificate = full_certificate
-        self.block_certificates = tuple(block_certificates)
-        self.full_gcr = full_certificate.semisimple
-        self.block_gcr = tuple(c.semisimple for c in self.block_certificates)
-        self.agrees = self.full_gcr == all(self.block_gcr)
-
-    def __repr__(self):
-        return f"LeviDescentReport(full={self.full_gcr}, blocks={self.block_gcr})"
-
-
-def levi_descent(rep: Representation, block_sizes) -> LeviDescentReport:
-    """Compare G-complete reducibility with blockwise complete
-    reducibility for generators in block-diagonal shape."""
-    require_representations(rep)
-    block_sizes = tuple(block_sizes)
-    if any(type(b) is not int for b in block_sizes):
-        raise InvalidInput(f"block sizes {block_sizes!r} are not all ints")
-    if any(b < 1 for b in block_sizes) or sum(block_sizes) != rep.n:
-        raise InvalidInput("block sizes must be positive and sum to n")
-    cut = []
-    for i, g in enumerate(rep.generators):
-        blocks = diagonal_blocks(g, block_sizes)
-        if block_diagonal(rep.field, blocks) != g:
-            raise NotBlockDiagonal(f"generator {i} has an entry outside the diagonal blocks")
-        cut.append(blocks)
-    return LeviDescentReport(is_semisimple(rep),
-                             [is_semisimple(Representation(gens)) for gens in zip(*cut)])
 
 
 class CliffordResult:

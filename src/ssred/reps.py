@@ -699,44 +699,3 @@ def module_iso(a: Representation, b: Representation) -> Matrix | None:
     if g is not None and g.det() == 0:
         raise InvalidInput("a singular module map out of the first module: it is reducible")
     return g
-
-
-class IsoClassMultiset:
-    """Composition factors grouped by isomorphism, with multiplicities."""
-
-    __slots__ = ("classes",)
-
-    def __init__(self, classes):
-        self.classes = tuple((rep, mult) for rep, mult in classes)
-
-    def matches(self, other: "IsoClassMultiset") -> bool:
-        """Whether the two multisets pair off isomorphically."""
-        unused = list(other.classes)
-        for rep, mult in self.classes:
-            for i, (orep, omult) in enumerate(unused):
-                if omult == mult and module_iso(rep, orep) is not None:
-                    del unused[i]
-                    break
-            else:
-                return False
-        return not unused
-
-    def __repr__(self):
-        parts = ", ".join(f"dim {rep.n} x{mult}" for rep, mult in self.classes)
-        return f"IsoClassMultiset({parts})"
-
-
-def iso_class_multiset(series: CompositionSeries) -> IsoClassMultiset:
-    """Group the series factors by module isomorphism (first occurrence
-    is the class representative); anything else raises InvalidInput."""
-    if not isinstance(series, CompositionSeries):
-        raise InvalidInput(f"expected a CompositionSeries, got {type(series).__name__}")
-    classes: list[list] = []
-    for fac in series.factors:
-        for entry in classes:
-            if entry[0].n == fac.n and module_iso(entry[0], fac) is not None:
-                entry[1] += 1
-                break
-        else:
-            classes.append([fac, 1])
-    return IsoClassMultiset([(rep, mult) for rep, mult in classes])

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 from acceptance_log import record
 from conftest import F2, F3, random_invertible
+from oracle_probes import normalizer_elements, oracle_irreducible
+from theory_checks import iso_class_multiset, levi_descent
 
 from ssred.exact import Field, Matrix, Subspace, rref, spin
 from ssred.flags import Flag, block_diagonal, c_lambda, flag_to_cocharacter
@@ -19,20 +21,17 @@ from ssred.oracle import (
     accessible_closed_orbits,
     generic_tuple,
     invariant_subspaces,
-    normalizer_elements,
     oracle_gcr,
-    oracle_irreducible,
     subgroup_closure,
 )
 from ssred.pipeline import (
     clifford_joint_ss,
     conjugacy_certificate,
     is_gcr_over_k,
-    levi_descent,
     optimal_flag,
     semisimplify,
 )
-from ssred.reps import Representation, composition_series, iso_class_multiset
+from ssred.reps import Representation, composition_series
 
 QQ = Field.rational()
 

@@ -2,9 +2,17 @@ import functools
 import itertools
 import random
 import sys
+import time
 import tracemalloc
 
 import pytest
+
+from oracle_probes import (
+    cocharacter_limits_match_flag_limits,
+    encode,
+    normalizer_elements,
+    oracle_irreducible,
+)
 
 from ssred import oracle
 from ssred.errors import DimensionMismatch, InvalidInput, ResourceBoundExceeded
@@ -14,16 +22,13 @@ from ssred.oracle import (
     OrbitIndex,
     accessible_closed_orbits,
     all_subspaces,
-    cocharacter_limits_match_flag_limits,
     generic_tuple,
     get_index,
     get_table,
     group_order,
     invariant_subspaces,
     is_cochar_closed,
-    normalizer_elements,
     oracle_gcr,
-    oracle_irreducible,
     preserved_flags,
     subgroup_closure,
 )
@@ -169,9 +174,37 @@ def test_group_table_needs_a_positive_size():
         oracle_gcr(Representation([Matrix(F2, [], ncols=0)]))
 
 
+def test_subspace_lattice_is_capped_by_its_size():
+    """The lattice is counted by the Gaussian binomials, one dimension at a
+    time, before any subspace is built: F_2^7 (29212 subspaces), F_3^6
+    (56632), F_2^14 and F_2^2000, past SPACE_VECTORS_CAP, are refused at
+    once, through invariant_subspaces too, and F_p^1 lists its two for a
+    p past any table without listing F_p."""
+    for field, n in [(F2, 7), (F3, 6), (F2, 14), (F2, 2000)]:
+        start = time.perf_counter()
+        with pytest.raises(ResourceBoundExceeded):
+            all_subspaces(field, n)
+        assert time.perf_counter() - start < 0.1
+    tuple7 = (Matrix.identity(F2, 7), mat(F2, [[int(j == (i + 1) % 7) for j in range(7)]
+                                               for i in range(7)]))
+    start = time.perf_counter()
+    with pytest.raises(ResourceBoundExceeded):
+        invariant_subspaces(tuple7)
+    assert time.perf_counter() - start < 0.1
+    big = Field.prime(2**31 - 1)
+    start = time.perf_counter()
+    assert len(invariant_subspaces((mat(big, [[5]]),))) == 2
+    assert len(preserved_flags((mat(big, [[5]]),))) == 1
+    assert time.perf_counter() - start < 0.1
+
+
 def test_all_subspaces_frozen_counts():
     assert len(all_subspaces(F2, 3)) == 16  # 1 + 7 + 7 + 1
     assert len(all_subspaces(F3, 2)) == 6   # 1 + 4 + 1
+    for (field, n), count in [((F2, 4), 67), ((F5, 3), 64), ((F2, 5), 374), ((F3, 5), 2664),
+                              ((F2, 6), 2825), ((Field.prime(37), 2), 40),
+                              ((Field.prime(65521), 1), 2)]:
+        assert len(all_subspaces(field, n)) == count
     for s in all_subspaces(F2, 3):
         if s.dim:
             canon, rank, _ = rref(s.basis)
@@ -317,7 +350,7 @@ def test_scalar_class_orbit_matches_every_conjugate():
     cases += [(F3, 3, (_random_invertible(rng, F3, 3), _random_invertible(rng, F3, 3)))
               for _ in range(3)]
     for field, n, mats in cases:
-        every = frozenset(OrbitIndex.encode(g * m * gi for m in mats)
+        every = frozenset(encode(g * m * gi for m in mats)
                           for g, gi in _inverted_by_rows(field, n))
         assert OrbitIndex(get_table(field, n)).orbit_members(mats) == every
     for field, n in [(F3, 2), (F2, 3), (F3, 3)]:
@@ -328,15 +361,15 @@ def _orbit_by_generators(mats, gens):
     """Encodings of every simultaneous conjugate of the tuple: its closure
     under conjugation by generators of the group, by Matrix products."""
     pairs = [(g, g.inverse()) for g in gens]
-    seen = {OrbitIndex.encode(mats)}
+    seen = {encode(mats)}
     frontier = [mats]
     while frontier:
         grown = []
         for t in frontier:
             for g, gi in pairs:
                 c = tuple(g * m * gi for m in t)
-                if OrbitIndex.encode(c) not in seen:
-                    seen.add(OrbitIndex.encode(c))
+                if encode(c) not in seen:
+                    seen.add(encode(c))
                     grown.append(c)
         frontier = grown
     return frozenset(seen)
@@ -367,7 +400,7 @@ def test_action_rows_match_every_conjugate_mod_p():
         plain = [mat(field, [[top, 1], [0, top]]), _random_invertible(rng, field, 2)]
         cases.append((field, 2, generic_tuple(Representation(plain))))
     for field, n, mats in cases:
-        every = frozenset(OrbitIndex.encode(g * m * gi for m in mats)
+        every = frozenset(encode(g * m * gi for m in mats)
                           for g, gi in _inverted_by_rows(field, n))
         assert OrbitIndex(get_table(field, n)).orbit_members(mats) == every
     fours = mat(F5, [[4] * 3] * 3)
@@ -408,8 +441,8 @@ def test_wide_member_keys():
     """Over GL1(F257) and GL1(F65521) entries reach 256 and more, so member
     keys take two-byte words, and over GL1(F65537) four-byte ones: the
     members are the keys of the conjugates, the orbit id decodes to the
-    entry tuple, oracle_gcr agrees with is_gcr_over_k where the subspace
-    lattice is within its cap, and keys sort like the entry tuples."""
+    entry tuple, oracle_gcr agrees with is_gcr_over_k, and keys sort like
+    the entry tuples."""
     rng = random.Random(101)
     for p, width in [(257, 2), (65521, 2), (65537, 4)]:
         field = Field.prime(p)
@@ -417,21 +450,18 @@ def test_wide_member_keys():
         index = OrbitIndex(get_table(field, 1))
         # every element of GL1(F257); 300 of the larger groups, to keep it quick
         scalars = range(1, p) if p < 2**14 else rng.sample(range(1, p), 300)
-        every = frozenset(OrbitIndex.encode(mat(field, [[c]]) * m * mat(field, [[pow(c, -1, p)]])
+        every = frozenset(encode(mat(field, [[c]]) * m * mat(field, [[pow(c, -1, p)]])
                                             for m in mats) for c in scalars)
         assert index.orbit_members(mats) == every
-        assert len(OrbitIndex.encode(mats)) == 3 * width
+        assert len(encode(mats)) == 3 * width
         assert index.orbit_id(mats) == (p - 1, 256, mats[2].entries[0][0])
         r = Representation(list(mats))
         assert is_gcr_over_k(r).semisimple
-        if p < 2**14:
-            assert oracle_gcr(r, index)
-        else:  # F_p^1 has more vectors than SPACE_VECTORS_CAP, so no subspace lattice
-            with pytest.raises(ResourceBoundExceeded):
-                oracle_gcr(r, index)
+        # F_p^1 has two subspaces, however many vectors
+        assert oracle_gcr(r, index) is True
         tuples = [tuple(rng.choice([0, 1, 255, 256, p - 1, rng.randrange(p)]) for _ in range(3))
                   for _ in range(200)]
-        keys = {t: OrbitIndex.encode(mat(field, [[x]]) for x in t) for t in tuples}
+        keys = {t: encode(mat(field, [[x]]) for x in t) for t in tuples}
         assert sorted(tuples) == sorted(tuples, key=keys.get)
 
 

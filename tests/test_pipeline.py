@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracle_probes import cocharacter_limits_match_flag_limits, oracle_irreducible
+from theory_checks import NotBlockDiagonal, iso_class_multiset, levi_descent
+
 from ssred.errors import (
     AlgebraNotStable,
     InvalidInput,
-    NotBlockDiagonal,
     NotNormal,
     PreconditionNotDestabilizable,
     SsredError,
@@ -25,11 +27,9 @@ from ssred.flags import (
 )
 from ssred.oracle import (
     accessible_closed_orbits,
-    cocharacter_limits_match_flag_limits,
     generic_tuple,
     get_table,
     oracle_gcr,
-    oracle_irreducible,
     subgroup_closure,
 )
 from ssred.pipeline import (
@@ -41,7 +41,6 @@ from ssred.pipeline import (
     clifford_joint_ss,
     conjugacy_certificate,
     is_gcr_over_k,
-    levi_descent,
     optimal_flag,
     semisimplify,
 )
@@ -52,7 +51,6 @@ from ssred.reps import (
     composition_series,
     enveloping_basis,
     is_semisimple,
-    iso_class_multiset,
     module_iso,
 )
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_representation, spin_closure
+from theory_checks import iso_class_multiset
 
 from ssred.errors import (
     DimensionMismatch,
@@ -30,7 +31,6 @@ from ssred.reps import (
     factor_poly,
     find_submodule,
     is_semisimple,
-    iso_class_multiset,
     module_iso,
     quotient_mod_subspace,
     restrict_to_subspace,
@@ -389,7 +389,9 @@ def test_verified_witnesses_sit_on_irreducible_modules():
     charpoly that verifies belongs to a module the oracle finds
     irreducible."""
     from ssred.exact import charpoly
-    from ssred.oracle import get_table, oracle_irreducible
+    from oracle_probes import oracle_irreducible
+
+    from ssred.oracle import get_table
     rng = random.Random(7)
     modules = ([Representation([g]) for field in (F2, F3) for g in get_table(field, 2).elements]
                + [random_representation(rng, F2, 3) for _ in range(20)])
